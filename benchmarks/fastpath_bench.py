@@ -21,14 +21,6 @@ pays decode+compile, later ones measure the running tier.
 superblock tier: iteration 1 profiles and upgrades mid-run through
 OSR, later iterations compile hot traces straight-line up front; the
 report lands in ``BENCH_superblock.json``.
-``--tier3`` (implying ``--tier2``) promotes every function past tier 2
-to hosted native execution: the x86 (or ``--tier3-target sparc``) back
-end translates it and the hosted executor runs the machine code,
-yielding back to the tier-1 driver for calls, runtime requests, and
-traps.  The report gains the tier-3 step/compile columns and lands in
-``BENCH_tier3.json``.  ``--tier3-backend step`` swaps the hosted units
-onto the one-instruction interpreter (the precise oracle the default
-block-compiled threaded backend is differential-tested against).
 ``--async-compile`` (implying ``--tier2``) moves tier-2 compilation
 onto the background compile service: the timed run keeps executing
 tier 1 while workers build units, which are swapped in at safe yield
@@ -71,8 +63,6 @@ QUICK_SCALE = 0.05
 def run_engine(module, engine, sanitize=False, repeat=1,
                tier2=False, tier2_threshold=0, superblocks=False,
                osr=False, async_compile=False, compile_workers=None,
-               tier3=False, tier3_threshold=0, tier3_target=None,
-               tier3_backend="threaded",
                storage=None, storage_key=None):
     """Run *module* ``repeat`` times on one engine against shared
     decode/tier-2 caches; returns a measurement dict (seconds = min).
@@ -99,11 +89,7 @@ def run_engine(module, engine, sanitize=False, repeat=1,
                                      superblocks=superblocks,
                                      osr=use_osr,
                                      async_compile=async_compile,
-                                     compile_workers=compile_workers,
-                                     tier3=tier3,
-                                     tier3_threshold=tier3_threshold,
-                                     tier3_target=tier3_target,
-                                     tier3_backend=tier3_backend)
+                                     compile_workers=compile_workers)
             if storage is not None:
                 tier2_cache.attach_storage(storage, storage_key
                                            or module.name)
@@ -111,7 +97,6 @@ def run_engine(module, engine, sanitize=False, repeat=1,
     observations = []
     faults = 0
     tier2_steps = tier2_calls = side_exits = 0
-    tier3_steps = tier3_calls = 0
     pending_at_exit = 0
     for iteration in range(repeat):
         interpreter = Interpreter(
@@ -142,8 +127,6 @@ def run_engine(module, engine, sanitize=False, repeat=1,
         tier2_steps = getattr(interpreter, "tier2_steps", 0)
         tier2_calls = getattr(interpreter, "tier2_calls", 0)
         side_exits = getattr(interpreter, "t2_side_exits", 0)
-        tier3_steps = getattr(interpreter, "tier3_steps", 0)
-        tier3_calls = getattr(interpreter, "tier3_calls", 0)
     if tier2_cache is not None:
         if storage is not None:
             tier2_cache.flush_storage()
@@ -184,33 +167,13 @@ def run_engine(module, engine, sanitize=False, repeat=1,
         "osr_upgrades": (tier2_cache.stats.osr_upgrades
                          if tier2_cache is not None else 0),
         "side_exits": side_exits,
-        "tier3_steps": tier3_steps,
-        "tier3_calls": tier3_calls,
-        "tier3_compiled": (tier2_cache.stats.tier3_compiled
-                           if tier2_cache is not None else 0),
-        "tier3_pins": (tier2_cache.stats.tier3_pins
-                       if tier2_cache is not None else 0),
-        "tier3_deopts": (tier2_cache.stats.tier3_deopts
-                         if tier2_cache is not None else 0),
-        "tier3_compile_seconds": (
-            tier2_cache.stats.tier3_compile_seconds
-            if tier2_cache is not None else 0.0),
-        "tier3_threaded_units": (
-            tier2_cache.stats.tier3_threaded_units
-            if tier2_cache is not None else 0),
-        "tier3_step_units": (tier2_cache.stats.tier3_step_units
-                             if tier2_cache is not None else 0),
-        "tier3_degraded": (tier2_cache.stats.tier3_degraded
-                           if tier2_cache is not None else 0),
         "faults": faults,
     }
 
 
 def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
                   tier2_threshold=0, superblocks=False, osr=False,
-                  async_compile=False, compile_workers=None,
-                  tier3=False, tier3_threshold=0, tier3_target=None,
-                  tier3_backend="threaded"):
+                  async_compile=False, compile_workers=None):
     workload = load_workload(name, scale)
     module = compile_source(workload.source, name, optimization_level=2)
     ref = run_engine(module, "reference", sanitize, repeat=repeat)
@@ -218,10 +181,7 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
                       tier2=tier2, tier2_threshold=tier2_threshold,
                       superblocks=superblocks, osr=osr,
                       async_compile=async_compile,
-                      compile_workers=compile_workers,
-                      tier3=tier3, tier3_threshold=tier3_threshold,
-                      tier3_target=tier3_target,
-                      tier3_backend=tier3_backend)
+                      compile_workers=compile_workers)
     sync = warm = None
     async_first = sync_first = None
     if async_compile and not sanitize:
@@ -289,28 +249,14 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
     }
     if tier2:
         # Per-tier breakdown: where the steps ran and where the
-        # translation time went (decode = tier 1, compile = tier 2,
-        # tier3_compile = native translation for the hosted executor).
+        # translation time went (decode = tier 1, compile = tier 2).
         row["tier2_steps"] = fast["tier2_steps"]
-        row["tier1_steps"] = max(steps - fast["tier2_steps"]
-                                 - fast["tier3_steps"], 0)
+        row["tier1_steps"] = max(steps - fast["tier2_steps"], 0)
         row["tier2_calls"] = fast["tier2_calls"]
         row["tier2_functions_compiled"] = fast["functions_compiled"]
         row["tier2_pins"] = fast["tier2_pins"]
         row["fast_compile_seconds"] = round(fast["compile_seconds"], 6)
         row["fast_first_run_seconds"] = round(fast["first_seconds"], 6)
-    if tier3:
-        row["tier3_steps"] = fast["tier3_steps"]
-        row["tier3_calls"] = fast["tier3_calls"]
-        row["tier3_functions_compiled"] = fast["tier3_compiled"]
-        row["tier3_pins"] = fast["tier3_pins"]
-        row["tier3_deopts"] = fast["tier3_deopts"]
-        row["tier3_compile_seconds"] = round(
-            fast["tier3_compile_seconds"], 6)
-        row["tier3_backend"] = tier3_backend
-        row["tier3_threaded_units"] = fast["tier3_threaded_units"]
-        row["tier3_step_units"] = fast["tier3_step_units"]
-        row["tier3_degraded"] = fast["tier3_degraded"]
     if superblocks or osr:
         row["tier2_superblocks"] = fast["superblocks_compiled"]
         row["tier2_osr_entries"] = fast["osr_entries"]
@@ -431,21 +377,13 @@ int main() { return work(64); }
 """
 
 
-def warm_translator(async_compile=False, tier3=False,
-                    tier3_target=None, tier3_backend="threaded"):
+def warm_translator(async_compile=False):
     module = compile_source(_WARMUP_SOURCE, "benchwarm",
                             optimization_level=2)
     run_engine(module, "fast", repeat=1, tier2=True, tier2_threshold=0)
     if async_compile:
         run_engine(module, "fast", repeat=1, tier2=True,
                    tier2_threshold=0, async_compile=True)
-    if tier3:
-        # Pulls in the target back end + register allocator once, off
-        # the clock.
-        run_engine(module, "fast", repeat=1, tier2=True,
-                   tier2_threshold=0, tier3=True, tier3_threshold=0,
-                   tier3_target=tier3_target,
-                   tier3_backend=tier3_backend)
 
 
 def geomean(values):
@@ -544,24 +482,6 @@ def main(argv=None):
                         metavar="N",
                         help="background compile worker threads "
                              "(default: service default)")
-    parser.add_argument("--tier3", action="store_true",
-                        help="promote hot tier-2 functions to hosted "
-                             "native execution (implies --tier2); "
-                             "reports the tier-3 step/compile columns")
-    parser.add_argument("--tier3-threshold", type=int, default=0,
-                        metavar="N",
-                        help="tier-2 step credit before tier-3 "
-                             "promotion (default 0: promote every "
-                             "function on first lookup)")
-    parser.add_argument("--tier3-target", default="x86",
-                        choices=("x86", "sparc"),
-                        help="back end for tier-3 native units "
-                             "(default x86)")
-    parser.add_argument("--tier3-backend", default="threaded",
-                        choices=("threaded", "step"),
-                        help="hosted execution backend: block-compiled "
-                             "direct-threaded code (default) or the "
-                             "one-instruction step interpreter")
     parser.add_argument("--vectorize", action="store_true",
                         help="A/B the loop autovectorizer: each "
                              "program compiled -O2 with and without "
@@ -585,11 +505,10 @@ def main(argv=None):
         parser.error("--repeat must be >= 1")
     if args.superblocks:
         args.osr = True
-    if args.osr or args.async_compile or args.tier3:
+    if args.osr or args.async_compile:
         args.tier2 = True
     out_path = args.out or (
         "BENCH_vector.json" if args.vectorize
-        else "BENCH_tier3.json" if args.tier3
         else "BENCH_asyncjit.json" if args.async_compile
         else "BENCH_superblock.json" if args.superblocks
         else "BENCH_tierjit.json" if args.tier2
@@ -607,10 +526,7 @@ def main(argv=None):
         return _vectorize_main(parser, args, programs, scale, out_path)
 
     if args.tier2 and not args.sanitize:
-        warm_translator(async_compile=args.async_compile,
-                        tier3=args.tier3,
-                        tier3_target=args.tier3_target,
-                        tier3_backend=args.tier3_backend)
+        warm_translator(async_compile=args.async_compile)
 
     rows = []
     diverged = False
@@ -624,11 +540,7 @@ def main(argv=None):
                             tier2_threshold=args.tier2_threshold,
                             superblocks=args.superblocks, osr=args.osr,
                             async_compile=args.async_compile,
-                            compile_workers=args.compile_workers,
-                            tier3=args.tier3,
-                            tier3_threshold=args.tier3_threshold,
-                            tier3_target=args.tier3_target,
-                            tier3_backend=args.tier3_backend)
+                            compile_workers=args.compile_workers)
         rows.append(row)
         if row["diverged"]:
             status = "DIVERGED"
@@ -639,10 +551,6 @@ def main(argv=None):
         if args.tier2 and not row["diverged"]:
             status += "  [t2 {0:.0f}%]".format(
                 100.0 * row["tier2_steps"] / max(row["steps"], 1))
-        if args.tier3 and not row["diverged"]:
-            status += "  [t3 {0:.0f}% {1}]".format(
-                100.0 * row["tier3_steps"] / max(row["steps"], 1),
-                args.tier3_backend)
         if args.async_compile and not row["diverged"] \
                 and not args.sanitize:
             status += "  [first {0:.2f}x, warm {1} cmp]".format(
@@ -662,9 +570,6 @@ def main(argv=None):
         "tier2_threshold": args.tier2_threshold,
         "superblocks": args.superblocks,
         "osr": args.osr,
-        "tier3": args.tier3,
-        "tier3_target": args.tier3_target if args.tier3 else None,
-        "tier3_backend": args.tier3_backend if args.tier3 else None,
         "repeat": args.repeat,
         "programs": rows,
         "geomean_speedup": geomean([r["speedup"] for r in rows]),
@@ -674,9 +579,8 @@ def main(argv=None):
     if args.tier2:
         total_steps = sum(r["steps"] for r in rows)
         t2_steps = sum(r["tier2_steps"] for r in rows)
-        t3_steps = sum(r.get("tier3_steps", 0) for r in rows)
         report["tier2_steps"] = t2_steps
-        report["tier1_steps"] = total_steps - t2_steps - t3_steps
+        report["tier1_steps"] = total_steps - t2_steps
         report["tier2_step_fraction"] = round(
             t2_steps / max(total_steps, 1), 4)
         report["tier2_functions_compiled"] = sum(
@@ -684,24 +588,6 @@ def main(argv=None):
         report["tier2_pins"] = sum(r["tier2_pins"] for r in rows)
         report["compile_seconds"] = round(
             sum(r["fast_compile_seconds"] for r in rows), 6)
-    if args.tier3:
-        total_steps = sum(r["steps"] for r in rows)
-        t3_steps = sum(r["tier3_steps"] for r in rows)
-        report["tier3_steps"] = t3_steps
-        report["tier3_step_fraction"] = round(
-            t3_steps / max(total_steps, 1), 4)
-        report["tier3_functions_compiled"] = sum(
-            r["tier3_functions_compiled"] for r in rows)
-        report["tier3_pins"] = sum(r["tier3_pins"] for r in rows)
-        report["tier3_deopts"] = sum(r["tier3_deopts"] for r in rows)
-        report["tier3_compile_seconds"] = round(
-            sum(r["tier3_compile_seconds"] for r in rows), 6)
-        report["tier3_threaded_units"] = sum(
-            r["tier3_threaded_units"] for r in rows)
-        report["tier3_step_units"] = sum(
-            r["tier3_step_units"] for r in rows)
-        report["tier3_degraded"] = sum(
-            r["tier3_degraded"] for r in rows)
     if args.superblocks or args.osr:
         report["tier2_superblocks"] = sum(
             r["tier2_superblocks"] for r in rows)

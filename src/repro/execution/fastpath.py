@@ -271,14 +271,7 @@ def _tier2_driver(st, f):
         except StopIteration as stop:
             return st._fast_return(f, stop.value)
     finally:
-        delta = st.steps - t0
-        st.tier2_steps += delta
-        # Tier-2 frames bypass the call-return credit that drives the
-        # tier-1 -> tier-2 promotion, so the tier-3 rung keeps its own
-        # ledger: steps spent inside a function's tier-2 unit.
-        tier2 = st.tier2
-        if tier2 is not None and delta and tier2.tier3:
-            tier2.credit_tier3(f.function, delta)
+        st.tier2_steps += st.steps - t0
 
 
 def _t2_intrinsic(st, f, gen, name, args):
@@ -298,118 +291,6 @@ def _t2_intrinsic(st, f, gen, name, args):
 
 
 _TIER2_OPS = (_tier2_driver,)
-
-
-class _Tier3Frame:
-    """An activation running tier-3 hosted native code.
-
-    Duck-types :class:`_FastFrame` exactly like :class:`_Tier2Frame`
-    (the generator here is the hosted machine-code executor from
-    :mod:`repro.execution.machine_sim` instead of a compiled tier-2
-    unit), so calls into and returns out of native frames reuse the
-    tier-2 linkage unchanged.
-    """
-
-    __slots__ = ("function", "ops", "index", "regs", "saved_sp",
-                 "ret_slot", "resume", "unwind_edge", "is_trap_handler",
-                 "steps_at_entry", "osr_mark", "gen", "started", "unit")
-
-    def __init__(self, function, unit, gen, saved_sp, ret_slot,
-                 resume, unwind_edge):
-        self.function = function
-        self.ops = _TIER3_OPS
-        self.index = 0
-        self.regs = [None]
-        self.saved_sp = saved_sp
-        self.ret_slot = ret_slot
-        self.resume = resume
-        self.unwind_edge = unwind_edge
-        self.is_trap_handler = False
-        self.steps_at_entry = -1          # tier-3 frames earn no credit
-        self.osr_mark = 0
-        self.gen = gen
-        self.started = False
-        self.unit = unit
-
-
-def _tier3_driver(st, f):
-    """The single op of a tier-3 frame: pump the hosted executor.
-
-    Same protocol as :func:`_tier2_driver` minus the requests native
-    code never issues (``trap``/``osr``), plus ``deopt``: a deliverable
-    fault abandons the native activation and
-    :meth:`FastInterpreter._tier3_deopt` rebuilds a tier-1 frame from
-    the executor's V-ABI register shadow before delivering the trap.
-    """
-    gen = f.gen
-    t0 = st.steps
-    try:
-        try:
-            if f.started:
-                value = f.regs[0]
-                f.regs[0] = None
-                request = gen.send(value)
-            else:
-                f.started = True
-                request = gen.send(None)
-            while True:
-                kind = request[0]
-                if kind == "call":
-                    st._fast_push(request[1], list(request[2]), 0,
-                                  _t2_noop_resume, None)
-                    return _RESCHED
-                if kind == "rt":
-                    try:
-                        result = st.runtime.call(request[1],
-                                                 list(request[2]))
-                    except MemoryError_ as fault:
-                        request = gen.throw(fault)
-                        continue
-                    request = gen.send(result)
-                    continue
-                if kind == "intr":
-                    request = _t2_intrinsic(st, f, gen, request[1],
-                                            list(request[2]))
-                    if request is _RESCHED:
-                        return _RESCHED
-                    continue
-                if kind == "deopt":
-                    return st._tier3_deopt(f, request)
-                # "icall": classify at run time like _fast_call_any.
-                address = request[1]
-                fn = st.image.function_at(address)
-                if fn is None:
-                    raise ExecutionTrap(
-                        TrapKind.MEMORY_FAULT,
-                        "indirect call to non-function address 0x{0:x}"
-                        .format(address), address)
-                args = list(request[2])
-                if fn.is_intrinsic:
-                    request = _t2_intrinsic(st, f, gen, fn.name, args)
-                    if request is _RESCHED:
-                        return _RESCHED
-                    continue
-                if fn.is_declaration and is_runtime_name(fn.name):
-                    try:
-                        result = st.runtime.call(fn.name, args)
-                    except MemoryError_ as fault:
-                        request = gen.throw(fault)
-                        continue
-                    request = gen.send(result)
-                    continue
-                ms = st.max_steps
-                if ms is not None and st.steps > ms:
-                    raise StepLimitExceeded(
-                        "exceeded {0} steps".format(ms))
-                st._fast_push(fn, args, 0, _t2_noop_resume, None)
-                return _RESCHED
-        except StopIteration as stop:
-            return st._fast_return(f, stop.value)
-    finally:
-        st.tier3_steps += st.steps - t0
-
-
-_TIER3_OPS = (_tier3_driver,)
 
 
 def _phi_error_op(st, f):
@@ -2055,10 +1936,6 @@ class FastInterpreter(Interpreter):
                  sanitize: bool = False,
                  tier2=False,
                  tier2_threshold: Optional[int] = None,
-                 tier3=False,
-                 tier3_threshold: Optional[int] = None,
-                 tier3_target: Optional[str] = None,
-                 tier3_backend: Optional[str] = None,
                  profiler=None):
         super().__init__(module, target=target, privileged=privileged,
                          max_steps=max_steps, sanitize=sanitize,
@@ -2071,7 +1948,7 @@ class FastInterpreter(Interpreter):
         # differential suite).  Configured before the decode cache: the
         # tier-2 cache's OSR mode decides whether tier-1 back edges
         # carry the on-stack-replacement check.
-        if (tier2 or tier3) and not sanitize:
+        if tier2 and not sanitize:
             from repro.execution.tier2 import Tier2Cache
             if isinstance(tier2, Tier2Cache):
                 if (tier2.target.pointer_size != self.target.pointer_size
@@ -2084,14 +1961,6 @@ class FastInterpreter(Interpreter):
                 kwargs = {}
                 if tier2_threshold is not None:
                     kwargs["threshold"] = tier2_threshold
-                if tier3:
-                    kwargs["tier3"] = True
-                    if tier3_threshold is not None:
-                        kwargs["tier3_threshold"] = tier3_threshold
-                    if tier3_target is not None:
-                        kwargs["tier3_target"] = tier3_target
-                    if tier3_backend is not None:
-                        kwargs["tier3_backend"] = tier3_backend
                 self.tier2 = Tier2Cache(module, self.target, **kwargs)
             self.smc_listeners.append(self.tier2.listener())
         else:
@@ -2123,14 +1992,6 @@ class FastInterpreter(Interpreter):
         self.tier2_calls = 0
         #: Superblock side exits taken (bumped by generated code).
         self.t2_side_exits = 0
-        self.tier3_steps = 0
-        self.tier3_calls = 0
-        #: Simulated machine cycles spent in hosted units (informational
-        #: cost model; steps remain the architectural clock).
-        self.tier3_cycles = 0
-        #: Per-function unfused decode products for tier-3 deopt, keyed
-        #: by function name: (smc_version, ops by block name, num_slots).
-        self._deopt_decodes = {}
 
     # -- public API ----------------------------------------------------
 
@@ -2148,8 +2009,6 @@ class FastInterpreter(Interpreter):
         t2_steps_before = self.tier2_steps
         t2_calls_before = self.tier2_calls
         t2_exits_before = self.t2_side_exits
-        t3_steps_before = self.tier3_steps
-        t3_calls_before = self.tier3_calls
         self._push_call(function, list(args), call_inst=None)
         # Engine-active bracket: under the compile service's idle
         # policy, background builds park while this run executes.
@@ -2182,11 +2041,6 @@ class FastInterpreter(Interpreter):
                                 self.tier2_calls - t2_calls_before)
                 observe.counter("tier2.side_exits",
                                 self.t2_side_exits - t2_exits_before)
-                if self.tier2.tier3:
-                    observe.counter("tier3.steps",
-                                    self.tier3_steps - t3_steps_before)
-                    observe.counter("tier3.calls",
-                                    self.tier3_calls - t3_calls_before)
         if flight is not None:
             flight.record("run.end", engine="fast",
                           steps=self.steps - steps_before)
@@ -2234,18 +2088,6 @@ class FastInterpreter(Interpreter):
                         TrapKind.SOFTWARE_TRAP,
                         "argument count mismatch calling %{0}"
                         .format(function.name))
-                if unit.kind == "tier3":
-                    frame = _Tier3Frame(function, unit,
-                                        unit.factory(self, *args),
-                                        self.memory.stack_pointer,
-                                        ret_slot, resume, unwind_edge)
-                    self._frames.append(frame)
-                    self.tier3_calls += 1
-                    if self.profiler is not None:
-                        self.profiler.push(self.steps, function.name,
-                                           "tier3")
-                        self.profiler.note_tier3_backend(unit.backend)
-                    return frame
                 frame = _Tier2Frame(function, unit,
                                     unit.factory(self, *args),
                                     self.memory.stack_pointer, ret_slot,
@@ -2391,90 +2233,6 @@ class FastInterpreter(Interpreter):
             observe.counter("tier2.osr_entries", 1)
         return _RESCHED
 
-    # -- tier-3 deoptimization -----------------------------------------
-
-    def _decode_unfused(self, function: Function):
-        """Per-block closure arrays with op index == instruction index
-        (no fusion), so a tier-3 deopt site maps directly onto a resume
-        position.  Cached per function; SMC bumps invalidate by
-        version."""
-        cached = self._deopt_decodes.get(function.name)
-        if cached is not None and cached[0] == function.smc_version:
-            return cached[1], cached[2]
-        slot_of: Dict[int, int] = {}
-        slot = 0
-        for arg in function.args:
-            slot_of[id(arg)] = slot
-            slot += 1
-        blocks = function.blocks
-        for block in blocks:
-            for inst in block.instructions:
-                if inst.produces_value:
-                    slot_of[id(inst)] = slot
-                    slot += 1
-        ops_map: Dict[int, List[Callable]] = {id(b): [] for b in blocks}
-        decoder = _Decoder(function, self.target, slot_of, ops_map,
-                           osr=False)
-        for block in blocks:
-            ops = ops_map[id(block)]
-            instructions = block.instructions
-            nphis = len(block.phis())
-            ops.extend([_phi_error_op] * nphis)
-            for index in range(nphis, len(instructions)):
-                op, _fusable = decoder.compile(block,
-                                               instructions[index],
-                                               index)
-                ops.append(op)
-        ops_by_name = {block.name: ops_map[id(block)]
-                       for block in blocks}
-        self._deopt_decodes[function.name] = (function.smc_version,
-                                              ops_by_name, slot)
-        return ops_by_name, slot
-
-    def _tier3_deopt(self, f, request):
-        """Leave native code for good at a deliverable trap: rebuild a
-        tier-1 frame from the executor's V-ABI register shadow, demote
-        the function, then deliver the trap through the ordinary
-        machinery so the handler (or escaping report) is byte-identical
-        to tier-1's."""
-        _kind, site, shadow, trap_number, info, detail = request
-        f.gen.close()
-        tier2 = self.tier2
-        if tier2 is not None:
-            tier2.note_deopt3(f.function)
-        function = f.function
-        block_name, _sep, index_text = site.rpartition(":")
-        site_index = int(index_text)
-        ops_by_name, num_slots = self._decode_unfused(function)
-        regs = list(shadow)
-        if len(regs) < num_slots:
-            regs.extend([0] * (num_slots - len(regs)))
-        frame = _FastFrame(function, ops_by_name[block_name], regs,
-                           f.saved_sp, f.ret_slot, f.resume,
-                           f.unwind_edge)
-        frame.is_trap_handler = f.is_trap_handler
-        frame.steps_at_entry = -1         # the hybrid activation earns
-        frame.osr_mark = self.steps       # neither credit nor OSR
-        frame.index = site_index
-        self._frames[-1] = frame
-        if self.profiler is not None:
-            self.profiler.replace(self.steps, function.name, "tier1")
-        flight = self.flight
-        if flight is not None:
-            flight.record("tier3.deopt", function=function.name,
-                          site=site, trap=trap_number)
-        if observe.enabled():
-            observe.counter("tier3.deopts", 1)
-        block = None
-        for candidate in function.blocks:
-            if candidate.name == block_name:
-                block = candidate
-                break
-        inst = block.instructions[site_index]
-        dst = f.unit.slot_by_site.get(site, -1)
-        return self._fast_deliver(frame, site_index, inst, dst,
-                                  trap_number, info, detail)
-
     # -- exception model -----------------------------------------------
 
     def _fast_fault(self, f: _FastFrame, index: int, inst, dst: int,
@@ -2537,18 +2295,6 @@ class FastInterpreter(Interpreter):
         return _NO_RESULT
 
     def _number_registers(self, frame) -> Dict[int, int]:
-        if type(frame) is _Tier3Frame:
-            # The hosted executor maintains an explicit V-ABI shadow
-            # (slot number -> value), refreshed by every machine
-            # instruction carrying a "vabi" annotation; read it straight
-            # out of the suspended generator's locals.
-            gi_frame = frame.gen.gi_frame
-            if gi_frame is None:  # pragma: no cover - defensive
-                return {}
-            shadow = gi_frame.f_locals.get("shadow") or []
-            return {number: int(value)
-                    for number, value in enumerate(shadow)
-                    if isinstance(value, (bool, int))}
         if type(frame) is _Tier2Frame:
             # The generator is suspended at a yield, so its locals are
             # the live register file; unbound locals are registers not

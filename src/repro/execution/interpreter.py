@@ -99,10 +99,7 @@ class Interpreter:
                 sanitize: bool = False,
                 tier2=False,
                 tier2_threshold: Optional[int] = None,
-                profiler=None,
-                tier3: bool = False,
-                tier3_threshold: Optional[int] = None,
-                tier3_target: Optional[str] = None):
+                profiler=None):
         if cls is Interpreter and engine == "fast":
             from repro.execution.fastpath import FastInterpreter
             return object.__new__(FastInterpreter)
@@ -117,13 +114,10 @@ class Interpreter:
                  sanitize: bool = False,
                  tier2=False,
                  tier2_threshold: Optional[int] = None,
-                 profiler=None,
-                 tier3: bool = False,
-                 tier3_threshold: Optional[int] = None,
-                 tier3_target: Optional[str] = None):
+                 profiler=None):
         if engine not in ("reference", "fast"):
             raise ValueError("unknown engine {0!r}".format(engine))
-        if tier2 or tier3:
+        if tier2:
             raise ValueError(
                 "tier2 requires the fast engine (engine=\"fast\")")
         self.engine = "reference"

@@ -30,9 +30,7 @@ from repro import observe
 from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
 from repro.execution.image import ProgramImage
 from repro.execution.interpreter import (
-    StepLimitExceeded,
     _float_arith,
-    _pointer_mask,
     _round_f32,
     cast_value,
 )
@@ -48,7 +46,6 @@ from repro.ir.module import Module
 from repro.targets.codegen import INCOMING_ARGS
 from repro.targets.machine import (
     Imm,
-    LabelRef,
     MachineFunction,
     MachineInstr,
     Mem,
@@ -66,7 +63,7 @@ CYCLES = {
     Semantics.JMP: 1, Semantics.JCC: 2, Semantics.CALL: 4,
     Semantics.RET: 2, Semantics.PUSH: 2, Semantics.POP: 2,
     Semantics.CVT: 2, Semantics.ADJSP: 1, Semantics.UNWIND: 10,
-    Semantics.NOP: 1, Semantics.ALLOCA: 2,
+    Semantics.NOP: 1,
     # One wide memory access each: costlier than a scalar load/store,
     # far cheaper than one scalar access per lane.
     Semantics.VLOAD: 4, Semantics.VSTORE: 3,
@@ -77,8 +74,8 @@ _MEM_OPERAND_EXTRA = 2
 
 
 def instr_cost(instr: MachineInstr) -> int:
-    """Deterministic cycle cost of one machine instruction (shared by
-    the simulator's budget accounting and tier-3's per-block totals).
+    """Deterministic cycle cost of one machine instruction (the
+    simulator's budget accounting).
 
     Memoized on the instruction itself: the cost depends only on
     decode-time facts (semantics, ALU op, operand shapes), so the
@@ -769,1417 +766,3 @@ def _push_slot_type(value, value_type: Optional[types.Type]) -> types.Type:
     if isinstance(value, int) and value < 0:
         return types.LONG
     return types.ULONG
-
-
-# ---------------------------------------------------------------------------
-# Tier-3: hosted native execution inside the fast interpreter
-# ---------------------------------------------------------------------------
-#
-# The tiered engine's top rung runs the FunctionJIT translation of a hot
-# function instead of its tier-2 generator unit.  The translation is
-# lowered in *hosted* mode (no static frame preallocation; allocas stay
-# symbolic ALLOCA micro-ops that share the interpreter's stack), so LLVA-
-# visible state — memory, addresses, faults, runtime effects — is
-# produced through exactly the same Memory/ProgramImage the tier-1
-# closures use.  Machine-private state (registers, spill slots, the
-# outgoing-argument stack) lives in per-activation Python structures.
-#
-# The executor is a generator speaking the tier-2 yield protocol:
-# ``("call", fn, args)``, ``("rt", name, args)``, ``("intr", name,
-# args)`` and ``("icall", address, args)`` yield back to the tier-1
-# driver, which pushes frames or performs the effect and resumes the
-# generator with the result.  Deliverable traps leave native code for
-# good: the executor yields ``("deopt", site, shadow, trapno, info,
-# detail)`` and returns, and the driver rebuilds a tier-1 frame from the
-# V-ABI shadow (see ``FastInterpreter._tier3_deopt``).
-
-
-class UnsupportedHosted(Exception):
-    """The function cannot be translated for the hosted executor."""
-
-
-#: Execution backends for tier-3 units.  ``threaded`` block-compiles the
-#: machine code to Python at build time (fast path); ``step`` interprets
-#: one machine instruction at a time (``_run_hosted``, the semantic
-#: oracle the threaded code must match byte for byte).
-TIER3_BACKENDS = ("threaded", "step")
-
-
-class Tier3Unit:
-    """A hosted-mode translation plus the bookkeeping the tier-1 driver
-    needs to enter, observe, and deoptimize it."""
-
-    kind = "tier3"
-
-    __slots__ = ("name", "machine", "smc_version", "num_args",
-                 "num_slots", "block_steps", "block_cycles",
-                 "slot_by_site", "backend", "degraded", "_threaded")
-
-    def __init__(self, name: str, machine: MachineFunction,
-                 smc_version: int, num_args: int, num_slots: int,
-                 block_steps: Dict[str, int],
-                 slot_by_site: Dict[str, int],
-                 backend: str = "threaded"):
-        self.name = name
-        self.machine = machine
-        self.smc_version = smc_version
-        self.num_args = num_args
-        self.num_slots = num_slots
-        #: Interpreter steps charged on entering each block (the tier-1
-        #: per-edge bump: 1 for the branch + one per phi).  Blocks added
-        #: by critical-edge splitting are absent and charge nothing.
-        self.block_steps = block_steps
-        #: "block:index" V-ABI site -> tier-1 register slot, for deopt.
-        self.slot_by_site = slot_by_site
-        self.block_cycles = {
-            block.name: sum(instr_cost(instr)
-                            for instr in block.instructions)
-            for block in machine.blocks}
-        if backend not in TIER3_BACKENDS:
-            raise ValueError(
-                "unknown tier-3 backend {0!r}".format(backend))
-        #: True when a requested threaded compile hit an instruction the
-        #: block compiler cannot express and fell back per-function to
-        #: the step backend (counted by the cache, never a pin reason).
-        self.degraded = False
-        self._threaded = None
-        if backend == "threaded":
-            try:
-                self._threaded = _compile_threaded(self)
-            except UnsupportedThreaded:
-                backend = "step"
-                self.degraded = True
-        self.backend = backend
-
-    def factory(self, st, *args):
-        threaded = self._threaded
-        if threaded is not None:
-            return threaded(st, *args)
-        return _run_hosted(st, self, list(args))
-
-
-def _run_hosted(st, unit: Tier3Unit, args: list):
-    """One activation of a hosted translation, as a tier-2-protocol
-    generator driven by ``FastInterpreter._tier3_driver``."""
-    machine = unit.machine
-    target = machine.target
-    arg_regs = target.arg_regs
-    return_reg = target.return_reg
-    blocks = machine.blocks
-    block_position = {block.name: position
-                      for position, block in enumerate(blocks)}
-    block_steps = unit.block_steps
-    block_cycles = unit.block_cycles
-    pmask = _pointer_mask(st.target)
-    memory = st.memory
-    image = st.image
-
-    registers: Dict[str, object] = {}
-    slots: Dict[int, object] = {}   # fp-relative spill/fold slots
-    arg_stack: list = []            # virtualized outgoing-arg pushes
-    incoming = list(args[len(arg_regs):])
-    for reg_name, value in zip(arg_regs, args):
-        registers[reg_name] = value
-    # Tier-1 register shadow, V-ABI slot numbering: arguments first,
-    # then one slot per value-producing instruction.  Instructions
-    # carrying a "vabi" slot number refresh it, so at any deopt site the
-    # shadow maps straight onto a tier-1 frame's register file.
-    shadow = [0] * unit.num_slots
-    shadow[:len(args)] = args
-
-    def real_address(mem) -> int:
-        address = mem.offset
-        if mem.symbol is not None:
-            address += image.address_of(mem.symbol)
-        if mem.base is not None:
-            address += int(registers.get(mem.base.name, 0))
-        if mem.index is not None:
-            address += int(registers.get(mem.index.name, 0)) * mem.scale
-        return address
-
-    def is_frame_slot(mem) -> bool:
-        return mem.symbol is None and mem.index is None \
-            and mem.base is not None and mem.base.name == "fp"
-
-    def value_of(operand, value_type=None):
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, PhysReg):
-            return registers.get(operand.name, 0)
-        if isinstance(operand, SymRef):
-            return image.address_of(operand.name)
-        if isinstance(operand, Mem):
-            if operand.symbol == INCOMING_ARGS:
-                return incoming[operand.offset // 8]
-            if is_frame_slot(operand):
-                return slots.get(operand.offset, 0)
-            return memory.read_typed(real_address(operand),
-                                     value_type or types.ULONG)
-        raise ExecutionTrap(TrapKind.SOFTWARE_TRAP,
-                            "bad operand {0!r}".format(operand))
-
-    def masked(ee: bool, unmaskable: bool) -> bool:
-        return not unmaskable and not (ee and st.exceptions_dynamic)
-
-    def goto(label: str) -> int:
-        position = block_position.get(label)
-        if position is None:
-            raise ExecutionTrap(TrapKind.SOFTWARE_TRAP,
-                                "jump to unknown label {0}".format(label))
-        steps = st.steps + block_steps.get(label, 0)
-        st.steps = steps
-        st.tier3_cycles += block_cycles.get(label, 0)
-        ms = st.max_steps
-        if ms is not None and steps > ms:
-            raise StepLimitExceeded("exceeded {0} steps".format(ms))
-        return position
-
-    bi = 0
-    ii = 0
-    if blocks:
-        st.tier3_cycles += block_cycles.get(blocks[0].name, 0)
-    while True:
-        block = blocks[bi]
-        instructions = block.instructions
-        if ii >= len(instructions):
-            # Lexical fallthrough is a real CFG edge (the translator
-            # removed the jump to the next block in layout order).
-            if bi + 1 >= len(blocks):
-                raise ExecutionTrap(
-                    TrapKind.SOFTWARE_TRAP,
-                    "fell off the end of block {0} in {1}"
-                    .format(block.name, machine.name))
-            bi = goto(blocks[bi + 1].name)
-            ii = 0
-            continue
-        instr = instructions[ii]
-        attrs = instr.attrs
-        sem = instr.semantics
-        ops = instr.operands
-        if "step" in attrs:
-            # One interpreter step per LLVA instruction, charged on the
-            # first machine instruction of its run.  No limit check
-            # here: tier-1 only checks at edges and calls, and the
-            # differential suite compares step counts exactly.
-            st.steps += 1
-
-        if sem == Semantics.MOV:
-            value_type = attrs.get("mem_value_type") \
-                or attrs.get("value_type")
-            registers[ops[0].name] = value_of(ops[1], value_type)
-        elif sem == Semantics.ALU:
-            value_type = attrs["value_type"]
-            mem_type = attrs.get("mem_value_type") or value_type
-            op = attrs["op"]
-            lhs = value_of(ops[1], value_type)
-            rhs = value_of(ops[2], mem_type)
-            if value_type.is_floating_point:
-                result = _float_arith(op, lhs, rhs)
-                if value_type is types.FLOAT:
-                    result = _round_f32(result)
-                registers[ops[0].name] = result
-            elif value_type.is_bool:
-                if op == "and":
-                    registers[ops[0].name] = lhs & rhs
-                elif op == "or":
-                    registers[ops[0].name] = lhs | rhs
-                else:
-                    registers[ops[0].name] = lhs ^ rhs
-            else:
-                lhs = int(lhs)
-                rhs = int(rhs)
-                ee = attrs.get("ee", False)
-                if op in ("div", "rem") and rhs == 0:
-                    if masked(ee, False):
-                        registers[ops[0].name] = 0
-                    else:
-                        yield ("deopt", attrs.get("site"), list(shadow),
-                               TrapKind.DIVIDE_BY_ZERO, 0, "")
-                        return
-                else:
-                    raw = _raw_int_alu(op, lhs, rhs, value_type)
-                    wrapped = value_type.wrap(raw)
-                    if wrapped != raw and op in _OVERFLOW_OPS \
-                            and ee and st.exceptions_dynamic:
-                        yield ("deopt", attrs.get("site"), list(shadow),
-                               TrapKind.INTEGER_OVERFLOW, 0, "")
-                        return
-                    registers[ops[0].name] = wrapped
-        elif sem == Semantics.CMP:
-            value_type = attrs.get("value_type")
-            mem_type = attrs.get("mem_value_type") or value_type
-            rel = attrs["rel"]
-            lhs = value_of(ops[1], value_type)
-            rhs = value_of(ops[2], mem_type)
-            if rel == "eq":
-                result = lhs == rhs
-            elif rel == "ne":
-                result = lhs != rhs
-            elif rel == "lt":
-                result = lhs < rhs
-            elif rel == "gt":
-                result = lhs > rhs
-            elif rel == "le":
-                result = lhs <= rhs
-            else:
-                result = lhs >= rhs
-            registers[ops[0].name] = result
-        elif sem == Semantics.LOAD:
-            value_type = attrs.get("value_type") or types.ULONG
-            mem = ops[1]
-            if mem.symbol == INCOMING_ARGS:
-                registers[ops[0].name] = incoming[mem.offset // 8]
-            elif is_frame_slot(mem):
-                registers[ops[0].name] = slots.get(mem.offset, 0)
-            else:
-                try:
-                    value = memory.read_typed(real_address(mem),
-                                              value_type)
-                except MemoryError_ as fault:
-                    if masked(attrs.get("ee", False), fault.unmaskable):
-                        value = _zero_of(value_type)
-                    else:
-                        yield ("deopt", attrs.get("site"), list(shadow),
-                               fault.trap_number, fault.address or 0,
-                               fault.detail)
-                        return
-                registers[ops[0].name] = value
-        elif sem == Semantics.STORE:
-            value_type = attrs.get("value_type") or types.ULONG
-            mem = ops[1]
-            value = value_of(ops[0])
-            if mem.symbol is None and is_frame_slot(mem):
-                slots[mem.offset] = value
-            else:
-                try:
-                    memory.write_typed(real_address(mem), value_type,
-                                       value)
-                except MemoryError_ as fault:
-                    if not masked(attrs.get("ee", False),
-                                  fault.unmaskable):
-                        yield ("deopt", attrs.get("site"), list(shadow),
-                               fault.trap_number, fault.address or 0,
-                               fault.detail)
-                        return
-        elif sem == Semantics.VLOAD:
-            element = attrs["value_type"]
-            esize = attrs["esize"]
-            lane_ops = ops[:-1]
-            address = real_address(ops[-1])
-            try:
-                values = [memory.read_typed(address + i * esize,
-                                            element)
-                          for i in range(len(lane_ops))]
-            except MemoryError_ as fault:
-                if masked(attrs.get("ee", True), fault.unmaskable):
-                    # Atomic over lanes: all-zero result vector.
-                    values = [_zero_of(element)] * len(lane_ops)
-                else:
-                    yield ("deopt", attrs.get("site"), list(shadow),
-                           fault.trap_number, fault.address or 0,
-                           fault.detail)
-                    return
-            for operand, value in zip(lane_ops, values):
-                if isinstance(operand, Mem):
-                    slots[operand.offset] = value  # spilled lane
-                else:
-                    registers[operand.name] = value
-        elif sem == Semantics.VSTORE:
-            element = attrs["value_type"]
-            esize = attrs["esize"]
-            lane_ops = ops[:-1]
-            address = real_address(ops[-1])
-            try:
-                for position, operand in enumerate(lane_ops):
-                    memory.write_typed(address + position * esize,
-                                       element, value_of(operand))
-            except MemoryError_ as fault:
-                # Masked: lanes before the fault stay written, the rest
-                # are dropped — byte-identical to the interpreters.
-                if not masked(attrs.get("ee", True), fault.unmaskable):
-                    yield ("deopt", attrs.get("site"), list(shadow),
-                           fault.trap_number, fault.address or 0,
-                           fault.detail)
-                    return
-        elif sem == Semantics.LEA:
-            registers[ops[0].name] = real_address(ops[1]) & pmask
-        elif sem == Semantics.CVT:
-            from_type = attrs["from_type"]
-            to_type = attrs["to_type"]
-            registers[ops[0].name] = cast_value(
-                value_of(ops[1], from_type), from_type, to_type,
-                st.target)
-        elif sem == Semantics.JMP:
-            bi = goto(ops[0].name)
-            ii = 0
-            continue
-        elif sem == Semantics.JCC:
-            if value_of(ops[0], types.BOOL):
-                bi = goto(ops[1].name)
-                ii = 0
-                continue
-        elif sem == Semantics.CALL:
-            nargs = attrs.get("nargs", 0)
-            nreg = min(nargs, len(arg_regs))
-            call_args = [registers.get(arg_regs[i], 0)
-                         for i in range(nreg)]
-            nstack = nargs - nreg
-            if nstack:
-                call_args.extend(reversed(arg_stack[-nstack:]))
-            callee = ops[0]
-            return_type = attrs.get("return_type")
-            try:
-                if isinstance(callee, SymRef):
-                    callk = attrs.get("callk", "fn")
-                    if callk == "intr":
-                        result = yield ("intr", callee.name, call_args)
-                    elif callk == "rt":
-                        result = yield ("rt", callee.name, call_args)
-                    else:
-                        fn = st.module.functions.get(callee.name)
-                        if fn is None:
-                            raise ExecutionTrap(
-                                TrapKind.SOFTWARE_TRAP,
-                                "call to undefined function %{0}"
-                                .format(callee.name))
-                        ms = st.max_steps
-                        if ms is not None and st.steps > ms:
-                            raise StepLimitExceeded(
-                                "exceeded {0} steps".format(ms))
-                        result = yield ("call", fn, call_args)
-                else:
-                    address = int(value_of(callee))
-                    result = yield ("icall", address, call_args)
-            except MemoryError_ as fault:
-                if masked(attrs.get("ee", True), fault.unmaskable):
-                    if return_type is not None \
-                            and not return_type.is_void:
-                        registers[return_reg] = _zero_of(return_type)
-                else:
-                    yield ("deopt", attrs.get("site"), list(shadow),
-                           fault.trap_number, fault.address or 0,
-                           fault.detail)
-                    return
-            else:
-                if return_type is not None and not return_type.is_void:
-                    registers[return_reg] = result
-        elif sem == Semantics.RET:
-            return registers.get(return_reg)
-        elif sem == Semantics.PUSH:
-            # Linear-scan "save" pseudo-pushes are no-ops here: the
-            # register file is per-activation, so callee-saved state
-            # cannot be clobbered.
-            if instr.mnemonic != "save":
-                arg_stack.append(value_of(ops[0]))
-        elif sem == Semantics.POP:
-            if instr.mnemonic != "restore":
-                registers[ops[0].name] = \
-                    arg_stack.pop() if arg_stack else 0
-        elif sem == Semantics.ADJSP:
-            if attrs.get("negate"):
-                raise ExecutionTrap(
-                    TrapKind.SOFTWARE_TRAP,
-                    "dynamic stack adjustment in hosted code")
-            drop = int(value_of(ops[0], types.ULONG)) // 8
-            if drop:
-                del arg_stack[-drop:]
-        elif sem == Semantics.ALLOCA:
-            esize = attrs["esize"]
-            align = max(attrs.get("align", 1), 1)
-            count = int(value_of(ops[1]))
-            total = max(esize * max(count, 0), 1)
-            try:
-                address = memory.push_frame(total, align)
-            except ExecutionTrap as trap:
-                if masked(attrs.get("ee", False), trap.unmaskable):
-                    registers[ops[0].name] = 0
-                else:
-                    yield ("deopt", attrs.get("site"), list(shadow),
-                           trap.trap_number, 0, trap.detail)
-                    return
-            else:
-                registers[ops[0].name] = address
-        elif sem == Semantics.NOP:
-            pass
-        else:
-            raise ExecutionTrap(
-                TrapKind.SOFTWARE_TRAP,
-                "hosted executor cannot run {0!r}".format(sem))
-
-        slot = attrs.get("vabi")
-        if slot is not None:
-            if sem == Semantics.STORE:
-                shadow[slot] = value_of(ops[0])
-            else:
-                shadow[slot] = registers.get(ops[0].name, 0)
-        ii += 1
-
-
-# ---------------------------------------------------------------------------
-# Tier-3 threaded backend: block-compiled direct-threaded execution
-# ---------------------------------------------------------------------------
-#
-# ``_run_hosted`` above re-decodes every machine instruction on every
-# executed cycle.  The threaded backend instead compiles each basic
-# block, once, at unit-build time, into straight-line Python source
-# (mirroring the tier-2 codegen idiom): operands are resolved at decode
-# time, registers and frame slots become Python locals, the per-block
-# cycle total is charged in one batched add at each edge, and branches
-# thread block-to-block through a single ``__blk`` dispatch loop.
-#
-# The compiled generator speaks the exact tier-2 yield protocol and must
-# be *observably byte-identical* to ``_run_hosted`` — same step counts,
-# same cycle totals, same deopt tuples, same trap reports.  Step
-# accounting uses a local ``__steps`` mirror of ``st.steps`` that is
-# written back at every observation point: before any yield, at returns,
-# and (via the outermost ``except BaseException``) whenever an exception
-# escapes.  After a ``call``/``rt``/``intr``/``icall`` yield resumes the
-# mirror is re-read, because the driver ran other code meanwhile.
-#
-# Anything the block compiler cannot express raises
-# :class:`UnsupportedThreaded` and the whole function degrades to the
-# step backend — a per-function fallback, never a pin.
-
-
-class UnsupportedThreaded(Exception):
-    """The machine function cannot be block-compiled; the tier-3 unit
-    degrades (per function) to the step backend."""
-
-
-def _div_int(lhs: int, rhs: int) -> int:
-    """C-style truncating division (same math as ``_raw_int_alu``)."""
-    quotient = abs(lhs) // abs(rhs)
-    if (lhs < 0) != (rhs < 0):
-        quotient = -quotient
-    return quotient
-
-
-def _rem_int(lhs: int, rhs: int) -> int:
-    """C-style remainder paired with :func:`_div_int`."""
-    quotient = abs(lhs) // abs(rhs)
-    if (lhs < 0) != (rhs < 0):
-        quotient = -quotient
-    return lhs - quotient * rhs
-
-
-#: Globals visible to every compiled tier-3 body.  Copied per function
-#: (plus the function's constant pool) so units never share mutable
-#: state — threaded compiles may run on background compile workers.
-_T3_NAMESPACE = {
-    "ExecutionTrap": ExecutionTrap,
-    "TrapKind": TrapKind,
-    "StepLimitExceeded": StepLimitExceeded,
-    "MemoryError_": MemoryError_,
-    "_float_arith": _float_arith,
-    "_round_f32": _round_f32,
-    "_cast_value": cast_value,
-    "_pointer_mask": _pointer_mask,
-    "_div_int": _div_int,
-    "_rem_int": _rem_int,
-    "__builtins__": {
-        "BaseException": BaseException,
-        "abs": abs, "bool": bool, "float": float, "int": int,
-        "len": len, "list": list, "max": max, "min": min,
-    },
-}
-
-
-class _ThreadedCodegen:
-    """Emits one machine function as Python generator source."""
-
-    _REL = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<="}
-
-    def __init__(self, unit: Tier3Unit):
-        self.unit = unit
-        self.machine = unit.machine
-        target = self.machine.target
-        self.arg_regs = tuple(target.arg_regs)
-        self.return_reg = target.return_reg
-        self.blocks = self.machine.blocks
-        if not self.blocks:
-            raise UnsupportedThreaded("no blocks")
-        self.block_index = {block.name: position
-                            for position, block in enumerate(self.blocks)}
-        self.body: List[str] = []
-        self.depth = 3
-        #: register name -> local, frame offset -> local, symbol -> local
-        self.reg_locals: Dict[str, str] = {}
-        self.slot_locals: Dict[int, str] = {}
-        self.sym_locals: Dict[str, str] = {}
-        self.fn_locals: Dict[str, str] = {}
-        self.const_names: Dict[int, str] = {}
-        self.const_values: Dict[str, object] = {}
-        #: registers that are statically the destination of some write
-        #: (used to decide whether RET can return the local or ``None``).
-        self.dest_written = set()
-        self.uses_read = False
-        self.uses_write = False
-        self.uses_push_frame = False
-        self.uses_incoming = False
-        self.uses_arg_stack = False
-        self.uses_pmask = False
-        self.uses_target = False
-
-    # -- symbol tables ----------------------------------------------------
-
-    def reg(self, name: str) -> str:
-        local = self.reg_locals.get(name)
-        if local is None:
-            local = self.reg_locals[name] = "_r{0}".format(
-                len(self.reg_locals))
-        return local
-
-    def slot(self, offset: int) -> str:
-        local = self.slot_locals.get(offset)
-        if local is None:
-            local = self.slot_locals[offset] = "_s{0}".format(
-                len(self.slot_locals))
-        return local
-
-    def sym(self, name: str) -> str:
-        local = self.sym_locals.get(name)
-        if local is None:
-            local = self.sym_locals[name] = "_g{0}".format(
-                len(self.sym_locals))
-        return local
-
-    def fn(self, name: str) -> str:
-        local = self.fn_locals.get(name)
-        if local is None:
-            local = self.fn_locals[name] = "_f{0}".format(
-                len(self.fn_locals))
-        return local
-
-    def const(self, obj) -> str:
-        key = id(obj)
-        local = self.const_names.get(key)
-        if local is None:
-            local = "_c{0}".format(len(self.const_names))
-            self.const_names[key] = local
-            self.const_values[local] = obj
-        return local
-
-    def dest(self, operand) -> str:
-        if not isinstance(operand, PhysReg):
-            raise UnsupportedThreaded("non-register destination")
-        return self.reg(operand.name)
-
-    # -- expressions ------------------------------------------------------
-
-    @staticmethod
-    def int_literal(value: int) -> str:
-        return repr(value) if value >= 0 else "({0})".format(value)
-
-    @staticmethod
-    def zero_literal(type_: types.Type) -> str:
-        if type_.is_floating_point:
-            return "0.0"
-        if type_.is_bool:
-            return "False"
-        return "0"
-
-    @staticmethod
-    def is_frame_slot(mem: Mem) -> bool:
-        return mem.symbol is None and mem.index is None \
-            and mem.base is not None and getattr(mem.base, "name", None) \
-            == "fp"
-
-    def addr(self, mem: Mem) -> str:
-        """``real_address(mem)`` as an expression."""
-        parts = []
-        if mem.symbol is not None:
-            if mem.symbol == INCOMING_ARGS:
-                raise UnsupportedThreaded("address of incoming args")
-            parts.append(self.sym(mem.symbol))
-        if mem.base is not None:
-            if not isinstance(mem.base, PhysReg):
-                raise UnsupportedThreaded("virtual base register")
-            parts.append("int({0})".format(self.reg(mem.base.name)))
-        if mem.index is not None:
-            if not isinstance(mem.index, PhysReg):
-                raise UnsupportedThreaded("virtual index register")
-            parts.append("int({0}) * {1}".format(
-                self.reg(mem.index.name), self.int_literal(mem.scale)))
-        if mem.offset:
-            parts.append(self.int_literal(mem.offset))
-        if not parts:
-            return "0"
-        return "({0})".format(" + ".join(parts))
-
-    def mem_val(self, mem: Mem, value_type) -> str:
-        if mem.symbol == INCOMING_ARGS:
-            self.uses_incoming = True
-            return "__in[{0}]".format(mem.offset // 8)
-        if self.is_frame_slot(mem):
-            return self.slot(mem.offset)
-        self.uses_read = True
-        return "__read({0}, {1})".format(
-            self.addr(mem), self.const(value_type or types.ULONG))
-
-    def val(self, operand, value_type=None, as_int=False) -> str:
-        """``value_of(operand, value_type)`` as an expression; with
-        ``as_int`` the result is wrapped in ``int()`` unless it is
-        statically an int already."""
-        if isinstance(operand, Imm):
-            value = operand.value
-            if isinstance(value, bool):
-                return repr(int(value)) if as_int else repr(value)
-            if isinstance(value, int):
-                return self.int_literal(value)
-            if isinstance(value, float):
-                name = self.const(value)
-                return "int({0})".format(name) if as_int else name
-            raise UnsupportedThreaded(
-                "bad immediate {0!r}".format(value))
-        if isinstance(operand, PhysReg):
-            local = self.reg(operand.name)
-            return "int({0})".format(local) if as_int else local
-        if isinstance(operand, SymRef):
-            return self.sym(operand.name)  # addresses are already int
-        if isinstance(operand, Mem):
-            expr = self.mem_val(operand, value_type)
-            return "int({0})".format(expr) if as_int else expr
-        raise UnsupportedThreaded("bad operand {0!r}".format(operand))
-
-    @staticmethod
-    def fault_unmasked_expr(ee: bool) -> str:
-        """``not masked(ee, fault.unmaskable)`` with the static ``ee``
-        folded in (the fault is bound to ``__f``)."""
-        if ee:
-            return "__f.unmaskable or st.exceptions_dynamic"
-        return "__f.unmaskable"
-
-    def wrap_expr(self, expr: str, value_type) -> str:
-        mask = (1 << value_type.bits) - 1
-        if value_type.is_signed:
-            sign = 1 << (value_type.bits - 1)
-            return "((({0}) & {1}) ^ {2}) - {2}".format(expr, mask, sign)
-        return "({0}) & {1}".format(expr, mask)
-
-    def raw_alu_expr(self, op: str, lhs: str, rhs: str,
-                     value_type) -> str:
-        if op == "add":
-            return "{0} + {1}".format(lhs, rhs)
-        if op == "sub":
-            return "{0} - {1}".format(lhs, rhs)
-        if op == "mul":
-            return "{0} * {1}".format(lhs, rhs)
-        if op == "and":
-            return "{0} & {1}".format(lhs, rhs)
-        if op == "or":
-            return "{0} | {1}".format(lhs, rhs)
-        if op == "xor":
-            return "{0} ^ {1}".format(lhs, rhs)
-        if op in ("min", "max"):
-            # The vector-reduce fold op: lhs is the accumulator, rhs
-            # the lane.  Operand expressions here are pure (locals,
-            # slot locals, literals), so repeating them in the
-            # conditional is safe.
-            rel = "<" if op == "min" else ">"
-            return "(({1}) if ({1}) {2} ({0}) else ({0}))".format(
-                lhs, rhs, rel)
-        amount = "({0} & {1})".format(rhs, value_type.bits - 1)
-        if op == "shl":
-            return "{0} << {1}".format(lhs, amount)
-        if op == "shr":
-            if value_type.is_signed:
-                return "{0} >> {1}".format(lhs, amount)
-            full = (1 << value_type.bits) - 1
-            return "(({0}) & {1}) >> {2}".format(lhs, full, amount)
-        raise UnsupportedThreaded("bad alu op {0!r}".format(op))
-
-    # -- statement emission -----------------------------------------------
-
-    def emit(self, text: str) -> None:
-        self.body.append("    " * self.depth + text)
-
-    def emit_deopt(self, extra_depth: int, site, trapno: str, info: str,
-                   detail: str, sync: bool = True) -> None:
-        self.depth += extra_depth
-        if sync:
-            self.emit("st.steps = __steps")
-        self.emit("yield ('deopt', {0!r}, list(__sh), {1}, {2}, {3})"
-                  .format(site, trapno, info, detail))
-        self.emit("return")
-        self.depth -= extra_depth
-
-    def emit_edge(self, label: str) -> None:
-        """One CFG edge: charge the target block's steps and cycles in a
-        batched add, check the limit, thread to the target's arm."""
-        position = self.block_index.get(label)
-        if position is None:
-            raise UnsupportedThreaded(
-                "jump to unknown label {0}".format(label))
-        steps = self.unit.block_steps.get(label, 0)
-        if steps:
-            self.emit("__steps += {0}".format(steps))
-        cycles = self.unit.block_cycles.get(label, 0)
-        if cycles:
-            self.emit("st.tier3_cycles += {0}".format(cycles))
-        self.emit("if __steps > __ms:")
-        self.emit("    raise StepLimitExceeded("
-                  "'exceeded {0} steps'.format(__ms))")
-        self.emit("__blk = {0}".format(position))
-        self.emit("continue")
-
-    def emit_block(self, position: int, block) -> None:
-        self.depth = 3
-        self.emit("{0} __blk == {1}:".format(
-            "if" if position == 0 else "elif", position))
-        self.depth = 4
-        for instr in block.instructions:
-            self.emit_instr(instr)
-        # Lexical fallthrough is a real CFG edge (the translator removed
-        # the jump to the next block in layout order).
-        if position + 1 < len(self.blocks):
-            self.emit_edge(self.blocks[position + 1].name)
-        else:
-            self.emit("raise ExecutionTrap(TrapKind.SOFTWARE_TRAP, {0!r})"
-                      .format("fell off the end of block {0} in {1}"
-                              .format(block.name, self.machine.name)))
-
-    def emit_instr(self, instr: MachineInstr) -> None:
-        attrs = instr.attrs
-        if "step" in attrs:
-            self.emit("__steps += 1")
-        handler = self._EMIT.get(instr.semantics)
-        if handler is None:
-            raise UnsupportedThreaded(
-                "cannot compile {0!r}".format(instr.semantics))
-        if handler(self, instr):
-            return  # control unconditionally left the instruction
-        slot = attrs.get("vabi")
-        if slot is not None:
-            self.emit_vabi(instr, slot)
-
-    def emit_vabi(self, instr: MachineInstr, slot) -> None:
-        if not isinstance(slot, int) or isinstance(slot, bool):
-            raise UnsupportedThreaded("unresolved vabi site")
-        ops = instr.operands
-        if not ops:
-            raise UnsupportedThreaded("vabi without operands")
-        if instr.semantics == Semantics.STORE:
-            expr = self.val(ops[0])
-        else:
-            name = getattr(ops[0], "name", None)
-            if name is None:
-                raise UnsupportedThreaded("vabi on unnamed operand")
-            # registers.get(name, 0): a never-written name reads as 0.
-            expr = self.reg_locals.get(name, "0")
-        self.emit("__sh[{0}] = {1}".format(slot, expr))
-
-    # -- per-semantics emitters -------------------------------------------
-
-    def emit_mov(self, instr) -> bool:
-        value_type = instr.attrs.get("mem_value_type") \
-            or instr.attrs.get("value_type")
-        self.emit("{0} = {1}".format(
-            self.dest(instr.operands[0]),
-            self.val(instr.operands[1], value_type)))
-        return False
-
-    def emit_alu(self, instr) -> bool:
-        attrs = instr.attrs
-        ops = instr.operands
-        value_type = attrs["value_type"]
-        mem_type = attrs.get("mem_value_type") or value_type
-        op = attrs["op"]
-        dst = self.dest(ops[0])
-        if value_type.is_floating_point:
-            expr = "_float_arith({0!r}, {1}, {2})".format(
-                op, self.val(ops[1], value_type),
-                self.val(ops[2], mem_type))
-            if value_type is types.FLOAT:
-                expr = "_round_f32({0})".format(expr)
-            self.emit("{0} = {1}".format(dst, expr))
-            return False
-        if value_type.is_bool:
-            pyop = "&" if op == "and" else ("|" if op == "or" else "^")
-            self.emit("{0} = {1} {2} {3}".format(
-                dst, self.val(ops[1], value_type), pyop,
-                self.val(ops[2], mem_type)))
-            return False
-        if not value_type.is_integer:
-            raise UnsupportedThreaded(
-                "alu on {0!r}".format(value_type))
-        ee = bool(attrs.get("ee", False))
-        site = attrs.get("site")
-        lhs = self.val(ops[1], value_type, as_int=True)
-        rhs = self.val(ops[2], mem_type, as_int=True)
-        if op in ("div", "rem"):
-            self.emit("__l = {0}".format(lhs))
-            self.emit("__r = {0}".format(rhs))
-            self.emit("if __r == 0:")
-            self.depth += 1
-            if ee:
-                self.emit("if st.exceptions_dynamic:")
-                self.emit_deopt(1, site, "TrapKind.DIVIDE_BY_ZERO",
-                                "0", "''")
-            self.emit("{0} = 0".format(dst))
-            self.depth -= 1
-            self.emit("else:")
-            self.depth += 1
-            helper = "_div_int" if op == "div" else "_rem_int"
-            self.emit_int_result(
-                dst, "{0}(__l, __r)".format(helper), value_type, op, ee,
-                site)
-            self.depth -= 1
-            return False
-        raw = self.raw_alu_expr(op, lhs, rhs, value_type)
-        self.emit_int_result(dst, raw, value_type, op, ee, site)
-        return False
-
-    def emit_int_result(self, dst: str, raw: str, value_type, op: str,
-                        ee: bool, site) -> None:
-        """Wrap ``raw`` into the type's range; with ExceptionsEnabled on
-        an overflow-capable op, deopt when wrapping changed the value
-        and exceptions are dynamically enabled."""
-        if ee and op in _OVERFLOW_OPS:
-            self.emit("__t = {0}".format(raw))
-            self.emit("__w = {0}".format(
-                self.wrap_expr("__t", value_type)))
-            self.emit("if __w != __t and st.exceptions_dynamic:")
-            self.emit_deopt(1, site, "TrapKind.INTEGER_OVERFLOW",
-                            "0", "''")
-            self.emit("{0} = __w".format(dst))
-        else:
-            self.emit("{0} = {1}".format(
-                dst, self.wrap_expr(raw, value_type)))
-
-    def emit_cmp(self, instr) -> bool:
-        attrs = instr.attrs
-        value_type = attrs.get("value_type")
-        mem_type = attrs.get("mem_value_type") or value_type
-        pyrel = self._REL.get(attrs["rel"], ">=")
-        self.emit("{0} = {1} {2} {3}".format(
-            self.dest(instr.operands[0]),
-            self.val(instr.operands[1], value_type), pyrel,
-            self.val(instr.operands[2], mem_type)))
-        return False
-
-    def emit_load(self, instr) -> bool:
-        attrs = instr.attrs
-        value_type = attrs.get("value_type") or types.ULONG
-        dst = self.dest(instr.operands[0])
-        mem = instr.operands[1]
-        if not isinstance(mem, Mem):
-            raise UnsupportedThreaded("load from non-memory operand")
-        if mem.symbol == INCOMING_ARGS:
-            self.uses_incoming = True
-            self.emit("{0} = __in[{1}]".format(dst, mem.offset // 8))
-            return False
-        if self.is_frame_slot(mem):
-            self.emit("{0} = {1}".format(dst, self.slot(mem.offset)))
-            return False
-        self.uses_read = True
-        self.emit("try:")
-        self.emit("    {0} = __read({1}, {2})".format(
-            dst, self.addr(mem), self.const(value_type)))
-        self.emit("except MemoryError_ as __f:")
-        self.depth += 1
-        self.emit("if {0}:".format(
-            self.fault_unmasked_expr(attrs.get("ee", False))))
-        self.emit_deopt(1, attrs.get("site"), "__f.trap_number",
-                        "__f.address or 0", "__f.detail")
-        self.emit("{0} = {1}".format(dst, self.zero_literal(value_type)))
-        self.depth -= 1
-        return False
-
-    def emit_store(self, instr) -> bool:
-        attrs = instr.attrs
-        value_type = attrs.get("value_type") or types.ULONG
-        ops = instr.operands
-        mem = ops[1]
-        if not isinstance(mem, Mem):
-            raise UnsupportedThreaded("store to non-memory operand")
-        value = self.val(ops[0])
-        if mem.symbol is None and self.is_frame_slot(mem):
-            self.emit("{0} = {1}".format(self.slot(mem.offset), value))
-            return False
-        if mem.symbol == INCOMING_ARGS:
-            raise UnsupportedThreaded("store to incoming args")
-        self.uses_write = True
-        self.emit("try:")
-        self.emit("    __write({0}, {1}, {2})".format(
-            self.addr(mem), self.const(value_type), value))
-        self.emit("except MemoryError_ as __f:")
-        self.depth += 1
-        self.emit("if {0}:".format(
-            self.fault_unmasked_expr(attrs.get("ee", False))))
-        self.emit_deopt(1, attrs.get("site"), "__f.trap_number",
-                        "__f.address or 0", "__f.detail")
-        self.depth -= 1
-        return False
-
-    def lane_dest(self, operand) -> str:
-        """The assignable local for one vector lane operand: a register
-        local, or a slot local for a spilled lane."""
-        if isinstance(operand, PhysReg):
-            return self.reg(operand.name)
-        if isinstance(operand, Mem) and self.is_frame_slot(operand):
-            return self.slot(operand.offset)
-        raise UnsupportedThreaded(
-            "bad vector lane {0!r}".format(operand))
-
-    def emit_vload(self, instr) -> bool:
-        attrs = instr.attrs
-        element = attrs["value_type"]
-        esize = int(attrs["esize"])
-        ops = instr.operands
-        mem = ops[-1]
-        if not isinstance(mem, Mem):
-            raise UnsupportedThreaded("vload from non-memory operand")
-        targets = [self.lane_dest(op) for op in ops[:-1]]
-        self.uses_read = True
-        ce = self.const(element)
-        trailing = "," if len(targets) == 1 else ""
-        lhs = ", ".join(targets) + trailing
-        reads = ", ".join(
-            "__read(__b + {0}, {1})".format(i * esize, ce) if i
-            else "__read(__b, {0})".format(ce)
-            for i in range(len(targets)))
-        self.emit("__b = {0}".format(self.addr(mem)))
-        # The tuple RHS evaluates every lane read (in lane order)
-        # before any target is assigned: a fault leaves all lanes
-        # untouched, keeping the op atomic like the step backend.
-        self.emit("try:")
-        self.emit("    {0} = ({1}{2})".format(lhs, reads, trailing))
-        self.emit("except MemoryError_ as __f:")
-        self.depth += 1
-        self.emit("if {0}:".format(
-            self.fault_unmasked_expr(attrs.get("ee", True))))
-        self.emit_deopt(1, attrs.get("site"), "__f.trap_number",
-                        "__f.address or 0", "__f.detail")
-        zeros = ", ".join([self.zero_literal(element)] * len(targets))
-        self.emit("{0} = ({1}{2})".format(lhs, zeros, trailing))
-        self.depth -= 1
-        return False
-
-    def emit_vstore(self, instr) -> bool:
-        attrs = instr.attrs
-        element = attrs["value_type"]
-        esize = int(attrs["esize"])
-        ops = instr.operands
-        mem = ops[-1]
-        if not isinstance(mem, Mem):
-            raise UnsupportedThreaded("vstore to non-memory operand")
-        values = [self.val(op) for op in ops[:-1]]
-        self.uses_write = True
-        ce = self.const(element)
-        self.emit("__b = {0}".format(self.addr(mem)))
-        # Sequential lane writes: a masked fault keeps the lanes
-        # already written and drops the rest, like the step backend.
-        self.emit("try:")
-        for position, value in enumerate(values):
-            if position:
-                self.emit("    __write(__b + {0}, {1}, {2})".format(
-                    position * esize, ce, value))
-            else:
-                self.emit("    __write(__b, {0}, {1})".format(ce, value))
-        self.emit("except MemoryError_ as __f:")
-        self.depth += 1
-        self.emit("if {0}:".format(
-            self.fault_unmasked_expr(attrs.get("ee", True))))
-        self.emit_deopt(1, attrs.get("site"), "__f.trap_number",
-                        "__f.address or 0", "__f.detail")
-        self.depth -= 1
-        return False
-
-    def emit_lea(self, instr) -> bool:
-        mem = instr.operands[1]
-        if not isinstance(mem, Mem):
-            raise UnsupportedThreaded("lea of non-memory operand")
-        self.uses_pmask = True
-        self.emit("{0} = {1} & __pm".format(
-            self.dest(instr.operands[0]), self.addr(mem)))
-        return False
-
-    def emit_cvt(self, instr) -> bool:
-        attrs = instr.attrs
-        from_type = attrs["from_type"]
-        to_type = attrs["to_type"]
-        self.uses_target = True
-        self.emit("{0} = _cast_value({1}, {2}, {3}, __td)".format(
-            self.dest(instr.operands[0]),
-            self.val(instr.operands[1], from_type),
-            self.const(from_type), self.const(to_type)))
-        return False
-
-    def emit_jmp(self, instr) -> bool:
-        self.emit_edge(instr.operands[0].name)
-        return True
-
-    def emit_jcc(self, instr) -> bool:
-        self.emit("if {0}:".format(
-            self.val(instr.operands[0], types.BOOL)))
-        self.depth += 1
-        self.emit_edge(instr.operands[1].name)
-        self.depth -= 1
-        return False
-
-    def emit_call(self, instr) -> bool:
-        attrs = instr.attrs
-        ops = instr.operands
-        nargs = attrs.get("nargs", 0)
-        nreg = min(nargs, len(self.arg_regs))
-        self.emit("__args = [{0}]".format(", ".join(
-            self.reg(self.arg_regs[i]) for i in range(nreg))))
-        nstack = nargs - nreg
-        if nstack:
-            self.uses_arg_stack = True
-            self.emit("__args += __as[-{0}:][::-1]".format(nstack))
-        callee = ops[0]
-        return_type = attrs.get("return_type")
-        has_result = return_type is not None and not return_type.is_void
-        ee = attrs.get("ee", True)
-        site = attrs.get("site")
-        if isinstance(callee, SymRef):
-            callk = attrs.get("callk", "fn")
-            if callk == "intr":
-                yield_expr = "yield ('intr', {0!r}, __args)".format(
-                    callee.name)
-            elif callk == "rt":
-                yield_expr = "yield ('rt', {0!r}, __args)".format(
-                    callee.name)
-            else:
-                fn_local = self.fn(callee.name)
-                self.emit("if {0} is None:".format(fn_local))
-                self.emit("    raise ExecutionTrap("
-                          "TrapKind.SOFTWARE_TRAP, {0!r})".format(
-                              "call to undefined function %{0}"
-                              .format(callee.name)))
-                self.emit("if __steps > __ms:")
-                self.emit("    raise StepLimitExceeded("
-                          "'exceeded {0} steps'.format(__ms))")
-                yield_expr = "yield ('call', {0}, __args)".format(
-                    fn_local)
-        else:
-            yield_expr = "yield ('icall', int({0}), __args)".format(
-                self.val(callee))
-        self.emit("st.steps = __steps")
-        self.emit("try:")
-        self.emit("    __r = " + yield_expr)
-        self.emit("except MemoryError_ as __f:")
-        self.depth += 1
-        self.emit("__steps = st.steps")
-        self.emit("if {0}:".format(self.fault_unmasked_expr(ee)))
-        self.emit_deopt(1, site, "__f.trap_number", "__f.address or 0",
-                        "__f.detail", sync=False)
-        if has_result:
-            self.emit("{0} = {1}".format(
-                self.reg(self.return_reg),
-                self.zero_literal(return_type)))
-        self.depth -= 1
-        self.emit("except BaseException:")
-        self.emit("    __steps = st.steps")
-        self.emit("    raise")
-        self.emit("else:")
-        self.depth += 1
-        self.emit("__steps = st.steps")
-        if has_result:
-            self.emit("{0} = __r".format(self.reg(self.return_reg)))
-        self.depth -= 1
-        return False
-
-    def emit_ret(self, instr) -> bool:
-        self.emit("st.steps = __steps")
-        name = self.return_reg
-        if name in self.dest_written:
-            self.emit("return {0}".format(self.reg(name)))
-            return True
-        for position, arg in enumerate(self.arg_regs):
-            if arg == name:
-                # The return register doubles as an argument register
-                # (SPARC %o0): bound iff the caller passed that many.
-                self.emit("return {0} if __n > {1} else None".format(
-                    self.reg(name), position))
-                return True
-        self.emit("return None")
-        return True
-
-    def emit_push(self, instr) -> bool:
-        # Linear-scan "save" pseudo-pushes are no-ops (per-activation
-        # register file), exactly as in the step backend.
-        if instr.mnemonic != "save":
-            self.uses_arg_stack = True
-            self.emit("__as.append({0})".format(
-                self.val(instr.operands[0])))
-        return False
-
-    def emit_pop(self, instr) -> bool:
-        if instr.mnemonic != "restore":
-            self.uses_arg_stack = True
-            self.emit("{0} = __as.pop() if __as else 0".format(
-                self.dest(instr.operands[0])))
-        return False
-
-    def emit_adjsp(self, instr) -> bool:
-        attrs = instr.attrs
-        if attrs.get("negate"):
-            self.emit("raise ExecutionTrap(TrapKind.SOFTWARE_TRAP, "
-                      "'dynamic stack adjustment in hosted code')")
-            return True
-        operand = instr.operands[0]
-        self.uses_arg_stack = True
-        if isinstance(operand, Imm) and isinstance(operand.value, int):
-            drop = int(operand.value) // 8
-            if drop:
-                self.emit("del __as[-{0}:]".format(drop))
-            return False
-        self.emit("__d = int({0}) // 8".format(
-            self.val(operand, types.ULONG)))
-        self.emit("if __d:")
-        self.emit("    del __as[-__d:]")
-        return False
-
-    def emit_alloca(self, instr) -> bool:
-        attrs = instr.attrs
-        ops = instr.operands
-        dst = self.dest(ops[0])
-        esize = int(attrs["esize"])
-        align = max(int(attrs.get("align", 1)), 1)
-        self.uses_push_frame = True
-        self.emit("__c = int({0})".format(self.val(ops[1])))
-        self.emit("if __c < 0:")
-        self.emit("    __c = 0")
-        self.emit("__t = {0} * __c".format(esize))
-        self.emit("if __t < 1:")
-        self.emit("    __t = 1")
-        self.emit("try:")
-        self.emit("    {0} = __pf(__t, {1})".format(dst, align))
-        self.emit("except ExecutionTrap as __f:")
-        self.depth += 1
-        self.emit("if {0}:".format(
-            self.fault_unmasked_expr(attrs.get("ee", False))))
-        self.emit_deopt(1, attrs.get("site"), "__f.trap_number", "0",
-                        "__f.detail")
-        self.emit("{0} = 0".format(dst))
-        self.depth -= 1
-        return False
-
-    def emit_nop(self, instr) -> bool:
-        return False
-
-    _EMIT = {
-        Semantics.MOV: emit_mov,
-        Semantics.ALU: emit_alu,
-        Semantics.CMP: emit_cmp,
-        Semantics.LOAD: emit_load,
-        Semantics.STORE: emit_store,
-        Semantics.LEA: emit_lea,
-        Semantics.CVT: emit_cvt,
-        Semantics.JMP: emit_jmp,
-        Semantics.JCC: emit_jcc,
-        Semantics.CALL: emit_call,
-        Semantics.RET: emit_ret,
-        Semantics.PUSH: emit_push,
-        Semantics.POP: emit_pop,
-        Semantics.ADJSP: emit_adjsp,
-        Semantics.ALLOCA: emit_alloca,
-        Semantics.NOP: emit_nop,
-        Semantics.VLOAD: emit_vload,
-        Semantics.VSTORE: emit_vstore,
-    }
-
-    # -- assembly ---------------------------------------------------------
-
-    def prescan(self) -> None:
-        """Collect the register universe and the statically-written set
-        before emission, so expression defaults (``registers.get(name,
-        0)``) and the RET policy see every block, not just earlier
-        ones."""
-        dest_sems = (Semantics.MOV, Semantics.ALU, Semantics.CMP,
-                     Semantics.LOAD, Semantics.LEA, Semantics.CVT,
-                     Semantics.ALLOCA)
-        for block in self.blocks:
-            for instr in block.instructions:
-                for _, reg in instr.registers():
-                    if not isinstance(reg, PhysReg):
-                        raise UnsupportedThreaded("virtual register")
-                    self.reg(reg.name)
-                sem = instr.semantics
-                ops = instr.operands
-                if ops and isinstance(ops[0], PhysReg) \
-                        and (sem in dest_sems
-                             or (sem == Semantics.POP
-                                 and instr.mnemonic != "restore")):
-                    self.dest_written.add(ops[0].name)
-                if sem == Semantics.VLOAD:
-                    for operand in ops[:-1]:
-                        if isinstance(operand, PhysReg):
-                            self.dest_written.add(operand.name)
-                if sem == Semantics.CALL:
-                    nreg = min(instr.attrs.get("nargs", 0),
-                               len(self.arg_regs))
-                    for i in range(nreg):
-                        self.reg(self.arg_regs[i])
-                    return_type = instr.attrs.get("return_type")
-                    if return_type is not None \
-                            and not return_type.is_void:
-                        self.reg(self.return_reg)
-                        self.dest_written.add(self.return_reg)
-
-    def render(self) -> str:
-        lines = ["def __tier3(st, *__a):"]
-        emit = lines.append
-        emit("    __steps = st.steps")
-        emit("    __ms = st.max_steps")
-        emit("    if __ms is None:")
-        emit("        __ms = 0x7fffffffffffffff")
-        if self.uses_read or self.uses_write or self.uses_push_frame:
-            emit("    __mem = st.memory")
-            if self.uses_read:
-                emit("    __read = __mem.read_typed")
-            if self.uses_write:
-                emit("    __write = __mem.write_typed")
-            if self.uses_push_frame:
-                emit("    __pf = __mem.push_frame")
-        if self.sym_locals:
-            emit("    __ao = st.image.address_of")
-            for name, local in self.sym_locals.items():
-                emit("    {0} = __ao({1!r})".format(local, name))
-        if self.fn_locals:
-            emit("    __fns = st.module.functions")
-            for name, local in self.fn_locals.items():
-                emit("    {0} = __fns.get({1!r})".format(local, name))
-        if self.uses_target:
-            emit("    __td = st.target")
-        if self.uses_pmask:
-            emit("    __pm = _pointer_mask(st.target)")
-        emit("    __n = len(__a)")
-        if self.uses_incoming:
-            emit("    __in = __a[{0}:]".format(len(self.arg_regs)))
-        bound = set()
-        for position, name in enumerate(self.arg_regs):
-            local = self.reg_locals.get(name)
-            if local is not None and name not in bound:
-                bound.add(name)
-                emit("    {0} = __a[{1}] if __n > {1} else 0".format(
-                    local, position))
-        for name, local in self.reg_locals.items():
-            if name not in bound:
-                emit("    {0} = 0".format(local))
-        for local in self.slot_locals.values():
-            emit("    {0} = 0".format(local))
-        if self.uses_arg_stack:
-            emit("    __as = []")
-        emit("    __sh = [0] * {0}".format(self.unit.num_slots))
-        emit("    __sh[:__n] = __a")
-        entry_cycles = self.unit.block_cycles.get(self.blocks[0].name, 0)
-        if entry_cycles:
-            emit("    st.tier3_cycles += {0}".format(entry_cycles))
-        # A body with no calls and no trap exits would otherwise compile
-        # to a plain function; the driver requires a generator.
-        emit("    if False:")
-        emit("        yield None")
-        emit("    __blk = 0")
-        emit("    try:")
-        emit("        while True:")
-        lines.extend(self.body)
-        emit("            else:")
-        emit("                raise ExecutionTrap("
-             "TrapKind.SOFTWARE_TRAP, 'lost block index')")
-        emit("    except BaseException:")
-        emit("        st.steps = __steps")
-        emit("        raise")
-        return "\n".join(lines) + "\n"
-
-    def compile(self) -> Callable:
-        self.prescan()
-        for position, block in enumerate(self.blocks):
-            self.emit_block(position, block)
-        source = self.render()
-        code = compile(source, "<tier3:{0}>".format(self.machine.name),
-                       "exec")
-        namespace = dict(_T3_NAMESPACE)
-        namespace.update(self.const_values)
-        exec(code, namespace)
-        factory = namespace["__tier3"]
-        factory._source = source  # for tests and postmortems
-        return factory
-
-
-def _compile_threaded(unit: Tier3Unit) -> Callable:
-    """Block-compile *unit*; raises :class:`UnsupportedThreaded` when
-    any instruction cannot be expressed (malformed attrs included, so a
-    function the step backend would fault on at run time degrades
-    rather than failing at build time)."""
-    try:
-        return _ThreadedCodegen(unit).compile()
-    except UnsupportedThreaded:
-        raise
-    except (AttributeError, IndexError, KeyError, TypeError) as exc:
-        raise UnsupportedThreaded(str(exc))
-
-
-def build_tier3_unit(function, module: Module, target,
-                     backend: str = "threaded") -> Tier3Unit:
-    """Translate *function* in hosted mode and wrap it as a tier-3 unit
-    running on *backend* (threaded compiles degrade per-function to the
-    step backend when an instruction is unsupported).
-
-    Raises :class:`UnsupportedHosted` for bodies the hosted executor
-    cannot honour exactly (declarations, and invoke/unwind — whose
-    lowered control flow charges steps differently from tier-1)."""
-    from repro.ir import instructions as insts
-    from repro.transforms.cloning import clone_function_body
-
-    if function.is_declaration:
-        raise UnsupportedHosted(
-            "%{0} has no body".format(function.name))
-    for block in function.blocks:
-        for inst in block.instructions:
-            if isinstance(inst, (insts.InvokeInst, insts.UnwindInst)):
-                raise UnsupportedHosted(
-                    "%{0} uses invoke/unwind".format(function.name))
-
-    # V-ABI slot numbering, identical to tier-1's decode (and the OSR
-    # maps): arguments first, then every value-producing instruction in
-    # block order.  Sites name the *original* blocks; the clone keeps
-    # block names and instruction indices, so annotations agree.
-    num_args = len(function.args)
-    slot = num_args
-    slot_by_site: Dict[str, int] = {}
-    block_steps: Dict[str, int] = {}
-    for block in function.blocks:
-        block_steps[block.name] = 1 + len(block.phis())
-        for index, inst in enumerate(block.instructions):
-            if inst.produces_value:
-                slot_by_site["{0}:{1}".format(block.name, index)] = slot
-                slot += 1
-
-    # Lower a clone: critical-edge splitting mutates the CFG, and the
-    # original keeps running under tier 1/2 (and may deopt back).
-    clone = clone_function_body(function)
-    machine = target.translate_function(clone, hosted=True)
-    _finalize_hosted(machine, module, slot_by_site)
-    return Tier3Unit(function.name, machine, function.smc_version,
-                     num_args, slot, block_steps, slot_by_site,
-                     backend=backend)
-
-
-def _finalize_hosted(machine: MachineFunction, module: Module,
-                     slot_by_site: Dict[str, int]) -> None:
-    """Resolve V-ABI site strings to slot numbers and classify direct
-    callees, so the executor needs no IR at run time (the annotated
-    machine function round-trips through persistence on its own)."""
-    for block in machine.blocks:
-        for instr in block.instructions:
-            site = instr.attrs.get("vabi")
-            if isinstance(site, str):
-                number = slot_by_site.get(site)
-                if number is None:
-                    del instr.attrs["vabi"]
-                else:
-                    instr.attrs["vabi"] = number
-            if instr.semantics == Semantics.CALL \
-                    and isinstance(instr.operands[0], SymRef):
-                name = instr.operands[0].name
-                fn = module.functions.get(name)
-                if is_intrinsic_name(name):
-                    instr.attrs["callk"] = "intr"
-                elif (fn is None or fn.is_declaration) \
-                        and is_runtime_name(name):
-                    instr.attrs["callk"] = "rt"
-                else:
-                    instr.attrs["callk"] = "fn"

@@ -116,7 +116,8 @@ from repro.ir.values import (
 #: carries the ``__vlanes`` observability hook.
 #: v5: contiguous vload/vstore go through one bulk read/write (single
 #: region lookup, one struct format) with a per-lane replay on fault.
-TIER2_VERSION = 5
+#: v6: the blob carries a SHA-256 of its ``functions`` payload.
+TIER2_VERSION = 6
 
 #: Tier-1 invocations before a function is promoted (0 = immediately).
 DEFAULT_THRESHOLD = 16
@@ -153,19 +154,6 @@ TIER2_CACHE_NAME = "llee-tier2"
 #: next to the translation blob under the same module key).
 PROFILE_CACHE_NAME = "llee-profile"
 
-#: Tier-3 promotion: architectural steps a function must burn *inside
-#: its tier-2 activations* before it is handed to the native
-#: translation pipeline (0 = promote on first lookup).
-DEFAULT_TIER3_STEP_THRESHOLD = 250_000
-
-#: Storage-API cache name for persisted tier-3 (hosted native) units,
-#: written next to the ``llee-tier2`` blob under the same module key.
-TIER3_CACHE_NAME = "llee-tier3"
-
-#: Bump whenever the hosted lowering annotations or the tier-3 blob
-#: format change shape.  v2: units rebuild their block-compiled
-#: threaded bodies from the persisted machine code at warm load.
-TIER3_VERSION = 2
 
 class UnsupportedFunction(Exception):
     """Raised by the code generator for functions tier 2 cannot compile
@@ -219,11 +207,7 @@ class Tier2Stats:
                  "promotions_by_steps", "superblocks_compiled",
                  "profiling_compiled", "osr_entries", "osr_upgrades",
                  "async_enqueued", "swap_ins", "swap_wait_seconds",
-                 "stale_drops", "escalations", "tier3_compiled",
-                 "tier3_warm", "tier3_compile_seconds", "tier3_deopts",
-                 "tier3_pins", "tier3_invalidations",
-                 "tier3_threaded_units", "tier3_step_units",
-                 "tier3_degraded")
+                 "stale_drops", "escalations")
 
     def __init__(self):
         self.functions_compiled = 0
@@ -256,25 +240,14 @@ class Tier2Stats:
         #: Queued jobs cancelled in favour of an inline compile after
         #: the function proved hot while its build was deferred.
         self.escalations = 0
-        #: Hosted native (tier-3) units built or warm-loaded.
-        self.tier3_compiled = 0
-        #: Tier-3 units served from the persisted ``llee-tier3`` blob.
-        self.tier3_warm = 0
-        self.tier3_compile_seconds = 0.0
-        #: Native activations abandoned by a deliverable trap.
-        self.tier3_deopts = 0
-        #: Functions the hosted translator cannot express (or that
-        #: deopted), permanently routed back to tier 2.
-        self.tier3_pins = 0
-        self.tier3_invalidations = 0
-        #: Units running the block-compiled direct-threaded backend.
-        self.tier3_threaded_units = 0
-        #: Units running the one-instruction step backend (requested or
-        #: degraded).
-        self.tier3_step_units = 0
-        #: Threaded compiles that hit an unsupported instruction and
-        #: fell back per-function to the step backend (not a pin).
-        self.tier3_degraded = 0
+
+
+def _functions_digest(functions: dict) -> str:
+    """SHA-256 of a persisted ``functions`` payload in canonical JSON:
+    a blob whose sources or marshalled bytecode were altered on disk
+    is rejected before any entry is compiled or executed."""
+    return hashlib.sha256(json.dumps(functions, sort_keys=True)
+                          .encode("utf-8")).hexdigest()
 
 
 def function_hash(function: Function) -> str:
@@ -1430,11 +1403,7 @@ class Tier2Cache:
                  async_compile: bool = False,
                  compile_workers: Optional[int] = None,
                  compile_service=None,
-                 escalate_step_threshold: Optional[int] = None,
-                 tier3: bool = False,
-                 tier3_threshold: Optional[int] = None,
-                 tier3_target: Optional[str] = None,
-                 tier3_backend: str = "threaded"):
+                 escalate_step_threshold: Optional[int] = None):
         self.module = module
         self.target = target
         self.threshold = max(int(threshold), 0)
@@ -1499,37 +1468,6 @@ class Tier2Cache:
         #: run_begin/run_end nesting depth (engine-active bookkeeping
         #: for the service's idle policy).
         self._run_depth = 0
-        # -- tier 3: hosted native translations ------------------------
-        #: Functions that stay hot *inside* tier 2 are translated with
-        #: the offline FunctionJIT pipeline (targets/) and executed by
-        #: the hosted machine-code executor, still speaking the tier-2
-        #: yield protocol.
-        self.tier3 = bool(tier3)
-        if tier3_threshold is None:
-            tier3_threshold = DEFAULT_TIER3_STEP_THRESHOLD
-        self.tier3_threshold = max(int(tier3_threshold), 0)
-        self.tier3_target_name = tier3_target or "x86"
-        from repro.execution.machine_sim import TIER3_BACKENDS
-        if tier3_backend not in TIER3_BACKENDS:
-            raise ValueError(
-                "unknown tier-3 backend {0!r} (choose from {1})".format(
-                    tier3_backend, ", ".join(TIER3_BACKENDS)))
-        #: Execution backend for hosted units: "threaded"
-        #: (block-compiled, default) or "step" (one-instruction oracle).
-        self.tier3_backend = tier3_backend
-        self._tier3_target = None
-        #: id(function) -> machine_sim.Tier3Unit.
-        self._units3: Dict[int, object] = {}
-        #: Steps burned inside tier-2 activations, per function.
-        self._credit3: Dict[int, int] = {}
-        self._pinned3: Dict[int, str] = {}
-        #: id(function) -> (function, CompileJob, smc_version).
-        self._pending3: Dict[int, Tuple] = {}
-        #: function name -> (machine, num_args, num_slots, block_steps,
-        #: slot_by_site) loaded from the persistent ``llee-tier3`` blob.
-        self._preloaded3: Dict[str, Tuple] = {}
-        self._dirty3 = False
-        self.tier3_cache_hit = False
 
     # -- the background compile service --------------------------------
 
@@ -1555,13 +1493,13 @@ class Tier2Cache:
 
     @property
     def pending_compiles(self) -> int:
-        return len(self._pending) + len(self._pending3)
+        return len(self._pending)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for every in-flight background compile and install the
         results (engine thread only).  Returns True when no jobs
         remain pending — always True for a synchronous cache."""
-        if not self._pending and not self._pending3:
+        if not self._pending:
             return True
         deadline = None if timeout is None else \
             time.perf_counter() + timeout
@@ -1571,11 +1509,9 @@ class Tier2Cache:
         if service is not None:
             service.begin_demand()
         try:
-            while self._pending or self._pending3:
+            while self._pending:
                 futures = [entry[2].future
                            for entry in self._pending.values()]
-                futures.extend(entry[1].future
-                               for entry in self._pending3.values())
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.perf_counter()
@@ -1588,11 +1524,6 @@ class Tier2Cache:
                     entry = self._pending.get(key)
                     if entry is not None and entry[2].future.done():
                         self._poll(entry[0], force=True)
-                        progressed = True
-                for key in list(self._pending3):
-                    entry = self._pending3.get(key)
-                    if entry is not None and entry[1].future.done():
-                        self._poll3(entry[0], force=True)
                         progressed = True
                 if not progressed and deadline is not None \
                         and time.perf_counter() >= deadline:
@@ -1621,7 +1552,6 @@ class Tier2Cache:
         """Shut down a privately owned compile service (shared
         services are the owner's to close); abandon pending jobs."""
         self._pending.clear()
-        self._pending3.clear()
         if self._owns_service and self._service is not None:
             self._service.shutdown(wait=False)
             self._service = None
@@ -1639,10 +1569,6 @@ class Tier2Cache:
         inline, and every later call polls the job — the caller keeps
         running tier 1 until the finished unit is installed here."""
         key = id(function)
-        if self.tier3:
-            unit3 = self._lookup3(function)
-            if unit3 is not None:
-                return unit3
         unit = self._units.get(key)
         if unit is not None:
             if unit.smc_version == function.smc_version:
@@ -2121,228 +2047,6 @@ class Tier2Cache:
                           reason=reason)
         return self._compile(function)
 
-    # -- tier 3: hosted native promotion --------------------------------
-    #
-    # Functions that stay hot *inside* their tier-2 units (step credit
-    # above tier3_threshold, accumulated by the engine's tier-2 driver
-    # through credit_tier3) are translated with the offline FunctionJIT
-    # pipeline and executed by the hosted machine-code executor
-    # (machine_sim._run_hosted).  The executor speaks the same yield
-    # protocol as tier-2 generators, so the engine drives it with an
-    # almost identical driver; a deliverable trap abandons the native
-    # activation ("deopt") and the function is pinned back to tier 2.
-
-    def _tier3_target_info(self):
-        """The I-ISA back end used for hosted translation, sized to the
-        module's pointer width so lowered address arithmetic agrees
-        with the interpreter's memory layout."""
-        if self._tier3_target is None:
-            from repro.targets import TARGET_FACTORIES
-            factory = TARGET_FACTORIES[self.tier3_target_name]
-            self._tier3_target = factory(
-                pointer_size=self.target.pointer_size)
-        return self._tier3_target
-
-    def credit_tier3(self, function: Function, steps: int) -> None:
-        """Credit architectural steps burned inside tier-2 activations
-        of *function* (called by the engine's tier-2 driver on every
-        unit return); enough accumulated heat promotes the function to
-        the native tier-3 pipeline."""
-        key = id(function)
-        self._credit3[key] = self._credit3.get(key, 0) + steps
-
-    def _lookup3(self, function: Function):
-        """The tier-3 arm of :meth:`lookup`: return an installed hosted
-        unit, promote a function whose tier-2 step credit crossed the
-        threshold, or None to stay on tier 2 (or below)."""
-        key = id(function)
-        unit = self._units3.get(key)
-        if unit is not None:
-            if unit.smc_version == function.smc_version:
-                return unit
-            self.invalidate(function)
-            return None
-        if key in self._pinned3:
-            return None
-        if key in self._pending3:
-            return self._poll3(function)
-        if self.tier3_threshold and \
-                self._credit3.get(key, 0) < self.tier3_threshold:
-            return None
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier3.promote", function=function.name,
-                          step_credit=self._credit3.get(key, 0))
-        if self.async_compile \
-                and function.name not in self._preloaded3:
-            return self._submit3(function)
-        return self._compile3(function)
-
-    def _build3(self, function: Function):
-        """Build (or warm-load) the hosted unit for *function* —
-        thread-safe: only reads the module, the function body, and the
-        (resolved) back end.  Returns ``(unit, warm)``; raises
-        :class:`machine_sim.UnsupportedHosted` for bodies the hosted
-        executor cannot honour exactly."""
-        from repro.execution.machine_sim import (
-            Tier3Unit,
-            build_tier3_unit,
-        )
-        warm = self._preloaded3.get(function.name)
-        if warm is not None and function.smc_version == 0:
-            machine, num_args, num_slots, block_steps, slot_by_site = \
-                warm
-            unit = Tier3Unit(function.name, machine, 0, num_args,
-                             num_slots, block_steps, slot_by_site,
-                             backend=self.tier3_backend)
-            return unit, True
-        unit = build_tier3_unit(function, self.module,
-                                self._tier3_target_info(),
-                                backend=self.tier3_backend)
-        return unit, False
-
-    def _install3(self, function: Function, unit, warm: bool,
-                  elapsed: float):
-        """Book a built hosted unit into the cache (engine thread)."""
-        self._units3[id(function)] = unit
-        self.stats.tier3_compiled += 1
-        self.stats.tier3_compile_seconds += elapsed
-        if unit.backend == "threaded":
-            self.stats.tier3_threaded_units += 1
-        else:
-            self.stats.tier3_step_units += 1
-        if unit.degraded:
-            self.stats.tier3_degraded += 1
-        if warm:
-            self.stats.tier3_warm += 1
-        else:
-            self._dirty3 = True
-        if observe.enabled():
-            observe.counter("tier3.functions_compiled", 1)
-            observe.counter("tier3.backend." + unit.backend, 1)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier3.compile.end", function=function.name,
-                          kind="tier3", seconds=round(elapsed, 9),
-                          warm=bool(warm))
-            flight.record("tier3.backend", function=function.name,
-                          backend=unit.backend,
-                          degraded=bool(unit.degraded))
-        return unit
-
-    def _fail3(self, function: Function, reason: str,
-               elapsed: float) -> None:
-        """Book a failed hosted translation: pin the function to tier 2
-        and close out the flight record (engine thread)."""
-        self.pin3(function, reason)
-        self.stats.tier3_compile_seconds += elapsed
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier3.compile.end",
-                          function=function.name, kind="error",
-                          seconds=round(elapsed, 9), warm=False)
-
-    def _compile3(self, function: Function):
-        from repro.execution.machine_sim import UnsupportedHosted
-        started = time.perf_counter()
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier3.compile.begin",
-                          function=function.name)
-        try:
-            unit, warm = self._build3(function)
-        except UnsupportedHosted as reason:
-            self._fail3(function, str(reason),
-                        time.perf_counter() - started)
-            return None
-        except Exception as error:  # pragma: no cover - defensive
-            # A translation defect must never take the program down:
-            # the tier-2 unit (and below it tier 1) stays correct.
-            self._fail3(function,
-                        "tier-3 compile error: {0}".format(error),
-                        time.perf_counter() - started)
-            return None
-        return self._install3(function, unit, warm,
-                              time.perf_counter() - started)
-
-    def _submit3(self, function: Function):
-        """Hand a tier-3 promotion to the background service.  The
-        caller keeps running its tier-2 unit; _poll3 installs the
-        native unit at a later call boundary."""
-        service = self._compile_service()
-        self._tier3_target_info()  # resolve on the engine thread
-        self.stats.async_enqueued += 1
-        if observe.enabled():
-            observe.counter("tier2.async_enqueued", 1)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier3.compile.begin",
-                          function=function.name)
-        job = service.submit(
-            lambda: self._build3(function),
-            priority=self._credit3.get(id(function), 0),
-            label="tier3:" + function.name)
-        self._pending3[id(function)] = (
-            function, job, function.smc_version)
-        return None
-
-    def _poll3(self, function: Function, force: bool = False):
-        """Check an in-flight tier-3 build at a safe point and install
-        its unit if the future has resolved (engine thread)."""
-        from repro.execution.machine_sim import UnsupportedHosted
-        key = id(function)
-        entry = self._pending3.get(key)
-        if entry is None:
-            return None
-        _function, job, smc_version = entry
-        future = job.future
-        if not job.ready and not (force and future.done()):
-            return None
-        del self._pending3[key]
-        try:
-            unit, warm = future.result()
-        except UnsupportedHosted as reason:
-            self._fail3(function, str(reason), job.seconds)
-            return None
-        except CancelledError:
-            return None
-        except Exception as error:
-            self._fail3(function,
-                        "tier-3 compile error: {0}".format(error),
-                        job.seconds)
-            return None
-        if function.smc_version != smc_version:
-            self.stats.stale_drops += 1
-            return None
-        return self._install3(function, unit, warm, job.seconds)
-
-    def pin3(self, function: Function, reason: str) -> None:
-        """Permanently route *function* back to tier 2 (until SMC
-        replaces its body)."""
-        if id(function) not in self._pinned3:
-            self._pinned3[id(function)] = reason
-            self.stats.tier3_pins += 1
-            if observe.enabled():
-                observe.counter("tier3.pins", 1, reason=reason[:40])
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("tier3.pin", function=function.name,
-                              reason=reason[:120])
-
-    def pinned3_reason(self, function: Function) -> Optional[str]:
-        return self._pinned3.get(id(function))
-
-    def note_deopt3(self, function: Function) -> None:
-        """A deliverable trap abandoned a native activation (the engine
-        rebuilt a tier-1 frame from the deopt shadow).  Drop and pin
-        the hosted unit — trap-heavy code re-runs at most at tier 2,
-        whose own fault handling is exact — and demote the tier-2 unit
-        the usual way."""
-        if self._units3.pop(id(function), None) is not None:
-            self.stats.tier3_deopts += 1
-        self.pin3(function, "deopt: trap delivered mid-execution")
-        self.note_deopt(function)
-
     # -- pinning / deopt / invalidation --------------------------------
 
     def pin(self, function: Function, reason: str) -> None:
@@ -2389,23 +2093,10 @@ class Tier2Cache:
                 flight.record("smc.invalidate", layer="tier2",
                               reason="smc-replace",
                               function=function.name)
-        if self._units3.pop(id(function), None) is not None:
-            self.stats.tier3_invalidations += 1
-            if observe.enabled():
-                observe.counter("tier3.invalidations", 1)
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("smc.invalidate", layer="tier3",
-                              reason="smc-replace",
-                              function=function.name)
         self._counts.pop(id(function), None)
         self._step_credit.pop(id(function), None)
         self._pinned.pop(id(function), None)
         self._preloaded.pop(function.name, None)
-        self._credit3.pop(id(function), None)
-        self._pinned3.pop(id(function), None)
-        self._pending3.pop(id(function), None)
-        self._preloaded3.pop(function.name, None)
         # An in-flight background job now describes dead code; unhook
         # it so its result is never installed (the worker's future
         # resolves unobserved — _poll's smc_version check is a second
@@ -2477,6 +2168,7 @@ class Tier2Cache:
             "endianness": self.target.endianness,
             "cache_tag": sys.implementation.cache_tag,
             "functions": functions,
+            "functions_sha256": _functions_digest(functions),
         }
         return json.dumps(blob, sort_keys=True).encode("utf-8")
 
@@ -2509,6 +2201,8 @@ class Tier2Cache:
         functions = blob.get("functions")
         if not isinstance(functions, dict):
             raise ValueError("corrupt tier-2 cache: missing functions")
+        if blob.get("functions_sha256") != _functions_digest(functions):
+            raise ValueError("corrupt tier-2 cache: checksum mismatch")
         # Marshalled bytecode is only trusted from the exact same
         # Python build (like .pyc); otherwise the source is recompiled.
         code_ok = blob.get("cache_tag") == sys.implementation.cache_tag
@@ -2542,105 +2236,6 @@ class Tier2Cache:
             loaded += 1
         return loaded
 
-    def serialize3(self, module_key: str) -> bytes:
-        """All current hosted translations as a JSON blob: the machine
-        code rides in a single serialized :class:`NativeModule`, with
-        the per-function deopt metadata (V-ABI slot map, step charges)
-        alongside it."""
-        from repro.targets.native import NativeModule, serialize_native
-        target = self._tier3_target_info()
-        native = NativeModule(target, module_key)
-        functions = {}
-        for unit in self._units3.values():
-            if unit.smc_version != 0:
-                # Units built from SMC-mutated bodies only match this
-                # process's mutation history; never persisted.
-                continue
-            native.add_function(unit.machine)
-            functions[unit.name] = {
-                "num_args": unit.num_args,
-                "num_slots": unit.num_slots,
-                "block_steps": unit.block_steps,
-                "slot_by_site": unit.slot_by_site,
-            }
-        # Keep warm entries we did not recompile this run.
-        for name, entry in self._preloaded3.items():
-            if name in functions:
-                continue
-            machine, num_args, num_slots, block_steps, slot_by_site = \
-                entry
-            native.add_function(machine)
-            functions[name] = {
-                "num_args": num_args,
-                "num_slots": num_slots,
-                "block_steps": block_steps,
-                "slot_by_site": slot_by_site,
-            }
-        blob = {
-            "version": TIER3_VERSION,
-            "module": module_key,
-            "target": target.name,
-            "pointer_size": self.target.pointer_size,
-            "endianness": self.target.endianness,
-            "functions": functions,
-            "native": serialize_native(native).decode("utf-8"),
-        }
-        return json.dumps(blob, sort_keys=True).encode("utf-8")
-
-    def load_serialized3(self, data: bytes, module_key: str) -> int:
-        """Validate and index a persisted tier-3 blob; returns the
-        number of usable per-function entries.  Raises ``ValueError``
-        on any corrupt, stale, or mismatched blob — callers fall back
-        to online translation."""
-        from repro.targets.native import deserialize_native
-        try:
-            blob = json.loads(data.decode("utf-8"))
-        except Exception as error:
-            raise ValueError("corrupt tier-3 cache: {0}".format(error))
-        if not isinstance(blob, dict):
-            raise ValueError("corrupt tier-3 cache: not an object")
-        if blob.get("version") != TIER3_VERSION:
-            raise ValueError("tier-3 cache version mismatch")
-        if blob.get("module") != module_key:
-            raise ValueError("tier-3 cache is for a different module")
-        if blob.get("target") != self.tier3_target_name:
-            raise ValueError("tier-3 cache is for a different target")
-        if blob.get("pointer_size") != self.target.pointer_size \
-                or blob.get("endianness") != self.target.endianness:
-            raise ValueError("tier-3 cache target fingerprint mismatch")
-        functions = blob.get("functions")
-        native_text = blob.get("native")
-        if not isinstance(functions, dict) \
-                or not isinstance(native_text, str):
-            raise ValueError("corrupt tier-3 cache: missing sections")
-        try:
-            native = deserialize_native(native_text.encode("utf-8"),
-                                        self._tier3_target_info())
-        except Exception as error:
-            raise ValueError("corrupt tier-3 cache: {0}".format(error))
-        loaded = 0
-        for name, entry in functions.items():
-            machine = native.functions.get(name)
-            if machine is None:
-                raise ValueError(
-                    "corrupt tier-3 cache entry {0!r}: no machine code"
-                    .format(name))
-            try:
-                num_args = int(entry["num_args"])
-                num_slots = int(entry["num_slots"])
-                block_steps = {str(block): int(charge) for block, charge
-                               in entry["block_steps"].items()}
-                slot_by_site = {str(site): int(slot) for site, slot
-                                in entry["slot_by_site"].items()}
-            except Exception as error:
-                raise ValueError(
-                    "corrupt tier-3 cache entry {0!r}: {1}".format(
-                        name, error))
-            self._preloaded3[name] = (machine, num_args, num_slots,
-                                      block_steps, slot_by_site)
-            loaded += 1
-        return loaded
-
     @staticmethod
     def _flight_cache(event: str, cache: str = TIER2_CACHE_NAME,
                       **fields) -> None:
@@ -2665,8 +2260,6 @@ class Tier2Cache:
         # loads first: warm compiles below need the trace layouts it
         # implies to validate per-function layout hashes.
         self._load_profile_snapshot()
-        if self.tier3:
-            self._load_tier3_blob()
         try:
             data = storage.read(cache_name, key)
         except Exception:
@@ -2737,34 +2330,6 @@ class Tier2Cache:
         self._flight_cache("hit", cache=PROFILE_CACHE_NAME)
         return True
 
-    def _load_tier3_blob(self) -> bool:
-        """Best-effort warm start for the hosted tier: a validated hit
-        lets promotion skip the whole translation pipeline."""
-        try:
-            data = self._storage.read(TIER3_CACHE_NAME,
-                                      self._storage_key)
-        except Exception:
-            data = None
-        if not data:
-            observe.counter("llee.cache.miss", 1, target="tier3")
-            self._flight_cache("miss", cache=TIER3_CACHE_NAME)
-            return False
-        try:
-            loaded = self.load_serialized3(data, self._storage_key)
-        except ValueError as error:
-            observe.counter("llee.cache.invalid", 1, target="tier3",
-                            reason=str(error)[:60])
-            observe.counter("llee.cache.miss", 1, target="tier3")
-            self._flight_cache("invalid", cache=TIER3_CACHE_NAME,
-                               reason=str(error)[:60])
-            self._preloaded3.clear()
-            return False
-        self.tier3_cache_hit = True
-        observe.counter("llee.cache.hit", 1, target="tier3")
-        self._flight_cache("hit", cache=TIER3_CACHE_NAME,
-                           functions=loaded)
-        return True
-
     def flush_storage(self) -> bool:
         """Write new translations (and any newly collected profile
         counts) back through the storage API — no-op when nothing
@@ -2796,17 +2361,6 @@ class Tier2Cache:
                 stored = True
                 observe.counter("llee.cache.store", 1, target="tier2")
                 self._flight_cache("store", cache=self._storage_cache)
-            except Exception:
-                pass
-        if self._dirty3:
-            try:
-                self._storage.write(TIER3_CACHE_NAME,
-                                    self._storage_key,
-                                    self.serialize3(self._storage_key))
-                self._dirty3 = False
-                stored = True
-                observe.counter("llee.cache.store", 1, target="tier3")
-                self._flight_cache("store", cache=TIER3_CACHE_NAME)
             except Exception:
                 pass
         return stored

@@ -115,25 +115,6 @@ class InterpretedRunReport:
     tier2_pending_at_exit: int = 0
     #: High-water mark of the compile service queue.
     tier2_queue_peak: int = 0
-    #: Tier-3 (hosted native) activity (zero unless ``tier3=True``).
-    tier3_steps: int = 0
-    tier3_calls: int = 0
-    tier3_functions_compiled: int = 0
-    tier3_warm_compiles: int = 0
-    tier3_compile_seconds: float = 0.0
-    tier3_deopts: int = 0
-    tier3_pins: int = 0
-    #: Did a persisted tier-3 native blob validate and load?
-    tier3_cache_hit: bool = False
-    #: Requested tier-3 execution backend ("" unless ``tier3=True``).
-    tier3_backend: str = ""
-    #: Units running the block-compiled direct-threaded backend vs the
-    #: one-instruction step backend (requested or degraded).
-    tier3_threaded_units: int = 0
-    tier3_step_units: int = 0
-    #: Threaded compiles that fell back per-function to the step
-    #: backend (an unsupported instruction — counted, never pinned).
-    tier3_degraded: int = 0
 
 
 class LLEE:
@@ -241,10 +222,6 @@ class LLEE:
                         osr: bool = False,
                         async_compile: bool = False,
                         compile_workers: Optional[int] = None,
-                        tier3: bool = False,
-                        tier3_threshold: Optional[int] = None,
-                        tier3_target: Optional[str] = None,
-                        tier3_backend: Optional[str] = None,
                         executable_timestamp: Optional[float] = None
                         ) -> InterpretedRunReport:
         """Run a virtual executable on an interpreter engine.
@@ -287,39 +264,22 @@ class LLEE:
         built, so persistence and the compile statistics are complete
         either way.
 
-        ``tier3=True`` (implies tier 2) adds the top rung of the
-        ladder: functions that stay hot *inside* tier 2 are translated
-        with the offline FunctionJIT pipeline (``tier3_target`` picks
-        the back end) and executed by the hosted machine-code
-        executor.  With a storage API the native units persist under
-        the ``llee-tier3`` cache next to the ``llee-tier2`` blob.
-        ``tier3_backend`` picks how hosted units execute: the
-        block-compiled direct-threaded backend (``"threaded"``, the
-        default) or the one-instruction ``"step"`` oracle.
+        The cached decoded module is keyed on every setting that
+        shapes its :class:`DecodeCache` or :class:`Tier2Cache`, so a
+        call with a different tier-2 threshold or rung gets its own.
         """
-        tier2_live = (bool(tier2) or bool(tier3)) and engine == "fast" \
-            and not sanitize
+        tier2_live = bool(tier2) and engine == "fast" and not sanitize
         use_superblocks = tier2_live and bool(superblocks)
         use_osr = tier2_live and bool(osr)
         use_async = tier2_live and bool(async_compile)
-        use_tier3 = tier2_live and bool(tier3)
-        parts = ["interp"]
-        if sanitize:
-            parts.append("san")
-        if use_superblocks:
-            parts.append("sb")
-        if use_osr:
-            parts.append("osr")
-        if use_async:
-            parts.append("async")
-        if use_tier3:
-            parts.append("t3")
-            # Step-backend caches are keyed apart from the (default)
-            # threaded ones: a cached Tier2Cache carries already-built
-            # units for one backend.
-            if tier3_backend == "step":
-                parts.append("t3s")
-        key = "-".join(parts) + "-" + self._cache_key(object_code)
+        threshold = None
+        if tier2_live:
+            from repro.execution.tier2 import DEFAULT_THRESHOLD
+            threshold = DEFAULT_THRESHOLD if tier2_threshold is None \
+                else tier2_threshold
+        object_key = self._cache_key(object_code)
+        key = (sanitize, tier2_live, threshold, use_superblocks, use_osr,
+               use_async, object_key)
         with observe.span("llee.run_interpreted", entry=entry,
                           engine=engine, tier2=bool(tier2)):
             cached = self._interp_cache.get(key) if engine == "fast" \
@@ -336,27 +296,16 @@ class LLEE:
             if tier2_live and tier2_cache is None:
                 from repro.execution.tier2 import Tier2Cache
 
-                kwargs = {}
-                if tier2_threshold is not None:
-                    kwargs["threshold"] = tier2_threshold
-                if use_async:
-                    kwargs["compile_service"] = \
-                        self.compile_service(compile_workers)
-                if use_tier3:
-                    kwargs["tier3"] = True
-                    if tier3_threshold is not None:
-                        kwargs["tier3_threshold"] = tier3_threshold
-                    if tier3_target is not None:
-                        kwargs["tier3_target"] = tier3_target
-                    if tier3_backend is not None:
-                        kwargs["tier3_backend"] = tier3_backend
+                service = self.compile_service(compile_workers) \
+                    if use_async else None
                 tier2_cache = Tier2Cache(module, module.target_data,
+                                         threshold=threshold,
                                          superblocks=use_superblocks,
                                          osr=use_osr,
-                                         **kwargs)
+                                         compile_service=service)
                 if self.storage is not None:
                     tier2_cache.attach_storage(
-                        self.storage, self._cache_key(object_code),
+                        self.storage, object_key,
                         executable_timestamp=executable_timestamp)
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
@@ -425,26 +374,6 @@ class LLEE:
             if self._compile_service is not None:
                 report.tier2_queue_peak = \
                     self._compile_service.stats.queue_peak
-            if tier2_cache.tier3:
-                report.tier3_steps = getattr(interpreter,
-                                             "tier3_steps", 0)
-                report.tier3_calls = getattr(interpreter,
-                                             "tier3_calls", 0)
-                report.tier3_functions_compiled = \
-                    tier2_cache.stats.tier3_compiled
-                report.tier3_warm_compiles = tier2_cache.stats.tier3_warm
-                report.tier3_compile_seconds = \
-                    tier2_cache.stats.tier3_compile_seconds
-                report.tier3_deopts = tier2_cache.stats.tier3_deopts
-                report.tier3_pins = tier2_cache.stats.tier3_pins
-                report.tier3_cache_hit = tier2_cache.tier3_cache_hit
-                report.tier3_backend = tier2_cache.tier3_backend
-                report.tier3_threaded_units = \
-                    tier2_cache.stats.tier3_threaded_units
-                report.tier3_step_units = \
-                    tier2_cache.stats.tier3_step_units
-                report.tier3_degraded = \
-                    tier2_cache.stats.tier3_degraded
         return report
 
     def offline_translate(self, object_code: bytes,

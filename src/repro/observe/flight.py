@@ -37,16 +37,13 @@ from typing import Deque, Dict, Iterable, List, Optional, Set
 #: v2: asynchronous compilation (``tier2.compile.enqueue`` carrying
 #: the service queue depth, ``tier2.swap_in`` carrying the enqueue-
 #: to-swap latency).
-#: v3: tier-3 hosted native execution (``tier3.promote`` /
-#: ``tier3.compile.*`` / ``tier3.pin`` / ``tier3.deopt``, and
-#: ``smc.invalidate`` events with ``layer="tier3"``).
-#: v4: tier-3 execution backends (``tier3.backend`` recording which
-#: backend — block-compiled ``threaded`` or one-instruction ``step`` —
-#: each hosted unit runs under, and whether it degraded).
+#: v3: hosted native execution events (removed in v6).
+#: v4: hosted execution backend events (removed in v6).
 #: v5: loop autovectorization (``autovec.loop`` recording, per
 #: candidate loop, whether it was vectorized — with the lane count —
 #: or rejected, with the reason taxonomy of transforms/autovec.py).
-FLIGHT_FORMAT_VERSION = 5
+#: v6: v3/v4 events removed; ``smc.invalidate`` layers: tier2, native.
+FLIGHT_FORMAT_VERSION = 6
 
 #: Default ring capacity — big enough to hold the full JIT lifecycle
 #: of a benchsuite run (a few hundred events) with room for chatty
@@ -76,13 +73,6 @@ EVENT_SCHEMA: Dict[str, Set[str]] = {
     # on-stack replacement
     "tier2.osr.enter": {"function", "block"},
     "tier2.osr.upgrade": {"function", "kind"},
-    # tier-3 hosted native execution
-    "tier3.promote": {"function", "step_credit"},
-    "tier3.compile.begin": {"function"},
-    "tier3.compile.end": {"function", "kind", "seconds", "warm"},
-    "tier3.pin": {"function", "reason"},
-    "tier3.deopt": {"function", "site", "trap"},
-    "tier3.backend": {"function", "backend", "degraded"},
     # trap delivery
     "trap.deliver": {"engine", "trap", "handler"},
     "trap.unhandled": {"engine", "trap"},

@@ -7,9 +7,7 @@ pairs, where tier is one of:
 * ``tier2`` — tier-2 block-dispatch / profiling units;
 * ``superblock`` — trace-compiled straight-line arms;
 * ``osr`` — frames that entered tier-2 mid-run via on-stack
-  replacement;
-* ``tier3`` — hosted native units (machine code run by the hosted
-  executor; a deopt swaps the frame back to ``tier1`` in place).
+  replacement.
 
 The scheme is frame-boundary accounting: the engines call
 :meth:`StepProfiler.push` / :meth:`pop` / :meth:`replace` at every
@@ -34,8 +32,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 #: Tier labels, in promotion order.
-TIERS: Tuple[str, ...] = ("tier1", "tier2", "superblock", "osr",
-                          "tier3")
+TIERS: Tuple[str, ...] = ("tier1", "tier2", "superblock", "osr")
 
 #: Tiers whose steps the engine books under ``tier2_steps``.
 TIER2_TIERS = frozenset(("tier2", "superblock", "osr"))
@@ -60,7 +57,7 @@ class StepProfiler:
                  "max_stack_events", "_frame_index", "_frame_names",
                  "_stack_events", "_event_recorded",
                  "background_compiles", "background_compile_seconds",
-                 "background_swap_wait_seconds", "tier3_backends")
+                 "background_swap_wait_seconds")
 
     def __init__(self, record_stack: bool = False,
                  max_stack_events: int = DEFAULT_MAX_STACK_EVENTS,
@@ -84,12 +81,6 @@ class StepProfiler:
         self.background_compiles = 0
         self.background_compile_seconds = 0.0
         self.background_swap_wait_seconds = 0.0
-        # Tier-3 frames all attribute under the one "tier3" label; the
-        # execution backend (block-compiled "threaded" vs the
-        # one-instruction "step" oracle) is a per-frame annotation the
-        # engine reports here instead, so profiles can still say which
-        # backend the native time ran under.
-        self.tier3_backends: Dict[str, int] = {}
 
     # -- frame-transition hooks (the hot path) -------------------------------
 
@@ -191,14 +182,6 @@ class StepProfiler:
         self.background_compile_seconds += seconds
         self.background_swap_wait_seconds += swap_wait_seconds
 
-    def note_tier3_backend(self, backend: str,
-                           count: int = 1) -> None:
-        """Record that *count* tier-3 frames ran under *backend*
-        ("threaded" or "step").  Kept beside the rows — the tier label
-        stays "tier3" so per-tier totals are backend-agnostic."""
-        self.tier3_backends[backend] = \
-            self.tier3_backends.get(backend, 0) + int(count)
-
     # -- reads ---------------------------------------------------------------
 
     def total_steps(self) -> int:
@@ -217,19 +200,13 @@ class StepProfiler:
 
     def tier1_steps(self) -> int:
         return int(sum(row[0] for (_, tier), row in self.rows.items()
-                       if tier not in TIER2_TIERS
-                       and tier != "tier3"))
+                       if tier not in TIER2_TIERS))
 
     def tier2_steps(self) -> int:
         """Steps the engine books as ``tier2_steps`` (tier-2 dispatch
         + superblock + OSR-entered frames)."""
         return int(sum(row[0] for (_, tier), row in self.rows.items()
                        if tier in TIER2_TIERS))
-
-    def tier3_steps(self) -> int:
-        """Steps executed inside hosted native (tier-3) frames."""
-        return int(sum(row[0] for (_, tier), row in self.rows.items()
-                       if tier == "tier3"))
 
     def function_rows(self) -> List[Dict[str, object]]:
         """Rows sorted hottest-first, JSON-ready."""
@@ -250,7 +227,6 @@ class StepProfiler:
             "tiers": self.tier_totals(),
             "tier1_steps": self.tier1_steps(),
             "tier2_steps": self.tier2_steps(),
-            "tier3_steps": self.tier3_steps(),
             "total_steps": self.total_steps(),
             "duration_seconds": duration,
         }
@@ -260,8 +236,6 @@ class StepProfiler:
                 "seconds": self.background_compile_seconds,
                 "swap_wait_seconds": self.background_swap_wait_seconds,
             }
-        if self.tier3_backends:
-            document["tier3_backends"] = dict(self.tier3_backends)
         return document
 
     # -- speedscope export ---------------------------------------------------

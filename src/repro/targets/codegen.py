@@ -108,16 +108,9 @@ class LoweringError(MachineError):
 class FunctionLowering:
     """Lowers one LLVA function to generic machine code for a target."""
 
-    def __init__(self, function: Function, target: TargetInfo,
-                 hosted: bool = False):
+    def __init__(self, function: Function, target: TargetInfo):
         self.function = function
         self.target = target
-        #: Hosted mode (the tier-3 in-process executor): allocas stay on
-        #: the interpreter's stack (ALLOCA pseudo instead of frame
-        #: slots), and every emitted run is annotated with its LLVA site
-        #: plus step/V-ABI bookkeeping so execution state maps back onto
-        #: tier-1 frames.
-        self.hosted = hosted
         self.machine = MachineFunction(function.name, target)
         self.machine.smc_version = function.smc_version
         self.td = target.target_data
@@ -130,14 +123,12 @@ class FunctionLowering:
         self._frame_cursor = 0
         self._block_map: Dict[int, MachineBasicBlock] = {}
         self._current: Optional[MachineBasicBlock] = None
-        self._phi_sites: Optional[Dict[int, str]] = None
 
     # -- entry point ----------------------------------------------------------
 
     def lower(self) -> MachineFunction:
         split_critical_edges(self.function)
-        if not self.hosted:
-            self._preallocate_static_allocas()
+        self._preallocate_static_allocas()
         for block in self.function.blocks:
             self._block_map[id(block)] = self.machine.add_block(block.name)
         self._lower_arguments()
@@ -240,56 +231,14 @@ class FunctionLowering:
     # -- instruction dispatch -------------------------------------------------------
 
     def _lower_block(self, block: BasicBlock) -> None:
-        for index, inst in enumerate(block.instructions):
+        for inst in block.instructions:
             if isinstance(inst, insts.PhiInst):
                 continue  # receives copies from predecessors
-            start = len(self._current.instructions)
             if inst.is_terminator:
                 self._lower_phi_copies(block)
-                start = len(self._current.instructions)
                 self._lower_terminator(block, inst)
             else:
                 self._lower_instruction(inst)
-            if self.hosted:
-                self._annotate_run(block, index, inst, start)
-
-    def _annotate_run(self, block: BasicBlock, index: int,
-                      inst: insts.Instruction, start: int) -> None:
-        """Hosted-mode bookkeeping on the machine instructions emitted
-        for one LLVA instruction: the whole run carries its source site,
-        the first instruction charges the interpreter step, and the last
-        definition of the result register carries the V-ABI site so the
-        executor can maintain a tier-1 register shadow."""
-        run = self._current.instructions[start:]
-        if not run:
-            return
-        site = "{0}:{1}".format(block.name, index)
-        for instr in run:
-            instr.attrs["site"] = site
-        if not isinstance(inst, (insts.BranchInst,
-                                 insts.MultiwayBranchInst)):
-            # Branch steps are charged at block entry (1 + phi count of
-            # the successor), exactly matching tier-1's per-edge charge.
-            run[0].attrs["step"] = 1
-        if getattr(inst, "produces_value", False):
-            reg = self._value_regs.get(id(inst))
-            if reg is not None:
-                for instr in reversed(run):
-                    ops = instr.operands
-                    if ops and isinstance(ops[0], VirtualReg) \
-                            and ops[0].index == reg.index:
-                        instr.attrs["vabi"] = site
-                        break
-
-    def _phi_site(self, phi: insts.PhiInst) -> str:
-        if self._phi_sites is None:
-            self._phi_sites = {}
-            for blk in self.function.blocks:
-                for position, candidate in enumerate(blk.instructions):
-                    if isinstance(candidate, insts.PhiInst):
-                        self._phi_sites[id(candidate)] = \
-                            "{0}:{1}".format(blk.name, position)
-        return self._phi_sites[id(phi)]
 
     def _lower_phi_copies(self, block: BasicBlock) -> None:
         """Parallel copies into successor phis.
@@ -301,39 +250,34 @@ class FunctionLowering:
         register allocation" costs so little even when they are not
         (Section 3.1).
         """
-        copies: List[Tuple[insts.PhiInst, VirtualReg, Value]] = []
+        copies: List[Tuple[VirtualReg, Value]] = []
         written: set = set()
         for successor in set(block.successors()):
             for phi in successor.phis():
                 value = phi.incoming_for_block(block)
                 if value is not None:
-                    copies.append((phi, self.vreg_for(phi), value))
+                    copies.append((self.vreg_for(phi), value))
                     written.add(id(phi))
         if not copies:
             return
         # All reads of to-be-written phi registers happen first (into
         # temporaries), then the plain writes, then the staged writes.
-        staged: List[Tuple[insts.PhiInst, VirtualReg, VirtualReg]] = []
-        plain: List[Tuple[insts.PhiInst, VirtualReg, Value]] = []
-        for phi, phi_reg, value in copies:
+        staged: List[Tuple[VirtualReg, VirtualReg]] = []
+        plain: List[Tuple[VirtualReg, Value]] = []
+        for phi_reg, value in copies:
             if isinstance(value, insts.PhiInst) and id(value) in written:
                 temp = self.machine.new_vreg(value.type)
                 self.emit(Semantics.MOV, [temp, self.operand(value)],
                           value_type=value.type)
-                staged.append((phi, phi_reg, temp))
+                staged.append((phi_reg, temp))
             else:
-                plain.append((phi, phi_reg, value))
-        for phi, phi_reg, value in plain:
-            instr = self.emit(Semantics.MOV,
-                              [phi_reg, self.operand(value)],
-                              value_type=value.type)
-            if self.hosted:
-                instr.attrs["vabi"] = self._phi_site(phi)
-        for phi, phi_reg, temp in staged:
-            instr = self.emit(Semantics.MOV, [phi_reg, temp],
-                              value_type=temp.type)
-            if self.hosted:
-                instr.attrs["vabi"] = self._phi_site(phi)
+                plain.append((phi_reg, value))
+        for phi_reg, value in plain:
+            self.emit(Semantics.MOV, [phi_reg, self.operand(value)],
+                      value_type=value.type)
+        for phi_reg, temp in staged:
+            self.emit(Semantics.MOV, [phi_reg, temp],
+                      value_type=temp.type)
 
     def _lower_terminator(self, block: BasicBlock,
                           inst: insts.Instruction) -> None:
@@ -591,19 +535,6 @@ class FunctionLowering:
                              offset=constant_offset)])
 
     def _lower_alloca(self, inst: insts.AllocaInst) -> None:
-        if self.hosted:
-            # Hosted execution shares the interpreter's memory: the
-            # frame is carved with push_frame so alloca addresses are
-            # identical to tier-1's, instead of living in the (virtual)
-            # machine frame.
-            reg = self.vreg_for(inst)
-            count = Imm(1) if inst.count is None \
-                else self.operand(inst.count)
-            self.emit(Semantics.ALLOCA, [reg, count],
-                      esize=self.td.size_of(inst.allocated_type),
-                      align=self.td.align_of(inst.allocated_type),
-                      ee=inst.exceptions_enabled)
-            return
         if id(inst) in self._alloca_offsets:
             # Static slot: the value is just its frame address; uses go
             # through operand()/_address_of, but the register may still

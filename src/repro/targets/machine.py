@@ -38,9 +38,6 @@ class Semantics:
     ADJSP = "adjsp"      # sp += imm (stack adjustment)
     UNWIND = "unwind"    # pop frames to the nearest invoke
     NOP = "nop"
-    ALLOCA = "alloca"    # rd <- push_frame(esize*count) (hosted tier-3
-    #                      lowering only: keeps alloca addresses
-    #                      identical to the interpreter's)
     # Vector-extension memory ops.  Lane operands come first, the
     # program address (a Mem) last; ``value_type``/``lanes``/``esize``
     # attrs carry the element type and geometry.  The op is *atomic
@@ -160,8 +157,8 @@ class MachineInstr:
         #: from_type/to_type (cvt), normal/unwind labels (call), ...
         self.attrs: Dict[str, object] = attrs
         #: Memoized deterministic cycle cost; filled lazily by
-        #: ``machine_sim.instr_cost`` so neither the simulator loop nor
-        #: tier-3 block totals re-dispatch on the opcode every cycle.
+        #: ``machine_sim.instr_cost`` so the simulator loop does not
+        #: re-dispatch on the opcode every cycle.
         #: Not serialized — recomputed after deserialization.
         self.cost: Optional[int] = None
 

@@ -39,7 +39,7 @@ from repro.targets.machine import (
 
 #: Semantics whose first operand is a definition.
 _DEF0 = {Semantics.MOV, Semantics.ALU, Semantics.CMP, Semantics.LOAD,
-         Semantics.LEA, Semantics.POP, Semantics.CVT, Semantics.ALLOCA}
+         Semantics.LEA, Semantics.POP, Semantics.CVT}
 
 
 def instr_defs_uses(instr: MachineInstr

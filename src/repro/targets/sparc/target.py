@@ -63,10 +63,9 @@ _STORE_MNEMONIC = {1: "stb", 2: "sth", 4: "stw", 8: "stx"}
 class SparcTarget(TargetInfo):
     """TargetInfo plus the SPARC translation pipeline."""
 
-    def translate_function(self, function: Function,
-                           hosted: bool = False) -> MachineFunction:
+    def translate_function(self, function: Function) -> MachineFunction:
         from repro.targets.codegen import remove_fallthrough_jumps
-        machine = FunctionLowering(function, self, hosted=hosted).lower()
+        machine = FunctionLowering(function, self).lower()
         _expand(machine)
         LinearScanAllocator().run(machine)
         _insert_register_window_ops(machine)
@@ -285,7 +284,6 @@ def _legalize_mem(machine: MachineFunction, mem: Mem,
 def _expand_lea(machine: MachineFunction, instr: MachineInstr,
                 out: List[MachineInstr]) -> None:
     """RISC has no LEA: explicit add sequence."""
-    start = len(out)
     dest = instr.operands[0]
     mem = instr.operands[1]
     assert isinstance(mem, Mem)
@@ -306,18 +304,6 @@ def _expand_lea(machine: MachineFunction, instr: MachineInstr,
             out.append(MachineInstr("add", Semantics.ALU,
                                     [dest, current, offset_reg],
                                     op="add", value_type=types.ULONG))
-    # Hosted (tier-3) annotations ride on the replaced LEA: the step
-    # charge and site move to the first expansion instruction, the
-    # V-ABI definition to the last one (which writes `dest`).
-    if len(out) > start:
-        site = instr.attrs.get("site")
-        if site is not None:
-            for expanded in out[start:]:
-                expanded.attrs.setdefault("site", site)
-        if "step" in instr.attrs:
-            out[start].attrs["step"] = instr.attrs["step"]
-        if "vabi" in instr.attrs:
-            out[-1].attrs["vabi"] = instr.attrs["vabi"]
 
 
 def _mnemonic_for(instr: MachineInstr) -> str:

@@ -48,10 +48,9 @@ _FP_MNEMONICS = {
 class X86Target(TargetInfo):
     """TargetInfo plus the x86 translation pipeline."""
 
-    def translate_function(self, function: Function,
-                           hosted: bool = False) -> MachineFunction:
+    def translate_function(self, function: Function) -> MachineFunction:
         from repro.targets.codegen import remove_fallthrough_jumps
-        machine = FunctionLowering(function, self, hosted=hosted).lower()
+        machine = FunctionLowering(function, self).lower()
         _expand(machine)
         _X86SpillAll().run(machine)
         remove_fallthrough_jumps(machine)

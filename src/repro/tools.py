@@ -8,7 +8,7 @@ One entry point, classic subcommands::
     python -m repro opt prog.bc -o out.bc -O2 [--link-time]
     python -m repro run prog.bc [--target x86|sparc] [--entry main]
                         [--engine fast] [--tier2 [--translation-cache DIR]]
-                        [--superblocks] [--osr] [--tier3] [args...]
+                        [--superblocks] [--osr] [args...]
     python -m repro llc prog.bc --target sparc       # native listing
     python -m repro link a.bc b.bc -o out.bc         # module linker
     python -m repro stats prog.bc [--target x86]     # observability report
@@ -26,8 +26,8 @@ timings, expansion ratios, cache behaviour, opcode mix, and the
 hottest profiled blocks.  ``run``/``stats``/``profile`` accept
 ``--flight-record FILE`` (the JIT-lifecycle flight recorder, dumped as
 JSONL), and ``repro profile`` attributes every interpreter step to a
-``(function, tier)`` pair — tier 1, tier 2, superblock, OSR, or
-tier 3 — with optional speedscope export.  See
+``(function, tier)`` pair — tier 1, tier 2, superblock, or OSR —
+with optional speedscope export.  See
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -163,7 +163,7 @@ def _check_program_args(module, entry: str,
 
 #: Registry prefixes surfaced on the one-line ``--stats`` report.
 _STATS_PREFIXES = ("run.", "jit.", "llee.cache.", "llee.profile.",
-                   "fastpath.", "san.", "tier2.", "tier3.", "vec.")
+                   "fastpath.", "san.", "tier2.", "vec.")
 
 
 def _format_stats_line(label: str, result: object) -> str:
@@ -186,14 +186,12 @@ def _format_stats_line(label: str, result: object) -> str:
 
 def _normalize_tier_flags(args) -> None:
     """Resolve flag implications before any mutual-exclusion check
-    runs: ``--tier3`` and the tier-2 variants (``--superblocks``/
-    ``--osr``/``--async-compile``) imply ``--tier2``, and ``--tier2``
-    implies ``--engine fast``.  Validation must see the normalized
+    runs: the tier-2 variants (``--superblocks``/``--osr``/
+    ``--async-compile``) imply ``--tier2``, and ``--tier2`` implies
+    ``--engine fast``.  Validation must see the normalized
     values — checking first would let an implied combination (say
     ``--superblocks --target x86``) slip past the ``--tier2``
     rejections."""
-    if getattr(args, "tier3", False):
-        args.tier2 = True
     if (getattr(args, "superblocks", False)
             or getattr(args, "osr", False)
             or getattr(args, "async_compile", False)):
@@ -219,14 +217,6 @@ def _make_tier2_cache(module, args):
         kwargs["async_compile"] = True
         if getattr(args, "compile_workers", None) is not None:
             kwargs["compile_workers"] = args.compile_workers
-    if getattr(args, "tier3", False):
-        kwargs["tier3"] = True
-        if getattr(args, "tier3_threshold", None) is not None:
-            kwargs["tier3_threshold"] = args.tier3_threshold
-        if getattr(args, "tier3_target", None):
-            kwargs["tier3_target"] = args.tier3_target
-        if getattr(args, "tier3_backend", None):
-            kwargs["tier3_backend"] = args.tier3_backend
     cache = Tier2Cache(module, module.target_data, **kwargs)
     if args.translation_cache:
         import hashlib
@@ -296,9 +286,8 @@ def _cmd_run(args) -> int:
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:
-                label = "tier3" if args.tier3 else (
-                    "tier2" if args.tier2 else (
-                        "fast" if engine == "fast" else "interp"))
+                label = "tier2" if args.tier2 else (
+                    "fast" if engine == "fast" else "interp")
                 sys.stderr.write(_format_stats_line(label, value))
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))
@@ -433,20 +422,6 @@ def _render_stats_report(profile, result_value, top: int, out) -> None:
         out.write("== tiered translation (tier 2) ==\n")
         totals = {}
         for name, _labels, value in tier2_rows:
-            totals[name] = totals.get(name, 0) + value
-        for name in sorted(totals):
-            value = totals[name]
-            if isinstance(value, float) and not value.is_integer():
-                out.write("  {0} = {1:.6f}\n".format(name, value))
-            else:
-                out.write("  {0} = {1}\n".format(name, int(value)))
-
-    tier3_rows = [(name, labels, value) for name, labels, value
-                  in registry.counters("tier3.")]
-    if tier3_rows:
-        out.write("== tiered translation (tier 3) ==\n")
-        totals = {}
-        for name, _labels, value in tier3_rows:
             totals[name] = totals.get(name, 0) + value
         for name in sorted(totals):
             value = totals[name]
@@ -627,9 +602,7 @@ def _profile_payload(profiler, interpreter, result, flight,
         "steps": result.steps,
         "tier1_steps": data["tier1_steps"],
         "tier2_steps": data["tier2_steps"],
-        "tier3_steps": data["tier3_steps"],
         "engine_tier2_steps": getattr(interpreter, "tier2_steps", 0),
-        "engine_tier3_steps": getattr(interpreter, "tier3_steps", 0),
         "duration_seconds": data["duration_seconds"],
         "tiers": data["tiers"],
         "functions": data["functions"][:top] if top else
@@ -666,23 +639,6 @@ def _profile_payload(profiler, interpreter, result, flight,
                     round(stats.swap_wait_seconds, 9),
                 "stale_drops": stats.stale_drops,
             }
-    if stats is not None and getattr(
-            getattr(interpreter, "tier2", None), "tier3", False):
-        payload["tier3"] = {
-            "functions_compiled": stats.tier3_compiled,
-            "warm_compiles": stats.tier3_warm,
-            "compile_seconds": round(stats.tier3_compile_seconds, 9),
-            "calls": getattr(interpreter, "tier3_calls", 0),
-            "deopts": stats.tier3_deopts,
-            "pins": stats.tier3_pins,
-            "invalidations": stats.tier3_invalidations,
-            "backend": interpreter.tier2.tier3_backend,
-            "threaded_units": stats.tier3_threaded_units,
-            "step_units": stats.tier3_step_units,
-            "degraded": stats.tier3_degraded,
-        }
-        payload["tier3_pin_reasons"] = _flight_reasons(
-            flight, "tier3.pin")
     vectorization = _vectorization_payload()
     if vectorization is not None:
         payload["vectorization"] = vectorization
@@ -718,10 +674,8 @@ def _render_profile_report(payload: dict, out) -> None:
     out.write("  result={0} steps={1} duration={2:.4f}s\n".format(
         payload["result"], payload["steps"],
         payload["duration_seconds"]))
-    out.write(
-        "  tier1_steps={0} tier2_steps={1} tier3_steps={2}\n".format(
-            payload["tier1_steps"], payload["tier2_steps"],
-            payload.get("tier3_steps", 0)))
+    out.write("  tier1_steps={0} tier2_steps={1}\n".format(
+        payload["tier1_steps"], payload["tier2_steps"]))
 
     total = max(payload["steps"], 1)
     out.write("== tiers ==\n")
@@ -764,23 +718,6 @@ def _render_profile_report(payload: dict, out) -> None:
                     async_info["enqueued"], async_info["swap_ins"],
                     async_info["swap_wait_seconds"],
                     async_info["stale_drops"]))
-    tier3 = payload.get("tier3")
-    if tier3:
-        out.write("== tier-3 lifecycle ==\n")
-        out.write(
-            "  compiled={0} (warm={1}) calls={2} "
-            "compile_seconds={3:.4f}\n".format(
-                tier3["functions_compiled"], tier3["warm_compiles"],
-                tier3["calls"], tier3["compile_seconds"]))
-        out.write("  deopts={0} pins={1} invalidations={2}\n".format(
-            tier3["deopts"], tier3["pins"], tier3["invalidations"]))
-        if "backend" in tier3:
-            out.write(
-                "  backend={0}: threaded_units={1} step_units={2} "
-                "degraded={3}\n".format(
-                    tier3["backend"], tier3.get("threaded_units", 0),
-                    tier3.get("step_units", 0),
-                    tier3.get("degraded", 0)))
     vectorization = payload.get("vectorization")
     if vectorization:
         out.write("== vectorization ==\n")
@@ -801,8 +738,7 @@ def _render_profile_report(payload: dict, out) -> None:
             compile_info["seconds"], 100.0 * compile_info["share"]))
     for title, key in (("promotion reasons", "promotion_reasons"),
                        ("deopt reasons", "deopt_reasons"),
-                       ("pin reasons", "pin_reasons"),
-                       ("tier-3 pin reasons", "tier3_pin_reasons")):
+                       ("pin reasons", "pin_reasons")):
         reasons = payload.get(key)
         if reasons:
             out.write("== {0} ==\n".format(title))
@@ -824,14 +760,13 @@ def _cmd_profile(args) -> int:
         sys.stderr.write("profile: " + problem)
         return 2
     # profile defaults to the full tiered pipeline; --no-* flags
-    # peel layers off for A/B comparisons (tier 3 is opt-in)
+    # peel layers off for A/B comparisons
     tier2_on = args.engine == "fast" and not args.no_tier2
     args.tier2 = tier2_on
     args.superblocks = tier2_on and not args.no_superblocks
     args.osr = tier2_on and not args.no_osr
     args.async_compile = tier2_on and \
         getattr(args, "async_compile", False)
-    args.tier3 = tier2_on and getattr(args, "tier3", False)
     profiler = StepProfiler(record_stack=bool(args.speedscope))
     tier2_cache = _make_tier2_cache(module, args) if tier2_on else False
     interpreter = Interpreter(module,
@@ -892,26 +827,6 @@ def _add_flight_flag(sub) -> None:
         help="record the JIT lifecycle (promotions, compiles, "
              "superblocks, OSR, deopts, traps, cache events) in a "
              "bounded ring buffer and write it as JSONL")
-
-
-def _add_tier3_flags(sub) -> None:
-    sub.add_argument(
-        "--tier3", action="store_true",
-        help="promote functions that stay hot in tier 2 to native "
-             "units (translated with the x86/sparc back ends, run by "
-             "the hosted executor; implies --tier2)")
-    sub.add_argument(
-        "--tier3-threshold", type=int, default=None, metavar="N",
-        help="tier-2 step credit before tier-3 promotion "
-             "(0 = promote on first lookup)")
-    sub.add_argument(
-        "--tier3-target", choices=("x86", "sparc"), default=None,
-        help="back end for tier-3 native units (default x86)")
-    sub.add_argument(
-        "--tier3-backend", choices=("threaded", "step"), default=None,
-        help="how hosted units execute: block-compiled direct-threaded "
-             "code (threaded, default) or the one-instruction step "
-             "interpreter (the precise oracle)")
 
 
 def _add_async_flags(sub) -> None:
@@ -1013,7 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="on-stack replacement: a tier-1 activation "
                           "stuck in a hot loop enters tier 2 "
                           "mid-function (implies --tier2)")
-    _add_tier3_flags(run)
     run.add_argument("--translation-cache", metavar="DIR",
                      help="persist tier-2 translations in DIR "
                           "(POSIX storage API) for cross-process "
@@ -1071,7 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--osr", action="store_true",
                        help="on-stack replacement at hot loop headers "
                             "(implies --tier2)")
-    _add_tier3_flags(stats)
     stats.add_argument("--translation-cache", metavar="DIR",
                        help="persist tier-2 translations in DIR for "
                             "cross-process warm starts")
@@ -1111,7 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--tier2-threshold", type=int, default=None,
                          metavar="N",
                          help="promotion threshold (0 = first call)")
-    _add_tier3_flags(profile)
     profile.add_argument("--translation-cache", metavar="DIR",
                          help="persist tier-2 translations in DIR for "
                               "cross-process warm starts")

@@ -96,26 +96,6 @@ def _clone_instruction(inst: insts.Instruction, remap) -> insts.Instruction:
     return copied
 
 
-def clone_function_body(source: Function) -> Function:
-    """A free-standing deep copy of *source* (same name, same block
-    names, not registered in any module).
-
-    Used by the tier-3 builder, which must split critical edges before
-    lowering without mutating the interpreted function.
-    """
-    clone = Function(source.function_type, source.name,
-                     [arg.name for arg in source.args],
-                     internal=source.internal)
-    clone.smc_version = source.smc_version
-    value_map: Dict[int, Value] = {
-        id(arg): clone_arg
-        for arg, clone_arg in zip(source.args, clone.args)}
-    for block in clone_blocks(source.blocks, value_map, name_suffix=""):
-        block.parent = clone
-        clone.blocks.append(block)
-    return clone
-
-
 def clone_function_into(source: Function, target_name: str,
                         module) -> Function:
     """Create a fresh function in *module* with a deep copy of

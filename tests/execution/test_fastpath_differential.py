@@ -28,18 +28,6 @@ low enough that deferred builds, mid-run swap-ins, and inline
 escalations all occur inside small scenarios.  Whatever mix of tier-1,
 deferred, escalated, and OSR execution a timing happens to produce,
 the observations must still match the oracle byte for byte.
-
-Two more configurations force tier 3 (hosted native execution) on
-each simulated back end: every function is translated to x86 or SPARC
-machine code on its first lookup and run by the hosted executor, with
-traps delivered mid-native-frame deopting back to tier 1.  Functions
-the hosted lowering cannot take (invoke/unwind bodies) pin and fall
-back down the ladder, which is itself part of the contract under
-test: the observations must stay identical either way.  These
-configurations execute under the default block-compiled
-direct-threaded backend; a dedicated workload parity test
-additionally forces the one-instruction step oracle on both targets
-and requires identical observations from the two backends.
 """
 
 import pytest
@@ -72,8 +60,6 @@ CONFIGS = (
     ("tier2", "fast", True),
     ("superblock", "fast", "superblock"),
     ("async", "fast", "async"),
-    ("tier3-x86", "fast", "tier3-x86"),
-    ("tier3-sparc", "fast", "tier3-sparc"),
 )
 
 
@@ -100,29 +86,12 @@ def _async_cache(module):
                       async_compile=True, escalate_step_threshold=64)
 
 
-def _tier3_cache(module, target_name, backend="threaded"):
-    """A Tier2Cache with tier-3 promotion forced: every function is
-    translated to native code on first lookup and run by the hosted
-    executor (unsupported bodies pin and fall back to tier 2/1).
-    ``backend`` picks the hosted execution backend — the
-    block-compiled threaded units (default) or the one-instruction
-    step oracle they are pinned to."""
-    from repro.execution.tier2 import Tier2Cache
-
-    return Tier2Cache(module, module.target_data, threshold=0,
-                      tier3=True, tier3_threshold=0,
-                      tier3_target=target_name,
-                      tier3_backend=backend)
-
-
 def _make_interpreter(module, engine, tier2, privileged=False,
                       sanitize=False):
     if tier2 == "superblock":
         cache = _superblock_cache(module)
     elif tier2 == "async":
         cache = _async_cache(module)
-    elif tier2 in ("tier3-x86", "tier3-sparc"):
-        cache = _tier3_cache(module, tier2.split("-", 1)[1])
     else:
         return Interpreter(module, privileged=privileged, engine=engine,
                            sanitize=sanitize, tier2=tier2,
@@ -166,8 +135,6 @@ def run_both(source, entry="main", args=(), privileged=False):
     assert outcomes["reference"] == outcomes["tier2"]
     assert outcomes["reference"] == outcomes["superblock"]
     assert outcomes["reference"] == outcomes["async"]
-    assert outcomes["reference"] == outcomes["tier3-x86"]
-    assert outcomes["reference"] == outcomes["tier3-sparc"]
     return outcomes["reference"]
 
 
@@ -201,8 +168,6 @@ def run_both_sanitized(source):
     assert outcomes["reference"] == outcomes["tier2"]
     assert outcomes["reference"] == outcomes["superblock"]
     assert outcomes["reference"] == outcomes["async"]
-    assert outcomes["reference"] == outcomes["tier3-x86"]
-    assert outcomes["reference"] == outcomes["tier3-sparc"]
     return outcomes["reference"]
 
 
@@ -257,61 +222,6 @@ class TestBenchsuiteDifferential:
         assert reference == forced
         assert interpreter.tier2_steps == result.steps
         assert cache.stats.pins == 0
-
-    @pytest.mark.parametrize("target", ("x86", "sparc"))
-    @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_tier3_forced(self, name, target):
-        """All 17 programs with tier-3 promotion forced (threshold 0)
-        on each simulated back end: every supported function runs as
-        native code through the hosted executor, against the oracle.
-        Workloads whose functions all lower must execute every
-        architectural step in tier 3 with nothing pinned or deopted."""
-        workload = load_workload(name, SCALE)
-        module = compile_source(workload.source, name,
-                                optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        cache = _tier3_cache(module, target)
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
-        result = interpreter.run("main", [])
-        forced = ("ok", result.return_value, result.output,
-                  result.steps, result.exit_status)
-        assert reference == forced
-        assert cache.stats.tier3_compiled > 0
-        if cache.stats.tier3_pins == 0:
-            assert interpreter.tier3_steps == result.steps
-            assert cache.stats.tier3_deopts == 0
-
-    @pytest.mark.parametrize("target", ("x86", "sparc"))
-    @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_tier3_backend_parity(self, name, target):
-        """All 17 programs on each back end under BOTH tier-3
-        execution backends: the block-compiled threaded units and the
-        one-instruction step oracle must produce identical
-        observations — and both must match the reference engine.  On
-        suite code nothing may degrade: every unit the threaded
-        configuration builds must actually run threaded."""
-        workload = load_workload(name, SCALE)
-        module = compile_source(workload.source, name,
-                                optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        outcomes = {}
-        for backend in ("threaded", "step"):
-            cache = _tier3_cache(module, target, backend=backend)
-            interpreter = Interpreter(module, engine="fast",
-                                      tier2=cache)
-            result = interpreter.run("main", [])
-            outcomes[backend] = ("ok", result.return_value,
-                                 result.output, result.steps,
-                                 result.exit_status)
-            assert cache.stats.tier3_degraded == 0
-            if backend == "threaded":
-                assert cache.stats.tier3_step_units == 0
-                assert cache.stats.tier3_threaded_units \
-                    == cache.stats.tier3_compiled
-            else:
-                assert cache.stats.tier3_threaded_units == 0
-        assert outcomes["threaded"] == reference
-        assert outcomes["step"] == reference
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_workload_async_compile_forced(self, name):

@@ -1,9 +1,8 @@
 """``--vectorize`` differential conformance: vectorized builds of every
 benchsuite workload (and hand-written vector kernels) must be
 observationally identical to the reference interpreter on every tier —
-fast engine, forced tier 2, superblock+OSR, async compilation, and
-tier-3 hosted native on both simulated targets and both hosted
-backends — and the vectorized module must agree with the scalar build
+fast engine, forced tier 2, superblock+OSR, and async compilation —
+and the vectorized module must agree with the scalar build
 on everything a program can observe (return value, output, exit
 status; step counts legitimately shrink)."""
 
@@ -14,13 +13,11 @@ from test_fastpath_differential import (
     _close_tier2,
     _make_interpreter,
     _outcome,
-    _tier3_cache,
     run_both,
     run_both_sanitized,
 )
 
 from repro.benchsuite import SUITE_ORDER, load_workload
-from repro.execution import ExecutionTrap, Interpreter
 from repro.minic import compile_source
 
 SCALE = 0.05
@@ -80,24 +77,6 @@ class TestNumericRowsFullLadder:
         for label in outcomes:
             assert outcomes[label] == outcomes["reference"], label
         assert outcomes["reference"][0] == "ok"
-
-    @pytest.mark.parametrize("target", ["x86", "sparc"])
-    def test_art_tier3_step_backend(self, target):
-        """art (the workload that actually vectorizes) under tier-3's
-        one-instruction step oracle on both targets: the scalarized
-        vector lowering must match the reference interpreter exactly,
-        same as the default threaded backend."""
-        module = _vector_module("art")
-        reference = _outcome(module, engine="reference")
-        cache = _tier3_cache(module, target, backend="step")
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
-        try:
-            result = interpreter.run("main", [])
-            outcome = ("ok", result.return_value, result.output,
-                       result.steps, result.exit_status)
-        except ExecutionTrap as trap:
-            outcome = ("trap", trap.trap_number, interpreter.steps)
-        assert outcome == reference
 
 
 _VEC_HEADER = """

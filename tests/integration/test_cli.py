@@ -137,12 +137,12 @@ class TestToolchain:
 
 class TestTierFlagNormalization:
     """Flag implications resolve before mutual-exclusion validation:
-    an implied --tier2 (from --superblocks/--osr/--async-compile/
-    --tier3) must hit the same rejections an explicit one does, for
-    run, stats, and profile alike."""
+    an implied --tier2 (from --superblocks/--osr/--async-compile) must
+    hit the same rejections an explicit one does, for run, stats, and
+    profile alike."""
 
     IMPLYING_FLAGS = ("--tier2", "--superblocks", "--osr",
-                      "--async-compile", "--tier3")
+                      "--async-compile")
 
     @pytest.fixture()
     def prog(self, workdir, capsys):
@@ -185,43 +185,7 @@ class TestTierFlagNormalization:
     def test_run_implied_tier2_overrides_reference_engine(
             self, prog, capsys, flag):
         argv = ["run", prog, flag, "--engine", "reference", "--stats"]
-        if flag == "--tier3":
-            argv += ["--tier2-threshold", "0", "--tier3-threshold", "0"]
         code, out, err = _capture(argv, capsys)
         assert out.strip() == "36"
         assert code == 36
-        assert "tier2.steps=" in err or "tier3.steps=" in err
-
-    def test_run_tier3_forced_reports_native_execution(self, prog,
-                                                       capsys):
-        code, out, err = _capture(
-            ["run", prog, "--tier3", "--tier2-threshold", "0",
-             "--tier3-threshold", "0", "--stats"], capsys)
-        assert out.strip() == "36"
-        assert code == 36
-        assert "[tier3]" in err
-        assert "tier3.functions_compiled=" in err
-
-    def test_stats_tier3_report_section(self, prog, capsys):
-        code, out, _err = _capture(
-            ["stats", prog, "--tier3", "--tier2-threshold", "0",
-             "--tier3-threshold", "0"], capsys)
-        assert code == 0
-        assert "tiered translation (tier 3)" in out
-        assert "tier3.functions_compiled" in out
-
-    def test_profile_reports_tier3_row(self, prog, capsys):
-        code, out, _err = _capture(
-            ["profile", prog, "--tier3", "--tier2-threshold", "0",
-             "--tier3-threshold", "0"], capsys)
-        assert code == 0
-        assert "tier3_steps=" in out
-        assert "tier3" in out.split("== tiers ==", 1)[1]
-        assert "== tier-3 lifecycle ==" in out
-
-    def test_profile_tier3_off_by_default(self, prog, capsys):
-        code, out, _err = _capture(
-            ["profile", prog, "--tier2-threshold", "0"], capsys)
-        assert code == 0
-        assert "tier3_steps=0" in out
-        assert "== tier-3 lifecycle ==" not in out
+        assert "tier2.steps=" in err

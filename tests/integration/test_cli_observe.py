@@ -299,7 +299,7 @@ class TestFlightRecordExport:
         lines = [json.loads(line)
                  for line in flight.read_text().splitlines()]
         header, events = lines[0], lines[1:]
-        assert header["flight"] == 5
+        assert header["flight"] == 6
         assert header["recorded"] == len(events) + header["dropped"]
         for event in events:
             assert validate_event(event) == [], event

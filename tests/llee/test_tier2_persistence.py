@@ -8,6 +8,7 @@ target — must log ``llee.cache.invalid`` and fall back to online
 translation without ever breaking execution.
 """
 
+import base64
 import json
 import sys
 import time
@@ -205,6 +206,65 @@ class TestInvalidBlobs:
         cache.attach_storage(ReadOnlyStorage(), KEY)
         _run_forced(module, cache)
         assert not cache.flush_storage()  # swallowed, not raised
+
+
+class TestBlobIntegrity:
+    """A blob altered on disk never runs: its SHA-256 over the
+    ``functions`` payload fails, so the next run compiles cold and
+    prints what a clean run prints."""
+
+    SQUARES = r"""
+    int sq(int x) { return x * x + 7; }
+    int main() {
+        int total = 0;
+        int i;
+        for (i = 0; i < 50; i++) { total += sq(i); }
+        print_int(total);
+        return 0;
+    }
+    """
+
+    def _run_after_tampering(self, tmp_path, tamper):
+        code = write_module(compile_source(self.SQUARES, "squares",
+                                           optimization_level=2))
+        root = str(tmp_path / "cache")
+
+        def run():
+            llee = LLEE(make_target("x86"), DiskStorage(root))
+            return llee, llee.run_interpreted(code, tier2=True,
+                                              tier2_threshold=0)
+
+        llee, cold = run()
+        assert cold.output == "40775"
+        storage = DiskStorage(root)
+        key = llee._cache_key(code)
+        blob = json.loads(storage.read(TIER2_CACHE_NAME, key))
+        tamper(blob["functions"])
+        storage.write(TIER2_CACHE_NAME, key,
+                      json.dumps(blob).encode("utf-8"))
+        _, warm = run()
+        assert not warm.translation_cache_hit
+        assert warm.output == "40775"
+
+    def test_edited_source_is_rejected(self, tmp_path):
+        def tamper(functions):
+            for entry in functions.values():
+                entry.pop("code", None)
+            source = functions["sq"]["source"]
+            assert "(r1 + 7)" in source
+            functions["sq"]["source"] = source.replace("(r1 + 7)",
+                                                       "(r1 + 8)")
+
+        self._run_after_tampering(tmp_path, tamper)
+
+    def test_flipped_bytecode_bit_is_rejected(self, tmp_path):
+        def tamper(functions):
+            code = bytearray(base64.b64decode(functions["sq"]["code"]))
+            code[len(code) // 2] ^= 1
+            functions["sq"]["code"] = base64.b64encode(
+                bytes(code)).decode("ascii")
+
+        self._run_after_tampering(tmp_path, tamper)
 
 
 class TestTimestampInvalidation:

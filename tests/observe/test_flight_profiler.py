@@ -86,7 +86,12 @@ class TestFlightRecorder:
         missing = recorder.record("tier2.deopt", function="f")
         assert any("missing fields" in p
                    for p in validate_event(missing))
-        assert len(recorder.validate()) == 2
+        # Format v6 dropped the hosted native tier's events.
+        removed = recorder.record("tier3.promote", function="f",
+                                  step_credit=0)
+        assert any("unknown event type" in p
+                   for p in validate_event(removed))
+        assert len(recorder.validate()) == 3
 
     def test_jsonl_round_trip(self, tmp_path):
         recorder = FlightRecorder()
@@ -96,7 +101,7 @@ class TestFlightRecorder:
         recorder.write_jsonl(str(path))
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
-        assert lines[0]["flight"] == 5
+        assert lines[0]["flight"] == 6
         assert lines[0]["recorded"] == 2
         assert [e["type"] for e in lines[1:]] == ["run.begin",
                                                   "run.end"]
