@@ -38,8 +38,21 @@ from repro.ir.values import Placeholder, Value
 
 
 def read_module(data: bytes, name: str = "module") -> Module:
-    """Deserialize object-code bytes into a fresh module."""
-    return _ModuleReader(data, name).read()
+    """Deserialize object-code bytes into a fresh module.
+
+    Malformed object code raises :class:`BitcodeError` and nothing else;
+    when the decoder tripped over the bad bytes somewhere deeper (a bad
+    index, an ill-typed record, undecodable text), that exception is
+    chained as the cause.
+    """
+    try:
+        return _ModuleReader(data, name).read()
+    except BitcodeError:
+        raise
+    except (ArithmeticError, LookupError, RecursionError, TypeError,
+            ValueError, types.LlvaTypeError) as error:
+        raise BitcodeError("malformed object code: {0}: {1}".format(
+            type(error).__name__, error)) from error
 
 
 class _ModuleReader:
@@ -408,6 +421,12 @@ class _LazyConstant:
                         for lazy in payload[1]]
             type_ = module_reader._type(payload[0])
             if self.kind == CONST_ARRAY:
+                if not isinstance(type_, types.ArrayType):
+                    raise BitcodeError(
+                        "array constant of type {0}".format(type_))
                 return values.ConstantArray(type_.element, elements)
+            if not isinstance(type_, types.StructType):
+                raise BitcodeError(
+                    "struct constant of type {0}".format(type_))
             return values.ConstantStruct(type_, elements)
         return module_reader._constant_from_record((self.kind, payload))

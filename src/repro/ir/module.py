@@ -137,6 +137,10 @@ class GlobalValue(Constant):
 
     __slots__ = ("parent", "internal")
 
+    # Unlike literal constants, a symbol belongs to one module, and the
+    # call graph, inliner and global optimiser walk its uses.
+    records_uses = True
+
     def __init__(self, type_: Type, name: str, internal: bool = False):
         super().__init__(type_, name)
         self.parent: Optional["Module"] = None

@@ -12,6 +12,15 @@ sparse SSA optimizations of Section 5.1 — constant propagation, dead code
 elimination, value numbering — efficient.  All operand mutation must go
 through :meth:`User.set_operand` / :meth:`Value.replace_all_uses_with` so
 the chains stay consistent; the verifier cross-checks them.
+
+Constants other than global symbols keep no use list
+(:attr:`Value.records_uses` is false).  ``const_int``, ``TRUE``/``FALSE``
+and the null/undef/zero constants are interned once per process, so a
+use list on them would collect every instruction of every module ever
+built: it would keep all those modules alive and make each
+:meth:`User.set_operand` and verifier pass slower as the process ages.
+No transform needs to find the users of a literal; functions and global
+variables do keep their uses (call graph, global optimisation, inlining).
 """
 
 from __future__ import annotations
@@ -41,6 +50,10 @@ class Value:
 
     __slots__ = ("type", "name", "uses", "__weakref__")
 
+    #: Whether operand slots that refer to this value are recorded in
+    #: :attr:`uses`.  False for literal constants, which are shared.
+    records_uses = True
+
     def __init__(self, type_: Type, name: Optional[str] = None):
         self.type = type_
         self.name = name
@@ -64,9 +77,15 @@ class Value:
 
         Returns the number of operand slots rewritten.  This is the
         workhorse of SSA rewriting (constant propagation, GVN, mem2reg).
+        Raises ``TypeError`` for a value that records no uses: an
+        interned constant's users span every module in the process.
         """
         if replacement is self:
             raise ValueError("cannot replace a value with itself")
+        if not self.records_uses:
+            raise TypeError(
+                "{0!r} records no uses; rewrite its users directly"
+                .format(self))
         count = 0
         # set_operand mutates self.uses; iterate over a snapshot.
         for use in list(self.uses):
@@ -114,12 +133,14 @@ class User(Value):
             return
         self._remove_use(old, index)
         self._operands[index] = value
-        value.uses.append(Use(self, index))
+        if value.records_uses:
+            value.uses.append(Use(self, index))
 
     def _append_operand(self, value: Value) -> None:
         index = len(self._operands)
         self._operands.append(value)
-        value.uses.append(Use(self, index))
+        if value.records_uses:
+            value.uses.append(Use(self, index))
 
     def _pop_operands(self, start: int) -> None:
         """Drop operands from *start* to the end (phi edge removal)."""
@@ -129,6 +150,8 @@ class User(Value):
             self._operands.pop()
 
     def _remove_use(self, value: Value, index: int) -> None:
+        if not value.records_uses:
+            return
         for position, use in enumerate(value.uses):
             if use.user is self and use.index == index:
                 del value.uses[position]
@@ -150,6 +173,8 @@ class Constant(Value):
     """Base class for compile-time constant values."""
 
     __slots__ = ()
+
+    records_uses = False
 
     def ref(self) -> str:
         return "{0} {1}".format(self.type, self.literal())

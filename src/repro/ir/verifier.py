@@ -143,6 +143,8 @@ def _verify_ret(function: Function, ret: insts.RetInst,
 def _verify_use_chains(inst: insts.Instruction, errors: List[str],
                        where: str) -> None:
     for index, operand in enumerate(inst.operands):
+        if not operand.records_uses:
+            continue
         for use in operand.uses:
             if use.user is inst and use.index == index:
                 break

@@ -9,6 +9,7 @@ LLEE can cache translations offline through the storage API
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -28,7 +29,7 @@ from repro.targets.machine import (
     TargetInfo,
 )
 
-NATIVE_MAGIC = "LLVA-NATIVE-1"
+NATIVE_MAGIC = "LLVA-NATIVE-2"
 
 
 class NativeModule:
@@ -163,10 +164,13 @@ _TYPE_ATTRS = ("value_type", "mem_value_type", "from_type", "to_type",
 
 
 def serialize_native(native: NativeModule) -> bytes:
-    """Encode a native module for the offline cache."""
+    """Encode a native module for the offline cache.
+
+    The blob is one header line, ``NATIVE_MAGIC`` and the SHA-256 of the
+    payload, followed by the JSON payload itself.
+    """
     target = native.target
     payload = {
-        "magic": NATIVE_MAGIC,
         "target": target.name,
         "source": native.source_name,
         "functions": [],
@@ -195,16 +199,24 @@ def serialize_native(native: NativeModule) -> bytes:
             "smc_version": machine.smc_version,
             "blocks": blocks,
         })
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    header = "{0} {1}\n".format(NATIVE_MAGIC,
+                                hashlib.sha256(body).hexdigest())
+    return header.encode("ascii") + body
 
 
 def deserialize_native(data: bytes, target) -> NativeModule:
     """Decode a cached native module; raises ``ValueError`` when the
-    cache was produced for a different target (the validation step of
-    Section 4.1's cache lookup)."""
-    payload = json.loads(data.decode("utf-8"))
-    if payload.get("magic") != NATIVE_MAGIC:
+    blob is not one :func:`serialize_native` wrote, its payload does not
+    match its checksum, or it was produced for a different target (the
+    validation step of Section 4.1's cache lookup)."""
+    header, _, body = data.partition(b"\n")
+    magic, _, digest = header.partition(b" ")
+    if magic != NATIVE_MAGIC.encode("ascii"):
         raise ValueError("not a native cache object")
+    if digest != hashlib.sha256(body).hexdigest().encode("ascii"):
+        raise ValueError("native cache object fails its checksum")
+    payload = json.loads(body.decode("utf-8"))
     if payload.get("target") != target.name:
         raise ValueError(
             "cached translation is for target {0!r}, not {1!r}"

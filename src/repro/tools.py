@@ -36,23 +36,51 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro import observe
-from repro.asm import parse_module
-from repro.bitcode import read_module, write_module
+from repro.asm import LexerError, ParseError, parse_module
+from repro.bitcode import BitcodeError, read_module, write_module
 from repro.execution import ExecutionTrap, Interpreter
 from repro.execution.machine_sim import MachineSimulator
-from repro.ir import print_module, verify_module
+from repro.ir import VerificationError, print_module, verify_module
 from repro.ir.module import Module
 from repro.llee.jit import FunctionJIT
-from repro.minic import compile_source
+from repro.minic import MiniCSyntaxError, compile_source
 from repro.targets import disassemble, make_target, verify_native_module
 from repro.transforms import link_modules, optimize
 
+#: What reading an unreadable or malformed input file raises.
+_INPUT_ERRORS = (OSError, BitcodeError, ParseError, LexerError,
+                 MiniCSyntaxError, VerificationError)
+
+
+class _InputError(Exception):
+    """An input file could not be read or is malformed; :func:`main`
+    reports it in one line instead of a traceback."""
+
+    def __init__(self, path: str, error: Exception):
+        if isinstance(error, OSError) and error.strerror:
+            reason = error.strerror
+        else:
+            lines = str(error).splitlines() or [type(error).__name__]
+            reason = lines[0]
+            if len(lines) > 1:
+                reason += " (and {0} more)".format(len(lines) - 1)
+        super().__init__("cannot read {0}: {1}".format(path, reason))
+
+
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    try:
+        yield
+    except _INPUT_ERRORS as error:
+        raise _InputError(path, error) from error
+
 
 def _load_module(path: str) -> Module:
-    with observe.span("cli.load_module", path=path):
+    with observe.span("cli.load_module", path=path), _reading(path):
         if path.endswith(".ll"):
             with open(path) as handle:
                 module = parse_module(handle.read(), path)
@@ -85,7 +113,7 @@ def _write_output(module: Module, output: Optional[str],
 
 
 def _cmd_cc(args) -> int:
-    with open(args.input) as handle:
+    with _reading(args.input), open(args.input) as handle:
         module = compile_source(handle.read(), args.input,
                                 optimization_level=args.optimize,
                                 pointer_size=args.pointer_size,
@@ -1067,6 +1095,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with observe.span("cli." + args.command):
             status = args.func(args)
+    except _InputError as error:
+        sys.stderr.write("{0}: {1}\n".format(args.command, error))
+        status = 1
     finally:
         export_failed = False
         if observing:

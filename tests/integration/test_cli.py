@@ -17,6 +17,17 @@ int main() {
 }
 """
 
+SQUARES = """
+int sq(int x) { return x * x + 7; }
+int main() {
+    int total = 0;
+    int i;
+    for (i = 0; i < 50; i++) total += sq(i);
+    print_int(total);
+    return 0;
+}
+"""
+
 ASSEMBLY = """
 int %main() {
 entry:
@@ -189,3 +200,52 @@ class TestTierFlagNormalization:
         assert out.strip() == "36"
         assert code == 36
         assert "tier2.steps=" in err
+
+
+class TestMalformedInput:
+    """Unreadable or malformed input ends in one stderr line naming the
+    command, the path and the reason, with exit status 1."""
+
+    @pytest.fixture()
+    def squares_bc(self, workdir, capsys):
+        source = workdir / "sq.c"
+        source.write_text(SQUARES)
+        bc = workdir / "sq.bc"
+        assert main(["cc", str(source), "-o", str(bc)]) == 0
+        capsys.readouterr()
+        return bc.read_bytes()
+
+    @staticmethod
+    def _write(path, data):
+        path.write_bytes(data)
+        return str(path)
+
+    def _argv(self, case, workdir, squares_bc):
+        if case == "missing":
+            return "run", str(workdir / "missing.bc")
+        if case == "truncated":
+            return "run", self._write(workdir / "cut.bc", squares_bc[:40])
+        if case == "flipped":
+            mutated = bytearray(squares_bc)
+            mutated[len(mutated) // 2] ^= 0xFF
+            return "run", self._write(workdir / "flip.bc", bytes(mutated))
+        if case == "minic-syntax":
+            return "cc", self._write(workdir / "bad.c",
+                                     b"int main( { return 0; }")
+        assert case == "asm-garbage"
+        return "run", self._write(workdir / "bad.ll", b"garbage here\n")
+
+    @pytest.mark.parametrize("case", ["missing", "truncated", "flipped",
+                                      "minic-syntax", "asm-garbage"])
+    def test_reported_in_one_line(self, workdir, squares_bc, capsys,
+                                  case):
+        command, path = self._argv(case, workdir, squares_bc)
+        argv = [command, path]
+        if command == "cc":
+            argv += ["-o", str(workdir / "out.bc")]
+        code, out, err = _capture(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(command + ": cannot read " + path + ": ")

@@ -149,8 +149,24 @@ class TestUseChainChecks:
         entry = f.add_block("entry")
         b = IRBuilder(entry)
         v = b.add(const_int(types.INT, 1), const_int(types.INT, 2))
+        w = b.mul(v, const_int(types.INT, 3))
         b.ret(v)
         ret = entry.terminator
-        # Corrupt: bypass set_operand.
-        ret._operands[0] = const_int(types.INT, 9)
-        _expect_error(module, "use list")
+        # Corrupt: bypass set_operand.  The new operand must be a value
+        # that records uses; interned constants keep no use list.
+        ret._operands[0] = w
+        _expect_error(module, "missing from use list")
+
+    def test_corrupted_global_use_list_detected(self):
+        module, f = _module_with_main()
+        signature = types.function_of(types.INT, [])
+        g = module.create_function("g", signature)
+        h = module.create_function("h", signature)
+        entry = f.add_block("entry")
+        b = IRBuilder(entry)
+        call = b.call(g)
+        b.ret(call)
+        # Corrupt: swap the callee without set_operand.  Functions are
+        # constants, but global symbols keep their uses.
+        call._operands[0] = h
+        _expect_error(module, "missing from use list")

@@ -9,7 +9,7 @@ cached translation must never execute.
 import pytest
 
 from repro.bitcode import BitcodeError, read_module, write_module
-from repro.llee import LLEE, InMemoryStorage, StorageAPI
+from repro.llee import LLEE, DiskStorage, InMemoryStorage, StorageAPI
 from repro.minic import compile_source
 from repro.targets import make_target
 
@@ -23,6 +23,17 @@ int main() {
 """
 
 EXPECTED = sum(i * i for i in range(10))
+
+SQUARES = """
+int sq(int x) { return x * x + 7; }
+int main() {
+    int total = 0;
+    int i;
+    for (i = 0; i < 50; i++) total += sq(i);
+    print_int(total);
+    return 0;
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +110,26 @@ class TestStorageFailures:
         assert report.return_value == EXPECTED
         assert not report.cache_hit  # target mismatch detected
 
+    def test_edited_native_entry_is_rejected(self, tmp_path):
+        """An entry whose code was edited on disk still parses as a
+        well-formed translation; only its checksum tells it apart."""
+        object_code = write_module(compile_source(SQUARES, "sq"))
+        root = str(tmp_path)
+        first = LLEE(make_target("x86"),
+                     DiskStorage(root)).run_executable(object_code)
+        assert first.output == "40775"
+        storage = DiskStorage(root)
+        llee = LLEE(make_target("x86"), storage)
+        key = llee._cache_key(object_code)
+        blob = storage.read("llee-native", key)
+        assert b'["i",7]' in blob
+        storage.write("llee-native", key,
+                      blob.replace(b'["i",7]', b'["i",8]', 1))
+        report = llee.run_executable(object_code)
+        assert report.output == "40775"
+        assert not report.cache_hit
+        assert report.functions_jitted > 0
+
 
 class TestCorruptObjectCode:
     def test_truncation_raises_bitcode_error(self, object_code):
@@ -112,20 +143,20 @@ class TestCorruptObjectCode:
 
     def test_single_byte_flips_never_hang_or_crash_host(self,
                                                         object_code):
-        """Flipping any early byte must yield a clean, typed failure
-        (BitcodeError / verifier error / LLVA type error) or a still-
+        """Flipping all bits, the lowest bit or the highest bit of any
+        early byte must yield a clean, typed failure (BitcodeError from
+        the reader, VerificationError from the verifier) or a still-
         valid module — never an unhandled host exception type."""
-        from repro.ir.types import LlvaTypeError
         from repro.ir.verifier import VerificationError, verify_module
 
         flipped = 0
-        for position in range(8, min(len(object_code), 160)):
-            mutated = bytearray(object_code)
-            mutated[position] ^= 0xFF
-            try:
-                module = read_module(bytes(mutated))
-                verify_module(module)
-            except (BitcodeError, VerificationError, LlvaTypeError,
-                    ValueError, KeyError, IndexError, OverflowError):
-                flipped += 1
+        for mask in (0xFF, 0x01, 0x80):
+            for position in range(8, min(len(object_code), 160)):
+                mutated = bytearray(object_code)
+                mutated[position] ^= mask
+                try:
+                    module = read_module(bytes(mutated))
+                    verify_module(module)
+                except (BitcodeError, VerificationError):
+                    flipped += 1
         assert flipped > 0  # corruption is generally detected
