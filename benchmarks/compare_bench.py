@@ -4,7 +4,7 @@ the committed baseline.
 Usage::
 
     python benchmarks/compare_bench.py NEW.json \
-        [--baseline BENCH_superblock.json] [--tolerance 0.15] \
+        [--baseline BENCH_tierjit.json] [--tolerance 0.15] \
         [--metric speedup|vector_geomean]
 
 The comparison is restricted to the programs present in *both* files
@@ -16,16 +16,6 @@ refresh (exit 0 — improvements never break CI), and any engine
 divergence fails immediately.  Wall-clock speedups are only comparable
 at matching workload scales, so a scale mismatch is an error, not a
 noisy pass.
-
-``--first-run-baseline BENCH_asyncjit.json`` adds a second,
-compile-inclusive gate on cold-start latency: the geomean of
-per-program ``first_run_speedup`` values (async first-run wall time
-vs the synchronous compiler's, both measured within the same run, so
-the ratio is machine-independent) must not fall more than the
-tolerance below the baseline's.  Steady-state throughput can hide a
-cold-start regression — a scheduling-policy change that re-serializes
-compilation onto the critical path leaves ``speedup`` untouched — so
-the async-compile CI job gates both.
 """
 
 from __future__ import annotations
@@ -35,7 +25,7 @@ import json
 import math
 import sys
 
-DEFAULT_BASELINE = "BENCH_superblock.json"
+DEFAULT_BASELINE = "BENCH_tierjit.json"
 DEFAULT_TOLERANCE = 0.15
 
 
@@ -45,55 +35,6 @@ def _rows(document):
 
 def _geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def compare_first_run(current: dict, baseline: dict,
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      out=sys.stdout) -> int:
-    """Gate the geomean of per-program ``first_run_speedup`` values
-    (sync first-run wall time / async first-run wall time, both from
-    the same run) against a baseline.  Higher is better; a geomean
-    more than *tolerance* below the baseline's fails."""
-    current_rows = _rows(current)
-    baseline_rows = _rows(baseline)
-    common = sorted(name for name in set(current_rows) & set(baseline_rows)
-                    if current_rows[name].get("first_run_speedup")
-                    and baseline_rows[name].get("first_run_speedup"))
-    if not common:
-        out.write("FAIL: no first-run speedups in common with the "
-                  "first-run baseline (run fastpath_bench with "
-                  "--async-compile)\n")
-        return 1
-    mismatched = [name for name in common
-                  if current_rows[name].get("scale")
-                  != baseline_rows[name].get("scale")]
-    if mismatched:
-        out.write("FAIL: workload scale differs from the first-run "
-                  "baseline for {0} — first-run behaviour is not "
-                  "comparable (rerun with --scale {1})\n".format(
-                      ", ".join(mismatched),
-                      baseline_rows[mismatched[0]].get("scale")))
-        return 1
-    baseline_geomean = _geomean(
-        [baseline_rows[n]["first_run_speedup"] for n in common])
-    current_geomean = _geomean(
-        [current_rows[n]["first_run_speedup"] for n in common])
-    ratio = current_geomean / baseline_geomean
-    out.write("first-run geomean ({0} programs): baseline {1:.3f}x, "
-              "current {2:.3f}x, ratio {3:.3f} (tolerance {4:.0%})\n"
-              .format(len(common), baseline_geomean, current_geomean,
-                      ratio, tolerance))
-    if ratio < 1.0 - tolerance:
-        out.write("FAIL: first-run latency regressed more than {0:.0%} "
-                  "against the first-run baseline\n".format(tolerance))
-        return 1
-    if ratio > 1.0 + tolerance:
-        out.write("WARN: first-run latency improved more than {0:.0%} "
-                  "— consider refreshing the first-run baseline\n"
-                  .format(tolerance))
-        return 0
-    out.write("OK: first-run latency within tolerance\n")
-    return 0
 
 
 #: Gate metric -> the per-program row key its geomean is taken over.
@@ -174,10 +115,6 @@ def main(argv=None) -> int:
                         default=DEFAULT_TOLERANCE,
                         help="allowed geomean drop, as a fraction "
                              "(default: %(default)s)")
-    parser.add_argument("--first-run-baseline", default=None,
-                        help="also gate compile-inclusive first-run "
-                             "latency against this bench JSON (e.g. "
-                             "BENCH_asyncjit.json)")
     parser.add_argument("--metric", default="speedup",
                         choices=sorted(_METRIC_ROW_KEYS),
                         help="which per-program geomean to gate on: "
@@ -189,14 +126,7 @@ def main(argv=None) -> int:
         current = json.load(handle)
     with open(args.baseline) as handle:
         baseline = json.load(handle)
-    status = compare(current, baseline, args.tolerance,
-                     metric=args.metric)
-    if args.first_run_baseline:
-        with open(args.first_run_baseline) as handle:
-            first_run_baseline = json.load(handle)
-        status = max(status, compare_first_run(
-            current, first_run_baseline, args.tolerance))
-    return status
+    return compare(current, baseline, args.tolerance, metric=args.metric)
 
 
 if __name__ == "__main__":

@@ -17,22 +17,6 @@ written to ``BENCH_tierjit.json`` instead of ``BENCH_fastpath.json``.
 ``--repeat N`` re-runs each engine N times against the same decode and
 tier-2 caches and reports the min (steady state): the first iteration
 pays decode+compile, later ones measure the running tier.
-``--superblocks`` (implying ``--tier2 --osr``) adds the trace-guided
-superblock tier: iteration 1 profiles and upgrades mid-run through
-OSR, later iterations compile hot traces straight-line up front; the
-report lands in ``BENCH_superblock.json``.
-``--async-compile`` (implying ``--tier2``) moves tier-2 compilation
-onto the background compile service: the timed run keeps executing
-tier 1 while workers build units, which are swapped in at safe yield
-points.  Each program is additionally run once with *synchronous*
-compilation so the report carries a first-run-latency comparison
-(``sync_first_run_seconds`` / ``first_run_speedup``), plus a
-warm-sharing measurement: two fresh caches against one shared
-storage, the second reporting ``warm_first_run_seconds`` and
-``tier2_warm_compiles``.  The report lands in ``BENCH_asyncjit.json``.
-Background compiles land whenever the engine next polls, so
-``tier2_step_fraction`` is load-dependent under ``--async-compile``
-and must not be gated on.
 
 Usage:
     PYTHONPATH=src python benchmarks/fastpath_bench.py            # full
@@ -61,44 +45,23 @@ QUICK_SCALE = 0.05
 
 
 def run_engine(module, engine, sanitize=False, repeat=1,
-               tier2=False, tier2_threshold=0, superblocks=False,
-               osr=False, async_compile=False, compile_workers=None,
-               storage=None, storage_key=None):
+               tier2=False, tier2_threshold=0):
     """Run *module* ``repeat`` times on one engine against shared
-    decode/tier-2 caches; returns a measurement dict (seconds = min).
-
-    With ``async_compile`` the timed window covers only the run
-    itself; the cache is drained *between* repeats (untimed) so later
-    iterations measure the steady state, mirroring how an idle-time
-    translator amortises compilation across invocations.  Passing a
-    ``storage`` attaches the tier-2 cache to a Section-4.1 storage
-    API under ``storage_key`` and flushes translations back at the
-    end (the warm-sharing measurement reuses one storage across two
-    fresh caches)."""
+    decode/tier-2 caches; returns a measurement dict (seconds = min)."""
     decode_cache = None
     tier2_cache = None
-    use_osr = bool(tier2 and not sanitize and osr)
     if engine == "fast":
-        decode_cache = DecodeCache(module.target_data, sanitize=sanitize,
-                                   osr=use_osr)
+        decode_cache = DecodeCache(module.target_data, sanitize=sanitize)
         if tier2 and not sanitize:
             from repro.execution.tier2 import Tier2Cache
 
             tier2_cache = Tier2Cache(module, module.target_data,
-                                     threshold=tier2_threshold,
-                                     superblocks=superblocks,
-                                     osr=use_osr,
-                                     async_compile=async_compile,
-                                     compile_workers=compile_workers)
-            if storage is not None:
-                tier2_cache.attach_storage(storage, storage_key
-                                           or module.name)
+                                     threshold=tier2_threshold)
     seconds = []
     observations = []
     faults = 0
-    tier2_steps = tier2_calls = side_exits = 0
-    pending_at_exit = 0
-    for iteration in range(repeat):
+    tier2_steps = tier2_calls = 0
+    for _iteration in range(repeat):
         interpreter = Interpreter(
             module, engine=engine,
             decode_cache=decode_cache, sanitize=sanitize,
@@ -116,34 +79,11 @@ def run_engine(module, engine, sanitize=False, repeat=1,
                            interpreter.steps)
         seconds.append(time.perf_counter() - started)
         observations.append(observation)
-        if tier2_cache is not None and tier2_cache.async_compile:
-            if iteration == 0:
-                pending_at_exit = tier2_cache.pending_compiles
-            # Land in-flight units off the clock so the next repeat
-            # measures the compiled steady state.
-            tier2_cache.drain()
         san = interpreter.memory.san
         faults += san.fault_count if san is not None else 0
         tier2_steps = getattr(interpreter, "tier2_steps", 0)
         tier2_calls = getattr(interpreter, "tier2_calls", 0)
-        side_exits = getattr(interpreter, "t2_side_exits", 0)
-    if tier2_cache is not None:
-        if storage is not None:
-            tier2_cache.flush_storage()
-        warm_compiles = tier2_cache.stats.warm_compiles
-        swap_ins = tier2_cache.stats.swap_ins
-        swap_wait = tier2_cache.stats.swap_wait_seconds
-        async_enqueued = tier2_cache.stats.async_enqueued
-        tier2_cache.close()
-    else:
-        warm_compiles = swap_ins = async_enqueued = 0
-        swap_wait = 0.0
     return {
-        "warm_compiles": warm_compiles,
-        "swap_ins": swap_ins,
-        "swap_wait_seconds": swap_wait,
-        "async_enqueued": async_enqueued,
-        "pending_at_exit": pending_at_exit,
         "observation": observations[0],
         # Every repeat must observe the same architectural results;
         # a flaky engine is as wrong as a diverging one.
@@ -160,73 +100,17 @@ def run_engine(module, engine, sanitize=False, repeat=1,
                        if tier2_cache is not None else 0),
         "tier2_steps": tier2_steps,
         "tier2_calls": tier2_calls,
-        "superblocks_compiled": (tier2_cache.stats.superblocks_compiled
-                                 if tier2_cache is not None else 0),
-        "osr_entries": (tier2_cache.stats.osr_entries
-                        if tier2_cache is not None else 0),
-        "osr_upgrades": (tier2_cache.stats.osr_upgrades
-                         if tier2_cache is not None else 0),
-        "side_exits": side_exits,
         "faults": faults,
     }
 
 
 def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
-                  tier2_threshold=0, superblocks=False, osr=False,
-                  async_compile=False, compile_workers=None):
+                  tier2_threshold=0):
     workload = load_workload(name, scale)
     module = compile_source(workload.source, name, optimization_level=2)
     ref = run_engine(module, "reference", sanitize, repeat=repeat)
     fast = run_engine(module, "fast", sanitize, repeat=repeat,
-                      tier2=tier2, tier2_threshold=tier2_threshold,
-                      superblocks=superblocks, osr=osr,
-                      async_compile=async_compile,
-                      compile_workers=compile_workers)
-    sync = warm = None
-    async_first = sync_first = None
-    if async_compile and not sanitize:
-        # First-run latency: `repeat` *independent* cold starts per
-        # configuration (fresh caches each time), interleaved so
-        # machine drift hits both sides alike; min-of-N on each side.
-        # A cold start is a single noisy sample — one per side is not
-        # a measurement.
-        async_samples, sync_samples = [], []
-        for _ in range(repeat):
-            cold = run_engine(module, "fast", sanitize, repeat=1,
-                              tier2=tier2,
-                              tier2_threshold=tier2_threshold,
-                              superblocks=superblocks, osr=osr,
-                              async_compile=True,
-                              compile_workers=compile_workers)
-            async_samples.append(cold["first_seconds"])
-            # Same configuration, compilation forced back inline: the
-            # first-run delta is the compile latency the service
-            # moved off the critical path.
-            sync = run_engine(module, "fast", sanitize, repeat=1,
-                              tier2=tier2,
-                              tier2_threshold=tier2_threshold,
-                              superblocks=superblocks, osr=osr)
-            sync_samples.append(sync["first_seconds"])
-        async_first = min(async_samples)
-        sync_first = min(sync_samples)
-        # Warm sharing: a first tenant populates one shared storage,
-        # then a *fresh* cache (second tenant) warm-starts from it —
-        # its first run should compile nothing.
-        from repro.llee.storage import InMemoryStorage
-
-        shared = InMemoryStorage()
-        run_engine(module, "fast", sanitize, repeat=1,
-                   tier2=tier2, tier2_threshold=tier2_threshold,
-                   superblocks=superblocks, osr=osr,
-                   async_compile=True, compile_workers=compile_workers,
-                   storage=shared, storage_key=name)
-        warm = run_engine(module, "fast", sanitize, repeat=1,
-                          tier2=tier2,
-                          tier2_threshold=tier2_threshold,
-                          superblocks=superblocks, osr=osr,
-                          async_compile=True,
-                          compile_workers=compile_workers,
-                          storage=shared, storage_key=name)
+                      tier2=tier2, tier2_threshold=tier2_threshold)
     ref_obs, fast_obs = ref["observation"], fast["observation"]
     steps = ref_obs[2] if ref_obs[0] != "trap" else ref_obs[3]
     ref_seconds, fast_seconds = ref["seconds"], fast["seconds"]
@@ -257,32 +141,6 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
         row["tier2_pins"] = fast["tier2_pins"]
         row["fast_compile_seconds"] = round(fast["compile_seconds"], 6)
         row["fast_first_run_seconds"] = round(fast["first_seconds"], 6)
-    if superblocks or osr:
-        row["tier2_superblocks"] = fast["superblocks_compiled"]
-        row["tier2_osr_entries"] = fast["osr_entries"]
-        row["tier2_osr_upgrades"] = fast["osr_upgrades"]
-        row["tier2_side_exits"] = fast["side_exits"]
-    if async_compile and not sanitize:
-        # The async engine must agree with the sync one (and the warm
-        # second tenant with both) — swap-in timing is not allowed to
-        # change architectural results.
-        row["diverged"] = (row["diverged"]
-                           or sync["observation"] != ref_obs
-                           or warm["observation"] != ref_obs
-                           or not sync["stable"] or not warm["stable"])
-        row["tier2_async_enqueued"] = fast["async_enqueued"]
-        row["tier2_swap_ins"] = fast["swap_ins"]
-        row["tier2_swap_wait_seconds"] = round(
-            fast["swap_wait_seconds"], 6)
-        row["tier2_pending_at_exit"] = fast["pending_at_exit"]
-        row["async_first_run_seconds"] = round(async_first, 6)
-        row["sync_first_run_seconds"] = round(sync_first, 6)
-        row["first_run_speedup"] = round(sync_first / async_first, 3) \
-            if async_first > 0 else None
-        row["warm_first_run_seconds"] = round(warm["first_seconds"], 6)
-        row["tier2_warm_compiles"] = warm["warm_compiles"]
-        row["warm_recompiles"] = warm["functions_compiled"] \
-            - warm["warm_compiles"]
     if row["diverged"]:
         row["reference_observation"] = repr(ref_obs)
         row["fast_observation"] = repr(fast_obs)
@@ -368,7 +226,7 @@ def bench_vector_program(name, scale, repeat=1):
 
 
 #: Trivial program used to warm the translator machinery (codegen
-#: imports, compile-service thread spin-up) before any timed run, so
+#: imports) before any timed run, so
 #: the first measured program is not charged process one-time costs.
 _WARMUP_SOURCE = """
 int work(int n) { int s = 0; for (int i = 0; i < n; i = i + 1)
@@ -377,13 +235,10 @@ int main() { return work(64); }
 """
 
 
-def warm_translator(async_compile=False):
+def warm_translator():
     module = compile_source(_WARMUP_SOURCE, "benchwarm",
                             optimization_level=2)
     run_engine(module, "fast", repeat=1, tier2=True, tier2_threshold=0)
-    if async_compile:
-        run_engine(module, "fast", repeat=1, tier2=True,
-                   tier2_threshold=0, async_compile=True)
 
 
 def geomean(values):
@@ -466,22 +321,6 @@ def main(argv=None):
                         metavar="N",
                         help="tier-2 promotion threshold (default 0: "
                              "compile every function on first call)")
-    parser.add_argument("--superblocks", action="store_true",
-                        help="trace-guided superblock tier-2 codegen; "
-                             "implies --tier2 and --osr (the profiling "
-                             "stage upgrades mid-run via OSR)")
-    parser.add_argument("--osr", action="store_true",
-                        help="on-stack replacement at hot tier-1 loop "
-                             "headers (implies --tier2)")
-    parser.add_argument("--async-compile", action="store_true",
-                        help="compile tier-2 units on the background "
-                             "service (implies --tier2); adds the "
-                             "sync-vs-async first-run-latency and "
-                             "warm-sharing columns")
-    parser.add_argument("--compile-workers", type=int, default=None,
-                        metavar="N",
-                        help="background compile worker threads "
-                             "(default: service default)")
     parser.add_argument("--vectorize", action="store_true",
                         help="A/B the loop autovectorizer: each "
                              "program compiled -O2 with and without "
@@ -496,21 +335,13 @@ def main(argv=None):
     parser.add_argument("--out", default=None,
                         help="JSON output path (default "
                              "BENCH_fastpath.json, BENCH_tierjit.json "
-                             "with --tier2, BENCH_superblock.json "
-                             "with --superblocks, or "
-                             "BENCH_asyncjit.json with "
-                             "--async-compile)")
+                             "with --tier2, or BENCH_vector.json with "
+                             "--vectorize)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    if args.superblocks:
-        args.osr = True
-    if args.osr or args.async_compile:
-        args.tier2 = True
     out_path = args.out or (
         "BENCH_vector.json" if args.vectorize
-        else "BENCH_asyncjit.json" if args.async_compile
-        else "BENCH_superblock.json" if args.superblocks
         else "BENCH_tierjit.json" if args.tier2
         else "BENCH_fastpath.json")
 
@@ -526,7 +357,7 @@ def main(argv=None):
         return _vectorize_main(parser, args, programs, scale, out_path)
 
     if args.tier2 and not args.sanitize:
-        warm_translator(async_compile=args.async_compile)
+        warm_translator()
 
     rows = []
     diverged = False
@@ -537,10 +368,7 @@ def main(argv=None):
                          .format(name, ", ".join(SUITE_ORDER)))
         row = bench_program(name, scale, sanitize=args.sanitize,
                             repeat=args.repeat, tier2=args.tier2,
-                            tier2_threshold=args.tier2_threshold,
-                            superblocks=args.superblocks, osr=args.osr,
-                            async_compile=args.async_compile,
-                            compile_workers=args.compile_workers)
+                            tier2_threshold=args.tier2_threshold)
         rows.append(row)
         if row["diverged"]:
             status = "DIVERGED"
@@ -551,11 +379,6 @@ def main(argv=None):
         if args.tier2 and not row["diverged"]:
             status += "  [t2 {0:.0f}%]".format(
                 100.0 * row["tier2_steps"] / max(row["steps"], 1))
-        if args.async_compile and not row["diverged"] \
-                and not args.sanitize:
-            status += "  [first {0:.2f}x, warm {1} cmp]".format(
-                row["first_run_speedup"] or 0.0,
-                row["tier2_warm_compiles"])
         print("{0:<10} {1:>12,} steps  ref {2:>8.3f}s  fast {3:>8.3f}s"
               "  {4}".format(name, row["steps"],
                              row["reference_seconds"],
@@ -568,8 +391,6 @@ def main(argv=None):
         "sanitize": args.sanitize,
         "tier2": args.tier2,
         "tier2_threshold": args.tier2_threshold,
-        "superblocks": args.superblocks,
-        "osr": args.osr,
         "repeat": args.repeat,
         "programs": rows,
         "geomean_speedup": geomean([r["speedup"] for r in rows]),
@@ -588,36 +409,11 @@ def main(argv=None):
         report["tier2_pins"] = sum(r["tier2_pins"] for r in rows)
         report["compile_seconds"] = round(
             sum(r["fast_compile_seconds"] for r in rows), 6)
-    if args.superblocks or args.osr:
-        report["tier2_superblocks"] = sum(
-            r["tier2_superblocks"] for r in rows)
-        report["tier2_osr_entries"] = sum(
-            r["tier2_osr_entries"] for r in rows)
-        report["tier2_osr_upgrades"] = sum(
-            r["tier2_osr_upgrades"] for r in rows)
-        report["tier2_side_exits"] = sum(
-            r["tier2_side_exits"] for r in rows)
-    if args.async_compile and not args.sanitize:
-        report["async_compile"] = True
-        report["compile_workers"] = args.compile_workers
-        report["tier2_async_enqueued"] = sum(
-            r["tier2_async_enqueued"] for r in rows)
-        report["tier2_swap_ins"] = sum(
-            r["tier2_swap_ins"] for r in rows)
-        report["geomean_first_run_speedup"] = geomean(
-            [r["first_run_speedup"] for r in rows])
-        report["tier2_warm_compiles"] = sum(
-            r["tier2_warm_compiles"] for r in rows)
-        report["warm_recompiles"] = sum(
-            r["warm_recompiles"] for r in rows)
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print("geomean speedup: {0}x -> {1}".format(
         report["geomean_speedup"], out_path))
-    if args.async_compile and not args.sanitize:
-        print("geomean first-run speedup (async vs sync compile): "
-              "{0}x".format(report["geomean_first_run_speedup"]))
     if diverged:
         print("ERROR: engines diverged; see {0}".format(out_path),
               file=sys.stderr)

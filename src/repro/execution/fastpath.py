@@ -96,7 +96,7 @@ class _FastFrame:
 
     __slots__ = ("function", "ops", "index", "regs", "saved_sp",
                  "ret_slot", "resume", "unwind_edge", "is_trap_handler",
-                 "steps_at_entry", "osr_mark")
+                 "steps_at_entry")
 
     def __init__(self, function, ops, regs, saved_sp, ret_slot,
                  resume, unwind_edge):
@@ -110,7 +110,6 @@ class _FastFrame:
         self.unwind_edge = unwind_edge    # invoke's unwind-dest edge, else None
         self.is_trap_handler = False
         self.steps_at_entry = 0           # for tier-2 step-credit promotion
-        self.osr_mark = 0                 # back-edge OSR trigger baseline
 
 
 class _Tier2Frame:
@@ -128,7 +127,7 @@ class _Tier2Frame:
 
     __slots__ = ("function", "ops", "index", "regs", "saved_sp",
                  "ret_slot", "resume", "unwind_edge", "is_trap_handler",
-                 "steps_at_entry", "osr_mark", "gen", "started", "unit")
+                 "steps_at_entry", "gen", "started", "unit")
 
     def __init__(self, function, unit, gen, saved_sp, ret_slot,
                  resume, unwind_edge):
@@ -142,7 +141,6 @@ class _Tier2Frame:
         self.unwind_edge = unwind_edge
         self.is_trap_handler = False
         self.steps_at_entry = -1          # tier-2 frames earn no credit
-        self.osr_mark = 0
         self.gen = gen
         self.started = False
         self.unit = unit
@@ -209,37 +207,6 @@ def _tier2_driver(st, f):
                                      request[2], request[3])
                     f.regs[0] = None
                     return _RESCHED
-                if kind == "osr":
-                    # A profiling unit's block counter crossed the
-                    # upgrade threshold: fold its counters into the
-                    # cache profile, recompile (ideally as a trace-
-                    # guided superblock), and restart the replacement
-                    # generator at the current block with the live
-                    # registers.  When the upgrade is declined (pinned,
-                    # raced) the old generator simply keeps running.
-                    tier2 = st.tier2
-                    new_unit = tier2.osr_upgrade(f.function, f.unit) \
-                        if tier2 is not None else None
-                    if new_unit is None or new_unit is f.unit:
-                        request = gen.send(None)
-                        continue
-                    gi_frame = gen.gi_frame
-                    local_values = gi_frame.f_locals \
-                        if gi_frame is not None else {}
-                    regs = tuple(local_values.get(name, 0)
-                                 for name, _num in f.unit.snap_map)
-                    gen.close()
-                    f.unit = new_unit
-                    f.gen = gen = new_unit.factory(
-                        st, *([0] * new_unit.num_args),
-                        __osr=(request[1], regs))
-                    if st.profiler is not None:
-                        st.profiler.replace(
-                            st.steps, f.function.name,
-                            "superblock" if new_unit.kind == "superblock"
-                            else "tier2")
-                    request = gen.send(None)
-                    continue
                 # "icall": classify at run time like _fast_call_any.
                 address = request[1]
                 fn = st.image.function_at(address)
@@ -423,8 +390,7 @@ class DecodeCache:
     braces; the listener also frees the stale entry and counts it.
     """
 
-    def __init__(self, target: types.TargetData, sanitize: bool = False,
-                 osr: bool = False):
+    def __init__(self, target: types.TargetData, sanitize: bool = False):
         self.target = target
         #: When set, every compiled closure is wrapped to publish its
         #: decode-time site string to the sanitizer before running, so a
@@ -432,11 +398,6 @@ class DecodeCache:
         #: unsanitized closures are different code — a cache is bound to
         #: one mode.
         self.sanitize = sanitize
-        #: When set, loop back edges carry the on-stack-replacement
-        #: check (see ``_Decoder._make_edge``).  Like ``sanitize``, the
-        #: flag changes the compiled closures, so a cache is bound to
-        #: one mode.
-        self.osr = osr
         self.stats = DecodeCacheStats()
         # id(function) -> (smc_version, DecodedFunction, function).  The
         # function reference pins the object so the id stays unique.
@@ -447,8 +408,7 @@ class DecodeCache:
         if entry is not None and entry[0] == function.smc_version:
             return entry[1]
         started = time.perf_counter()
-        decoded = _decode_function(function, self.target, self.sanitize,
-                                   self.osr)
+        decoded = _decode_function(function, self.target, self.sanitize)
         elapsed = time.perf_counter() - started
         self._cache[id(function)] = (function.smc_version, decoded, function)
         self.stats.functions_decoded += 1
@@ -500,18 +460,11 @@ class _Decoder:
 
     def __init__(self, function: Function, target: types.TargetData,
                  slot_of: Dict[int, int],
-                 ops_map: Dict[int, List[Callable]],
-                 osr: bool = False):
+                 ops_map: Dict[int, List[Callable]]):
         self.function = function
         self.target = target
         self.slot_of = slot_of
         self.ops_map = ops_map
-        self.osr = osr
-        #: id(block) -> position in ``function.blocks``; an edge to an
-        #: equal-or-earlier position is a back edge (loop header), the
-        #: OSR trigger point.
-        self.block_index = {id(b): i for i, b in
-                            enumerate(function.blocks)}
 
     # -- operands ------------------------------------------------------
 
@@ -1560,35 +1513,7 @@ class _Decoder:
         Bumps ``steps`` by *extra* (1 for a taken terminator, 0 for a
         call resume) plus one per phi, performs the simultaneous phi
         assignment, and enforces ``max_steps``.
-
-        In OSR mode, back edges (*succ* at or before *pred* in block
-        order — a loop header) additionally check the frame's step
-        credit after the transfer: a tier-1 activation that has been
-        spinning long enough is handed to ``st._osr_enter``, which maps
-        the live register file onto a tier-2 generator and resumes at
-        exactly this point — the start of *succ* with phis already
-        assigned, which is where a tier-2 dispatch arm begins too.
         """
-        inner = self._make_plain_edge(pred, succ, extra)
-        if not self.osr:
-            return inner
-        if self.block_index.get(id(succ), 1 << 30) \
-                > self.block_index.get(id(pred), -1):
-            return inner
-        bid = self.block_index[id(succ)]
-
-        def osr_edge(st, f):
-            r = inner(st, f)
-            tier2 = st.tier2
-            if tier2 is not None \
-                    and st.steps - f.osr_mark \
-                    >= tier2.osr_step_threshold:
-                return st._osr_enter(f, bid)
-            return r
-        return osr_edge
-
-    def _make_plain_edge(self, pred: BasicBlock, succ: BasicBlock,
-                         extra: int):
         dst_ops = self.ops_map[id(succ)]
         phis = succ.phis()
         nphis = len(phis)
@@ -1873,8 +1798,7 @@ def _with_site(op: Callable, site: str) -> Callable:
 
 
 def _decode_function(function: Function, target: types.TargetData,
-                     sanitize: bool = False,
-                     osr: bool = False) -> DecodedFunction:
+                     sanitize: bool = False) -> DecodedFunction:
     """Lower *function* into per-block closure arrays (see module doc)."""
     blocks = function.blocks
     # Slot numbering is the V-ABI register numbering: arguments first,
@@ -1895,7 +1819,7 @@ def _decode_function(function: Function, target: types.TargetData,
     # Pre-create the per-block op lists so edge closures can capture
     # their target list objects before those are populated.
     ops_map: Dict[int, List[Callable]] = {id(b): [] for b in blocks}
-    decoder = _Decoder(function, target, slot_of, ops_map, osr=osr)
+    decoder = _Decoder(function, target, slot_of, ops_map)
     fused = 0
     for block in blocks:
         ops = ops_map[id(block)]
@@ -1945,9 +1869,7 @@ class FastInterpreter(Interpreter):
         # runs pin everything to tier 1 — shadow-memory checking needs
         # per-instruction fault sites, which compiled code merges away
         # (documented in docs/PERFORMANCE.md, tested in the
-        # differential suite).  Configured before the decode cache: the
-        # tier-2 cache's OSR mode decides whether tier-1 back edges
-        # carry the on-stack-replacement check.
+        # differential suite).
         if tier2 and not sanitize:
             from repro.execution.tier2 import Tier2Cache
             if isinstance(tier2, Tier2Cache):
@@ -1965,7 +1887,6 @@ class FastInterpreter(Interpreter):
             self.smc_listeners.append(self.tier2.listener())
         else:
             self.tier2 = None
-        osr = self.tier2 is not None and self.tier2.osr
         if decode_cache is not None:
             if (decode_cache.target.pointer_size != self.target.pointer_size
                     or decode_cache.target.endianness
@@ -1977,21 +1898,14 @@ class FastInterpreter(Interpreter):
                     "decode cache sanitize mode ({0}) does not match the "
                     "interpreter ({1})".format(decode_cache.sanitize,
                                                sanitize))
-            if decode_cache.osr != osr:
-                raise ValueError(
-                    "decode cache OSR mode ({0}) does not match the "
-                    "interpreter ({1})".format(decode_cache.osr, osr))
             self.decode_cache = decode_cache
         else:
-            self.decode_cache = DecodeCache(self.target, sanitize=sanitize,
-                                            osr=osr)
+            self.decode_cache = DecodeCache(self.target, sanitize=sanitize)
         self.smc_listeners.append(self.decode_cache.listener())
         self.fused_runs = 0
         self.fused_instructions = 0
         self.tier2_steps = 0
         self.tier2_calls = 0
-        #: Superblock side exits taken (bumped by generated code).
-        self.t2_side_exits = 0
 
     # -- public API ----------------------------------------------------
 
@@ -2008,12 +1922,7 @@ class FastInterpreter(Interpreter):
         fused_before = self.fused_instructions
         t2_steps_before = self.tier2_steps
         t2_calls_before = self.tier2_calls
-        t2_exits_before = self.t2_side_exits
         self._push_call(function, list(args), call_inst=None)
-        # Engine-active bracket: under the compile service's idle
-        # policy, background builds park while this run executes.
-        if self.tier2 is not None:
-            self.tier2.run_begin()
         try:
             with observe.span("interp.run", entry=function_name,
                               engine="fast"):
@@ -2023,8 +1932,6 @@ class FastInterpreter(Interpreter):
                     exit_status = request.status
                     self._frames.clear()
         finally:
-            if self.tier2 is not None:
-                self.tier2.run_end()
             if self.profiler is not None:
                 self.profiler.flush(self.steps)
         observe.counter("run.steps", self.steps - steps_before,
@@ -2039,8 +1946,6 @@ class FastInterpreter(Interpreter):
                                 self.tier2_steps - t2_steps_before)
                 observe.counter("tier2.calls",
                                 self.tier2_calls - t2_calls_before)
-                observe.counter("tier2.side_exits",
-                                self.t2_side_exits - t2_exits_before)
         if flight is not None:
             flight.record("run.end", engine="fast",
                           steps=self.steps - steps_before)
@@ -2076,11 +1981,6 @@ class FastInterpreter(Interpreter):
                 "call to undefined function %{0}".format(function.name))
         tier2 = self.tier2
         if tier2 is not None:
-            # The per-call hook doubles as the primary safe swap-in
-            # point for asynchronous compilation: while a background
-            # job is in flight lookup() returns None (the call runs
-            # tier 1) and installs the finished unit the first time it
-            # polls ready — never mid-activation.
             unit = tier2.lookup(function)
             if unit is not None:
                 if len(args) != unit.num_args:
@@ -2095,10 +1995,7 @@ class FastInterpreter(Interpreter):
                 self._frames.append(frame)
                 self.tier2_calls += 1
                 if self.profiler is not None:
-                    self.profiler.push(
-                        self.steps, function.name,
-                        "superblock" if unit.kind == "superblock"
-                        else "tier2")
+                    self.profiler.push(self.steps, function.name, "tier2")
                 return frame
         decoded = self.decode_cache.decode(function)
         if len(args) != decoded.num_args:
@@ -2112,15 +2009,6 @@ class FastInterpreter(Interpreter):
                            unwind_edge)
         if tier2 is not None:
             frame.steps_at_entry = self.steps
-            # A deferred compile is in flight for this function: arm
-            # the back-edge OSR check at a quarter threshold so a
-            # loop-bound activation stops paying tier-1 prices
-            # promptly (the trigger escalates the queued build).
-            if tier2.has_pending(function):
-                frame.osr_mark = self.steps - \
-                    (tier2.osr_step_threshold * 3) // 4
-            else:
-                frame.osr_mark = self.steps
         self._frames.append(frame)
         if self.profiler is not None:
             self.profiler.push(self.steps, function.name, "tier1")
@@ -2183,54 +2071,6 @@ class FastInterpreter(Interpreter):
         if ms is not None and self.steps > ms:
             raise StepLimitExceeded("exceeded {0} steps".format(ms))
         self._fast_push(function, args, dst, resume, unwind_edge)
-        return _RESCHED
-
-    # -- on-stack replacement ------------------------------------------
-
-    def _osr_enter(self, f: _FastFrame, block_id: int):
-        """Promote a hot tier-1 activation mid-loop: map its live
-        register file onto a tier-2 generator entered at *block_id*
-        (where the triggering back edge just landed, phis already
-        assigned) and replace the frame in place.
-
-        Returns ``_RESCHED`` so the run loop re-dispatches to the new
-        frame, or None when tier 2 declines (OSR off, pinned,
-        uncompilable) — in which case the frame's step credit is reset
-        so the check does not fire on every subsequent back edge.
-        With asynchronous compilation the decline may be transient (a
-        background job is still in flight); the credit is then only
-        partially reset, so this back-edge safe point re-polls after a
-        quarter threshold instead of a full one and the swap-in lands
-        promptly once the unit is ready.
-        """
-        tier2 = self.tier2
-        unit = tier2.lookup_osr(f.function) if tier2 is not None else None
-        if unit is None:
-            # Re-arm the trigger only (never steps_at_entry — that
-            # would inflate the activation's step credit on return).
-            if tier2 is not None and tier2.has_pending(f.function):
-                f.osr_mark = self.steps - \
-                    (tier2.osr_step_threshold * 3) // 4
-            else:
-                f.osr_mark = self.steps
-            return None
-        gen = unit.factory(
-            self, *([0] * unit.num_args),
-            __osr=(block_id, tuple(f.regs[:unit.num_slots])))
-        frame = _Tier2Frame(f.function, unit, gen, f.saved_sp, f.ret_slot,
-                            f.resume, f.unwind_edge)
-        frame.is_trap_handler = f.is_trap_handler
-        self._frames[-1] = frame
-        tier2.stats.osr_entries += 1
-        self.tier2_calls += 1
-        if self.profiler is not None:
-            self.profiler.replace(self.steps, f.function.name, "osr")
-        flight = self.flight
-        if flight is not None:
-            flight.record("tier2.osr.enter", function=f.function.name,
-                          block=block_id, kind=unit.kind)
-        if observe.enabled():
-            observe.counter("tier2.osr_entries", 1)
         return _RESCHED
 
     # -- exception model -----------------------------------------------

@@ -35,24 +35,6 @@ inside a tier-2 activation completes precisely in place and then
 *deopts* the function (future invocations run tier 1).  Sanitized runs
 pin everything — shadow-memory checking needs per-instruction sites.
 
-With ``superblocks=True`` the code generator additionally consumes
-:func:`repro.llee.tracecache.form_function_traces` layouts: a hot
-trace becomes one straight-line **superblock** arm — its own inner
-``while True`` whose back edge to the trace head is a direct
-``continue`` and whose interior transfers fall through with no
-dispatch at all; every off-trace edge is a conditional *side exit*
-that breaks back to the block-dispatch loop (interior trace blocks
-keep their own dispatch arms, so side exits and OSR entries always
-have a landing pad).  When no profile exists yet, functions first
-compile as *profiling* units whose per-block counters both feed trace
-formation and, at ``superblock_threshold`` executions of one block,
-yield an ``('osr', block)`` request so the driver can swap in the
-trace-guided unit *mid-activation*.  With ``osr=True`` tier 1 joins
-in: a back edge taken after ``osr_step_threshold`` architectural
-steps maps the live tier-1 frame onto tier-2 locals (the shared V-ABI
-slot numbering makes this a straight copy) and resumes at the loop
-header, instead of finishing the activation interpreted.
-
 Promotion is counter-driven: a function is compiled after
 ``threshold`` tier-1 invocations, or once its tier-1 activations have
 accumulated ``step_threshold`` architectural steps (credited on
@@ -81,7 +63,6 @@ import math
 import struct
 import sys
 import time
-from concurrent.futures import CancelledError
 from typing import Dict, List, Optional, Tuple
 
 from repro import observe
@@ -110,14 +91,17 @@ from repro.ir.values import (
 
 #: Bump whenever generated code or the yield protocol changes shape;
 #: persisted translations from other versions are discarded.
-#: v3: side exits report to the flight recorder (``st.flight``).
+#: v3: trace-arm exits report to the flight recorder (gone in v7).
 #: v4: the vector extension (vadd/vsub/vmul, vsplat, vreduce.*,
 #: vload/vstore) lowers to tuple-valued registers, and generated code
 #: carries the ``__vlanes`` observability hook.
 #: v5: contiguous vload/vstore go through one bulk read/write (single
 #: region lookup, one struct format) with a per-lane replay on fault.
 #: v6: the blob carries a SHA-256 of its ``functions`` payload.
-TIER2_VERSION = 6
+#: v7: one code shape (block dispatch): the factory takes no
+#: mid-function entry argument, and blob entries carry only ``hash``,
+#: ``num_slots``, ``func_refs``, ``source`` and ``code``.
+TIER2_VERSION = 7
 
 #: Tier-1 invocations before a function is promoted (0 = immediately).
 DEFAULT_THRESHOLD = 16
@@ -126,33 +110,8 @@ DEFAULT_THRESHOLD = 16
 #: activations) before it is promoted regardless of invocation count.
 DEFAULT_STEP_THRESHOLD = 50_000
 
-#: Executions of a single block inside a profiling-stage tier-2 unit
-#: before the unit yields an ``('osr', block)`` request asking to be
-#: upgraded to a trace-guided superblock unit mid-activation.
-DEFAULT_SUPERBLOCK_THRESHOLD = 512
-
-#: Architectural steps a tier-1 activation must accumulate before a
-#: taken back edge triggers on-stack replacement into tier 2.
-DEFAULT_OSR_STEP_THRESHOLD = 25_000
-
-#: Asynchronous mode: tier-1 steps a function may burn *after* its
-#: compile job was enqueued before the engine stops waiting and
-#: escalates to an inline (synchronous) compile.  Past that point the
-#: function has proven it will out-run its own compile cost, so
-#: waiting for an idle-time build costs more than doing the work now.
-#: Set to several compiles' worth of tier-1 steps: call-heavy
-#: functions whose tier-1 closures are nearly as fast as their tier-2
-#: units finish whole short runs below it (their builds stay
-#: deferred), while the loop-heavy functions that dominate long runs
-#: blow through it early and get their superblock pipeline inline.
-DEFAULT_ESCALATE_STEP_THRESHOLD = 16384
-
 #: Storage-API cache name for persisted translations.
 TIER2_CACHE_NAME = "llee-tier2"
-
-#: Storage-API cache name for persisted profile snapshots (written
-#: next to the translation blob under the same module key).
-PROFILE_CACHE_NAME = "llee-profile"
 
 
 class UnsupportedFunction(Exception):
@@ -164,13 +123,10 @@ class CompiledUnit:
     """One tier-2 translation: a generator factory plus its metadata."""
 
     __slots__ = ("function", "smc_version", "factory", "num_args",
-                 "num_slots", "snap_map", "source", "func_hash", "code",
-                 "kind", "layout_hash", "side_exits", "block_counts")
+                 "num_slots", "snap_map", "source", "func_hash", "code")
 
     def __init__(self, function, smc_version, factory, num_args,
-                 num_slots, snap_map, source, func_hash, code,
-                 kind="dispatch", layout_hash="-", side_exits=(),
-                 block_counts=None):
+                 num_slots, snap_map, source, func_hash, code):
         self.function = function
         self.smc_version = smc_version
         self.factory = factory          # (st, *args) -> generator
@@ -185,29 +141,12 @@ class CompiledUnit:
         #: persisted (marshalled, .pyc-style) so warm starts skip both
         #: codegen and ``compile()``.
         self.code = code
-        #: "dispatch" (one arm per block), "superblock" (trace-guided
-        #: straight-line arms), or "profiling" (block dispatch plus
-        #: per-block counters feeding trace formation; never persisted).
-        self.kind = kind
-        #: Signature of the trace layout the unit was generated from
-        #: ("-" = plain dispatch); part of the persistent key, so a
-        #: profile change invalidates stale superblocks.
-        self.layout_hash = layout_hash
-        #: Deopt metadata: one (from-block, to-block) name pair per
-        #: superblock side exit, in emission order.
-        self.side_exits = side_exits
-        #: Live per-block execution counters (profiling units only);
-        #: shared with the generated code's ``__bc`` list.
-        self.block_counts = block_counts
 
 
 class Tier2Stats:
     __slots__ = ("functions_compiled", "warm_compiles", "codegen_seconds",
                  "compile_seconds", "invalidations", "deopts", "pins",
-                 "promotions_by_steps", "superblocks_compiled",
-                 "profiling_compiled", "osr_entries", "osr_upgrades",
-                 "async_enqueued", "swap_ins", "swap_wait_seconds",
-                 "stale_drops", "escalations")
+                 "promotions_by_steps")
 
     def __init__(self):
         self.functions_compiled = 0
@@ -220,26 +159,6 @@ class Tier2Stats:
         self.deopts = 0
         self.pins = 0
         self.promotions_by_steps = 0
-        #: Units whose arms were emitted from a trace layout.
-        self.superblocks_compiled = 0
-        #: Profiling-stage units (block dispatch + counters).
-        self.profiling_compiled = 0
-        #: Tier-1 activations resumed mid-loop inside a tier-2 unit.
-        self.osr_entries = 0
-        #: Profiling units swapped for trace-guided ones mid-activation.
-        self.osr_upgrades = 0
-        #: Promotions handed to the background compile service.
-        self.async_enqueued = 0
-        #: Background-compiled units installed at a safe point.
-        self.swap_ins = 0
-        #: Total enqueue-to-swap-in latency across swap-ins.
-        self.swap_wait_seconds = 0.0
-        #: Background results discarded because SMC replaced the body
-        #: while the job was in flight.
-        self.stale_drops = 0
-        #: Queued jobs cancelled in favour of an inline compile after
-        #: the function proved hot while its build was deferred.
-        self.escalations = 0
 
 
 def _functions_digest(functions: dict) -> str:
@@ -281,25 +200,9 @@ class _SourceWriter:
 class _FnCodegen:
     """Generates the Python source of one tier-2 generator function."""
 
-    def __init__(self, function: Function, target: types.TargetData,
-                 layout=None, profile_blocks: bool = False,
-                 upgrade_threshold: int = DEFAULT_SUPERBLOCK_THRESHOLD):
+    def __init__(self, function: Function, target: types.TargetData):
         self.function = function
         self.target = target
-        #: Trace layout (a list of ``tracecache.Trace``) guiding
-        #: superblock emission; block order/ids are never changed.
-        self.layout = layout or []
-        #: Emit per-block execution counters plus the ``('osr', b)``
-        #: upgrade trigger (profiling-stage units).
-        self.profile_blocks = profile_blocks
-        self.upgrade_threshold = max(int(upgrade_threshold), 1)
-        #: (from-block, to-block) name pairs, one per side exit emitted.
-        self.side_exits: List[Tuple[str, str]] = []
-        #: Superblock emission state: the trace head (back edges to it
-        #: become the inner loop's ``continue``) and the next trace
-        #: block (edges to it fall through with no jump at all).
-        self._sb_head = None
-        self._sb_next = None
         self.w = _SourceWriter()
         self.slot_of: Dict[int, int] = {}
         self.block_id: Dict[int, int] = {}
@@ -741,11 +644,7 @@ class _FnCodegen:
                   extra: int) -> None:
         """Transfer to *succ*: simultaneous phi assignment, merged step
         bump (taken-branch + one per phi), the max_steps check, and the
-        jump.  Inside a superblock the jump specializes — the trace's
-        fallthrough successor emits no jump at all, a back edge to the
-        trace head re-enters the inner loop with a bare ``continue``,
-        and every other target is a *side exit* that breaks back to the
-        block-dispatch loop."""
+        jump."""
         phis = succ.phis()
         bump = extra + len(phis)
         if phis:
@@ -768,27 +667,6 @@ class _FnCodegen:
             self.w.emit(ind + 1, "raise StepLimitExceeded("
                                  "'exceeded {0} steps'"
                                  ".format(st.max_steps))")
-        if self._sb_head is not None:
-            if succ is self._sb_next:
-                if not phis and not bump:
-                    self.w.emit(ind, "pass")
-                return  # falls through into the next trace block's code
-            if succ is self._sb_head:
-                self.w.emit(ind, "continue")
-                return
-            self.side_exits.append((pred.name or "", succ.name or ""))
-            self.w.emit(ind, "st.t2_side_exits += 1")
-            # Flight recording costs one attribute test when off; the
-            # event names are baked in as literals at codegen time.
-            self.w.emit(ind, "if st.flight is not None:")
-            self.w.emit(ind + 1,
-                        "st.flight.record('tier2.side_exit', "
-                        "function={0!r}, src={1!r}, dst={2!r})".format(
-                            self.function.name, pred.name or "",
-                            succ.name or ""))
-            self.w.emit(ind, "__blk = {0}".format(self.block_id[id(succ)]))
-            self.w.emit(ind, "break")
-            return
         self.w.emit(ind, "__blk = {0}".format(self.block_id[id(succ)]))
         self.w.emit(ind, "continue")
 
@@ -1067,44 +945,11 @@ class _FnCodegen:
         return False
 
     def emit_block(self, block: BasicBlock) -> None:
-        """One plain dispatch arm (optionally instrumented with the
-        profiling-stage block counter and its upgrade trigger)."""
+        """One dispatch arm."""
         bid = self.block_id[id(block)]
         self.w.emit(2, "{0} __blk == {1}:".format(
             "if" if bid == 0 else "elif", bid))
-        if self.profile_blocks:
-            # The equality test fires the upgrade request exactly once
-            # per block (the counter list is shared unit-wide); the
-            # driver may answer by swapping this generator for a
-            # trace-guided one, resuming at this very block.
-            self.w.emit(3, "__bc[{0}] += 1".format(bid))
-            self.w.emit(3, "if __bc[{0}] == {1}:".format(
-                bid, self.upgrade_threshold))
-            self.w.emit(4, "st.steps = __steps")
-            self.w.emit(4, "yield ('osr', {0})".format(bid))
-            self.w.emit(4, "__steps = st.steps")
         self.emit_block_body(block, 3)
-
-    def emit_trace(self, trace_blocks: List[BasicBlock]) -> None:
-        """One superblock arm: the whole trace as straight-line code
-        inside its own ``while True``.  Entering the arm (from dispatch
-        or OSR) starts at the trace head; the loop's back edge never
-        touches the dispatcher again until a side exit breaks out."""
-        head = trace_blocks[0]
-        bid = self.block_id[id(head)]
-        self.w.emit(2, "{0} __blk == {1}:".format(
-            "if" if bid == 0 else "elif", bid))
-        self.w.emit(3, "while True:")
-        try:
-            for position, block in enumerate(trace_blocks):
-                self._sb_head = head
-                self._sb_next = (trace_blocks[position + 1]
-                                 if position + 1 < len(trace_blocks)
-                                 else None)
-                self.emit_block_body(block, 4)
-        finally:
-            self._sb_head = None
-            self._sb_next = None
 
     def emit_block_body(self, block: BasicBlock, ind: int) -> None:
         instructions = block.instructions
@@ -1208,26 +1053,15 @@ class _FnCodegen:
         num_slots = slot
         for index, block in enumerate(blocks):
             self.block_id[id(block)] = index
-        # Superblock layout: each trace head's arm becomes the whole
-        # trace; interior blocks keep their own plain arms so side
-        # exits and OSR entries always have a dispatch target.
-        trace_of: Dict[int, List[BasicBlock]] = {}
-        for trace in self.layout:
-            if trace.blocks and id(trace.blocks[0]) in self.block_id:
-                trace_of[id(trace.blocks[0])] = trace.blocks
         # Body first (so prologue hoists only what is referenced).
         body = _SourceWriter()
         self.w = body
         for block in blocks:
-            trace_blocks = trace_of.get(id(block))
-            if trace_blocks is not None:
-                self.emit_trace(trace_blocks)
-            else:
-                self.emit_block(block)
+            self.emit_block(block)
         head = _SourceWriter()
         params = ", ".join("r{0}".format(i)
                            for i in range(len(function.args)))
-        head.emit(0, "def __tier2(st{0}, __osr=None):".format(
+        head.emit(0, "def __tier2(st{0}):".format(
             ", " + params if params else ""))
         if self.uses_mem:
             head.emit(1, "__mem = st.memory")
@@ -1241,19 +1075,7 @@ class _FnCodegen:
         head.emit(1, "if __ms is None:")
         head.emit(2, "__ms = 0x7fffffffffffffff")
         head.emit(1, "__steps = st.steps")
-        # On-stack replacement entry: __osr carries (block id, full
-        # register file); the V-ABI slot numbering is shared with tier
-        # 1, so restoring the frame is one tuple unpack.  Normal calls
-        # pay a single None test.
-        head.emit(1, "if __osr is None:")
-        head.emit(2, "__blk = 0")
-        head.emit(1, "else:")
-        head.emit(2, "__blk = __osr[0]")
-        if num_slots:
-            names = ", ".join("r{0}".format(i) for i in range(num_slots))
-            if num_slots == 1:
-                names += ","
-            head.emit(2, "{0} = __osr[1]".format(names))
+        head.emit(1, "__blk = 0")
         # A function whose body never yields must still be a generator
         # for the driver protocol; the dead yield below forces that.
         head.emit(1, "if False:")
@@ -1293,51 +1115,29 @@ _BASE_NAMESPACE = {
 }
 
 
-def generate_source(function: Function, target: types.TargetData,
-                    layout=None, profile_blocks: bool = False,
-                    upgrade_threshold: int = DEFAULT_SUPERBLOCK_THRESHOLD
-                    ) -> Tuple[str, Dict[str, str], int, List[Tuple[str, str]]]:
+def generate_source(function: Function, target: types.TargetData
+                    ) -> Tuple[str, Dict[str, str], int]:
     """Tier-2 codegen for one function.  Returns ``(source, func_refs,
-    num_slots, side_exits)``; raises :class:`UnsupportedFunction` for
-    bodies the generator cannot express.  *layout* (a list of
-    ``tracecache.Trace``) turns hot traces into superblock arms;
-    *profile_blocks* instruments every dispatch arm with the
-    profiling-stage counter and upgrade trigger instead."""
-    cg = _FnCodegen(function, target, layout=layout,
-                    profile_blocks=profile_blocks,
-                    upgrade_threshold=upgrade_threshold)
+    num_slots)``; raises :class:`UnsupportedFunction` for bodies the
+    generator cannot express."""
+    cg = _FnCodegen(function, target)
     source, num_slots = cg.generate()
-    return source, dict(cg.func_refs), num_slots, list(cg.side_exits)
+    return source, dict(cg.func_refs), num_slots
 
 
-def build_unit(function: Function, module: Module,
-               target: types.TargetData,
-               source: Optional[str] = None,
-               func_refs: Optional[Dict[str, str]] = None,
-               num_slots: Optional[int] = None,
-               code=None, kind: str = "dispatch",
-               layout_hash: str = "-",
-               side_exits=(), block_counts=None) -> CompiledUnit:
-    """``compile()`` tier-2 source into a :class:`CompiledUnit`.
-
-    With *source* (and *func_refs*) given — the persisted-translation
-    warm path — codegen is skipped entirely and direct-call targets are
-    re-resolved by name against *module*.  With *code* also given (an
-    unmarshalled code object from a same-``cache_tag`` persisted blob),
-    even ``compile()`` is skipped.
-    """
-    if source is None:
-        source, func_refs, num_slots, side_exits = generate_source(
-            function, target)
-    elif func_refs is None or num_slots is None:
-        raise ValueError("persisted source requires func_refs/num_slots")
+def build_unit(function: Function, module: Module, source: str,
+               func_refs: Dict[str, str], num_slots: int,
+               code=None) -> CompiledUnit:
+    """``compile()`` tier-2 *source* (from :func:`generate_source` or a
+    persisted translation) into a :class:`CompiledUnit`, resolving
+    direct-call targets by name against *module*.  With *code* given
+    (an unmarshalled code object from a same-``cache_tag`` persisted
+    blob), ``compile()`` is skipped too."""
     if code is None:
         code = compile(source, "<tier2:{0}>".format(function.name),
                        "exec")
     namespace = dict(_BASE_NAMESPACE)
     namespace["__vlanes"] = _vlanes_counter()
-    if block_counts is not None:
-        namespace["__bc"] = block_counts
     for alias, name in func_refs.items():
         target_fn = module.functions.get(name)
         if target_fn is None:
@@ -1357,10 +1157,6 @@ def build_unit(function: Function, module: Module,
         source=source,
         func_hash=function_hash(function),
         code=code,
-        kind=kind,
-        layout_hash=layout_hash,
-        side_exits=tuple(side_exits),
-        block_counts=block_counts,
     )
 
 
@@ -1369,66 +1165,18 @@ def build_unit(function: Function, module: Module,
 # ---------------------------------------------------------------------------
 
 
-class _CompilePlan:
-    """An immutable compilation decision, captured on the engine
-    thread so :meth:`Tier2Cache._build_plan` can run on a background
-    worker without reading shared mutable state."""
-
-    __slots__ = ("kind", "layout", "layout_hash", "warm")
-
-    def __init__(self, kind, layout, layout_hash, warm):
-        #: "warm" (persisted source/bytecode), "profiling" (counter
-        #: stage), or "codegen" (fresh dispatch/superblock emission).
-        self.kind = kind
-        #: Trace layout for superblock codegen (None otherwise); trace
-        #: objects are never mutated after formation.
-        self.layout = layout
-        self.layout_hash = layout_hash
-        #: The preloaded-blob tuple for warm builds.
-        self.warm = warm
-
-
 class Tier2Cache:
     """Per-module tier-2 state, shareable across runs (like
     :class:`~repro.execution.fastpath.DecodeCache`)."""
 
     def __init__(self, module: Module, target: types.TargetData,
                  threshold: int = DEFAULT_THRESHOLD,
-                 step_threshold: int = DEFAULT_STEP_THRESHOLD,
-                 superblocks: bool = False, osr: bool = False,
-                 superblock_threshold: int = DEFAULT_SUPERBLOCK_THRESHOLD,
-                 osr_step_threshold: int = DEFAULT_OSR_STEP_THRESHOLD,
-                 trace_hot_threshold: Optional[int] = None,
-                 trace_successor_bias: float = 0.4,
-                 async_compile: bool = False,
-                 compile_workers: Optional[int] = None,
-                 compile_service=None,
-                 escalate_step_threshold: Optional[int] = None):
+                 step_threshold: int = DEFAULT_STEP_THRESHOLD):
         self.module = module
         self.target = target
         self.threshold = max(int(threshold), 0)
         self.step_threshold = max(int(step_threshold), 0)
-        #: Trace-guided superblock emission (plus the profiling stage
-        #: that collects layouts when no profile is available yet).
-        self.superblocks = bool(superblocks)
-        #: Tier-1 on-stack replacement at loop back edges.
-        self.osr = bool(osr)
-        self.superblock_threshold = max(int(superblock_threshold), 1)
-        self.osr_step_threshold = max(int(osr_step_threshold), 1)
-        if trace_hot_threshold is None:
-            # Scale trace formation to the profiling-stage horizon: by
-            # the time a block hits superblock_threshold, anything a
-            # trace should cover has seen a proportional share.
-            trace_hot_threshold = max(self.superblock_threshold // 32, 1)
-        self.trace_hot_threshold = int(trace_hot_threshold)
-        self.trace_successor_bias = float(trace_successor_bias)
         self.stats = Tier2Stats()
-        #: Block-level profile guiding trace formation — absorbed from
-        #: ``prime_from_profile``, the persisted snapshot, and live
-        #: profiling-unit counters.
-        self._profile = None
-        self._profile_dirty = False
-        self.profile_cache_hit = False
         # id(function) -> CompiledUnit; the unit pins the function
         # object through .function, keeping the id unique.
         self._units: Dict[int, CompiledUnit] = {}
@@ -1445,129 +1193,13 @@ class Tier2Cache:
         self._storage_key: Optional[str] = None
         self._dirty = False
         self.translation_cache_hit = False
-        # -- asynchronous (idle-time) compilation ----------------------
-        # A shared service may be injected (the multi-tenant LLEE
-        # shape); otherwise the cache owns a private one, created
-        # lazily so a synchronous cache costs nothing.
-        self.async_compile = bool(async_compile) or \
-            compile_service is not None
-        self._service = compile_service
-        self._owns_service = False
-        self._compile_workers = compile_workers
-        if escalate_step_threshold is None:
-            escalate_step_threshold = DEFAULT_ESCALATE_STEP_THRESHOLD
-        self.escalate_step_threshold = max(int(escalate_step_threshold),
-                                           0)
-        #: id(function) -> (function, plan, CompileJob, smc_version,
-        #: step-credit-at-enqueue): jobs submitted but not yet
-        #: installed.  One entry per function — promotion requests
-        #: while a job is in flight coalesce into a poll of the
-        #: existing job (or an escalation once enough tier-1 steps
-        #: burn while it waits).
-        self._pending: Dict[int, Tuple] = {}
-        #: run_begin/run_end nesting depth (engine-active bookkeeping
-        #: for the service's idle policy).
-        self._run_depth = 0
-
-    # -- the background compile service --------------------------------
-
-    def _compile_service(self):
-        if self._service is None:
-            from repro.llee.compile_service import CompileService
-            workers = self._compile_workers
-            if workers is None:
-                from repro.llee.compile_service import DEFAULT_WORKERS
-                workers = DEFAULT_WORKERS
-            self._service = CompileService(workers=workers)
-            self._owns_service = True
-            # Created mid-run: replay the engine-active depth so the
-            # idle policy parks builds until this run ends.
-            for _ in range(self._run_depth):
-                self._service.engine_begin()
-        return self._service
-
-    def has_pending(self, function: Function) -> bool:
-        """True while a background compile of *function* is in flight
-        (the engine uses this to shorten its OSR re-poll interval)."""
-        return id(function) in self._pending
-
-    @property
-    def pending_compiles(self) -> int:
-        return len(self._pending)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every in-flight background compile and install the
-        results (engine thread only).  Returns True when no jobs
-        remain pending — always True for a synchronous cache."""
-        if not self._pending:
-            return True
-        deadline = None if timeout is None else \
-            time.perf_counter() + timeout
-        service = self._service
-        # Raise demand so idle-policy workers build even if an engine
-        # is (nominally) still marked active.
-        if service is not None:
-            service.begin_demand()
-        try:
-            while self._pending:
-                futures = [entry[2].future
-                           for entry in self._pending.values()]
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining < 0:
-                        remaining = 0
-                from concurrent.futures import wait as _wait
-                _wait(futures, timeout=remaining)
-                progressed = False
-                for key in list(self._pending):
-                    entry = self._pending.get(key)
-                    if entry is not None and entry[2].future.done():
-                        self._poll(entry[0], force=True)
-                        progressed = True
-                if not progressed and deadline is not None \
-                        and time.perf_counter() >= deadline:
-                    return False
-            return True
-        finally:
-            if service is not None:
-                service.end_demand()
-
-    def run_begin(self) -> None:
-        """The engine entered a run: under the service's idle policy
-        this parks background builds until the run ends.  Tracked as a
-        depth so a service created lazily mid-run (first promotion)
-        still starts in the engine-active state."""
-        self._run_depth += 1
-        if self.async_compile and self._service is not None:
-            self._service.engine_begin()
-
-    def run_end(self) -> None:
-        if self._run_depth > 0:
-            self._run_depth -= 1
-            if self.async_compile and self._service is not None:
-                self._service.engine_end()
-
-    def close(self) -> None:
-        """Shut down a privately owned compile service (shared
-        services are the owner's to close); abandon pending jobs."""
-        self._pending.clear()
-        if self._owns_service and self._service is not None:
-            self._service.shutdown(wait=False)
-            self._service = None
-            self._owns_service = False
 
     # -- promotion ------------------------------------------------------
 
     def lookup(self, function: Function) -> Optional[CompiledUnit]:
         """The per-call hook: return the compiled unit for *function*,
         compiling it if its counters cross the promotion threshold, or
-        None to stay on tier 1.
-
-        Call boundaries are the primary safe swap-in point: in async
-        mode a crossing submits a background job instead of compiling
-        inline, and every later call polls the job — the caller keeps
-        running tier 1 until the finished unit is installed here."""
+        None to stay on tier 1."""
         key = id(function)
         unit = self._units.get(key)
         if unit is not None:
@@ -1575,16 +1207,6 @@ class Tier2Cache:
                 return unit
             self.invalidate(function)
         if key in self._pinned:
-            return None
-        if key in self._pending:
-            unit = self._poll(function)
-            if unit is not None:
-                return unit
-            entry = self._pending.get(key)
-            if entry is not None and self.escalate_step_threshold:
-                burned = self._step_credit.get(key, 0) - entry[4]
-                if burned >= self.escalate_step_threshold:
-                    return self._escalate(function)
             return None
         count = self._counts.get(key, 0) + 1
         self._counts[key] = count
@@ -1601,142 +1223,7 @@ class Tier2Cache:
             flight.record("tier2.promote", function=function.name,
                           reason=reason, invocations=count,
                           step_credit=self._step_credit.get(key, 0))
-        if self.async_compile:
-            # Priority = accumulated heat, so the hottest code leaves
-            # the queue first.  (Warm blobs install inline and are
-            # returned immediately.)
-            return self._submit(
-                function,
-                priority=self._step_credit.get(key, 0) + count)
         return self._compile(function)
-
-    def lookup_osr(self, function: Function) -> Optional[CompiledUnit]:
-        """The on-stack-replacement hook: a tier-1 activation sitting
-        in a hot loop wants to finish in tier 2.  Returns a unit whose
-        generator accepts mid-function entry, compiling one on the
-        spot if needed — or None (off, pinned, uncompilable) to keep
-        interpreting."""
-        if not self.osr:
-            return None
-        key = id(function)
-        unit = self._units.get(key)
-        if unit is not None:
-            if unit.smc_version == function.smc_version:
-                return unit
-            self.invalidate(function)
-        if key in self._pinned:
-            return None
-        if key in self._pending:
-            # The back-edge check is the second safe swap-in point:
-            # poll the in-flight job.  An activation that has already
-            # burned a full OSR threshold inside one loop is proven
-            # hot — stop deferring and compile inline.
-            unit = self._poll(function)
-            if unit is not None:
-                return unit
-            return self._escalate(function, reason="osr")
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.promote", function=function.name,
-                          reason="osr")
-        # Heat is proven (a full OSR step threshold burned inside one
-        # activation), so even in async mode deferral has nothing left
-        # to price — compile inline, exactly like the sync path.
-        return self._compile(function)
-
-    def osr_upgrade(self, function: Function,
-                    unit: CompiledUnit) -> Optional[CompiledUnit]:
-        """Answer a profiling unit's ``('osr', block)`` request: fold
-        its live block counters into the cache profile, recompile —
-        ideally as a trace-guided superblock — and return the
-        replacement unit.  Returns the already-upgraded unit when
-        another activation got here first, or None when compilation
-        now pins the function (the requesting generator then simply
-        keeps running)."""
-        key = id(function)
-        current = self._units.get(key)
-        if current is not None and current is not unit:
-            return current
-        if key in self._pinned:
-            return None
-        if key in self._pending:
-            # A deferred (invocation-count) build is still queued, but
-            # the profiling unit just proved the function hot — stop
-            # waiting and upgrade inline.
-            replacement = self._poll(function)
-            if replacement is not None and replacement is not unit:
-                pass  # background unit landed; use it below
-            else:
-                self._absorb_block_counts(function, unit)
-                self._units.pop(key, None)
-                replacement = self._escalate(function,
-                                             reason="osr-upgrade")
-            if replacement is None or replacement is unit:
-                return None
-        else:
-            # The upgrade request comes from code executing *right
-            # now*: deferral has no value, so async mode takes the
-            # same inline path as sync.
-            self._absorb_block_counts(function, unit)
-            self._units.pop(key, None)
-            replacement = self._compile(function)
-        if replacement is not None:
-            self.stats.osr_upgrades += 1
-            if observe.enabled():
-                observe.counter("tier2.osr_upgrades", 1)
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("tier2.osr.upgrade",
-                              function=function.name,
-                              kind=replacement.kind)
-        return replacement
-
-    def _absorb_block_counts(self, function: Function,
-                             unit: CompiledUnit) -> None:
-        """Fold a profiling unit's live block counters into the cache
-        profile, zeroing the (shared) list in place so still-live
-        generators never re-merge the same executions."""
-        counts = unit.block_counts
-        if not counts:
-            return
-        profile = self._ensure_profile()
-        blocks = function.blocks
-        for index in range(min(len(blocks), len(counts))):
-            profile.record(function.name,
-                           blocks[index].name or "", counts[index])
-            counts[index] = 0
-        self._profile_dirty = True
-
-    # -- profiles and trace layouts ------------------------------------
-
-    def _ensure_profile(self):
-        if self._profile is None:
-            from repro.llee.profile import Profile
-            self._profile = Profile()
-        return self._profile
-
-    def _has_profile_data(self, function: Function) -> bool:
-        if self._profile is None:
-            return False
-        counts = self._profile.counts
-        name = function.name
-        for block in function.blocks:
-            if counts.get((name, block.name or "")):
-                return True
-        return False
-
-    def _layout_for(self, function: Function):
-        """The trace layout superblock codegen should use for
-        *function* (a list of ``tracecache.Trace``), or None for plain
-        block dispatch."""
-        if not self.superblocks or self._profile is None:
-            return None
-        from repro.llee.tracecache import form_function_traces
-        traces = form_function_traces(
-            function, self._profile,
-            hot_threshold=self.trace_hot_threshold,
-            successor_bias=self.trace_successor_bias)
-        return traces or None
 
     def credit_steps(self, function: Function, steps: int) -> None:
         """Credit architectural steps to a function (called by the
@@ -1754,10 +1241,8 @@ class Tier2Cache:
                            ) -> None:
         """Seed promotion counters from a collected
         :class:`repro.llee.profile.Profile` — the offline
-        reoptimization loop feeding the online tiering decision.  The
-        profile is also absorbed for superblock trace formation."""
+        reoptimization loop feeding the online tiering decision."""
         module = module or self.module
-        self._ensure_profile().merge(profile)
         for function in module.functions.values():
             if function.is_declaration:
                 continue
@@ -1766,286 +1251,66 @@ class Tier2Cache:
                 self.prime(function, entries)
 
     # -- compilation ----------------------------------------------------
-    #
-    # Compilation is split into three stages so the middle one can run
-    # on a background worker:
-    #
-    #   _plan        engine thread   reads promotion/profile/warm state
-    #   _build_plan  any thread      pure codegen + compile()/exec
-    #   _install     engine thread   mutates stats, units, flight log
-    #
-    # The synchronous path composes all three inline; the async path
-    # runs _build_plan through the CompileService and installs the
-    # result when a safe point (_poll) sees the future resolve.
 
-    def _plan(self, function: Function) -> "_CompilePlan":
-        """Decide, on the engine thread, *how* the function will be
-        compiled — warm blob, profiling stage, or fresh codegen — and
-        capture everything the builder needs so it never touches
-        shared mutable state."""
-        layout = self._layout_for(function)
-        from repro.llee.tracecache import layout_signature
-        lhash = layout_signature(layout)
-        warm = self._preloaded.get(function.name)
-        if warm is not None and warm[5].get("layout_hash", "-") != lhash:
-            # The persisted unit was generated from a different trace
-            # layout than the current profile implies — a stale
-            # superblock must not be resurrected.  Fall back to online
-            # translation (satisfying the same llee.cache.invalid
-            # contract as every other stale-blob path).
-            observe.counter("llee.cache.invalid", 1, target="tier2",
-                            reason="layout")
-            flight = observe.flight()
+    def _compile(self, function: Function) -> Optional[CompiledUnit]:
+        """Translate *function* and install the unit, or pin the
+        function to tier 1 when tier 2 cannot express it.  A validated
+        persisted translation skips codegen (and, with same-build
+        marshalled bytecode, ``compile()`` too)."""
+        started = time.perf_counter()
+        flight = observe.flight()
+        if flight is not None:
+            flight.record("tier2.compile.begin", function=function.name)
+        warm = self._preloaded.get(function.name) \
+            if function.smc_version == 0 else None
+        codegen_seconds = 0.0
+        try:
+            if warm is not None:
+                # The blob's module hash matched at load and the body
+                # has not been SMC-mutated since, so the stored source
+                # is the one codegen would emit.
+                _hash, source, func_refs, num_slots, code = warm
+                unit = build_unit(function, self.module, source,
+                                  func_refs, num_slots, code=code)
+            else:
+                source, func_refs, num_slots = generate_source(
+                    function, self.target)
+                codegen_seconds = time.perf_counter() - started
+                unit = build_unit(function, self.module, source,
+                                  func_refs, num_slots)
+        except Exception as error:
+            # UnsupportedFunction, or a codegen defect: either way the
+            # tier-1 engine is always a correct fallback.
+            reason = str(error) if isinstance(error, UnsupportedFunction) \
+                else "tier-2 compile error: {0}".format(error)
+            elapsed = time.perf_counter() - started
+            self.pin(function, reason)
+            self.stats.compile_seconds += elapsed
             if flight is not None:
-                flight.record("llee.cache", cache="llee-tier2",
-                              event="invalid", reason="layout",
-                              function=function.name)
-            self._preloaded.pop(function.name, None)
-            warm = None
-        if warm is not None and function.smc_version == 0:
-            return _CompilePlan("warm", None, lhash, warm)
-        if layout is None and self.superblocks \
-                and len(function.blocks) > 1 \
-                and not self._has_profile_data(function):
-            return _CompilePlan("profiling", None, lhash, None)
-        return _CompilePlan("codegen", layout, lhash, None)
-
-    def _build_plan(self, function: Function,
-                    plan: "_CompilePlan") -> Tuple[CompiledUnit, float]:
-        """Execute a compile plan — thread-safe: only reads the module
-        and the immutable plan.  Returns ``(unit, codegen_seconds)``;
-        raises :class:`UnsupportedFunction` for bodies tier 2 cannot
-        express."""
-        if plan.kind == "warm":
-            # Persisted translation: the blob's module hash matched at
-            # load and the body has not been SMC-mutated since, so the
-            # stored source is the one codegen would emit — skip
-            # straight to compile(), or past it entirely when the blob
-            # carried same-cache_tag marshalled bytecode.
-            _hash, source, func_refs, num_slots, code, meta = plan.warm
-            unit = build_unit(function, self.module, self.target,
-                              source=source, func_refs=func_refs,
-                              num_slots=num_slots, code=code,
-                              kind=meta.get("kind", "dispatch"),
-                              layout_hash=plan.layout_hash,
-                              side_exits=meta.get("side_exits", ()))
-            return unit, 0.0
-        if plan.kind == "profiling":
-            # Superblocks requested but no profile yet: compile the
-            # profiling stage — block dispatch plus counters that feed
-            # trace formation and trigger the mid-activation upgrade.
-            # Its source references the per-unit counter list, so it
-            # is never persisted.
-            codegen_started = time.perf_counter()
-            block_counts = [0] * len(function.blocks)
-            source, func_refs, num_slots, side_exits = \
-                generate_source(
-                    function, self.target, profile_blocks=True,
-                    upgrade_threshold=self.superblock_threshold)
-            codegen_seconds = time.perf_counter() - codegen_started
-            unit = build_unit(function, self.module, self.target,
-                              source=source, func_refs=func_refs,
-                              num_slots=num_slots, kind="profiling",
-                              block_counts=block_counts)
-            return unit, codegen_seconds
-        codegen_started = time.perf_counter()
-        source, func_refs, num_slots, side_exits = \
-            generate_source(function, self.target, layout=plan.layout)
-        codegen_seconds = time.perf_counter() - codegen_started
-        unit = build_unit(
-            function, self.module, self.target, source=source,
-            func_refs=func_refs, num_slots=num_slots,
-            kind="superblock" if plan.layout else "dispatch",
-            layout_hash=plan.layout_hash, side_exits=side_exits)
-        return unit, codegen_seconds
-
-    def _install(self, function: Function, plan: "_CompilePlan",
-                 unit: CompiledUnit, elapsed: float,
-                 codegen_seconds: float) -> CompiledUnit:
-        """Book a built unit into the cache (engine thread)."""
+                flight.record("tier2.compile.end",
+                              function=function.name, kind="error",
+                              seconds=round(elapsed, 9), warm=False)
+            return None
+        elapsed = time.perf_counter() - started
         self.stats.codegen_seconds += codegen_seconds
         self.stats.compile_seconds += elapsed
         self.stats.functions_compiled += 1
-        if plan.kind == "warm":
+        if warm is not None:
             self.stats.warm_compiles += 1
             if observe.enabled():
                 observe.counter("tier2.warm_compiles", 1)
-        elif plan.kind == "profiling":
-            self.stats.profiling_compiled += 1
         else:
             self._dirty = True
-        if unit.kind == "superblock":
-            self.stats.superblocks_compiled += 1
-            if observe.enabled():
-                observe.counter("tier2.superblocks", 1)
         self._units[id(function)] = unit
         if observe.enabled():
             observe.counter("tier2.functions_compiled", 1)
             observe.histogram("tier2.compile_seconds", elapsed,
                               function=function.name)
-        flight = observe.flight()
         if flight is not None:
             flight.record("tier2.compile.end", function=function.name,
-                          kind=unit.kind, seconds=round(elapsed, 9),
-                          warm=plan.kind == "warm")
-            if unit.kind == "superblock":
-                flight.record(
-                    "tier2.superblock", function=function.name,
-                    traces=len(plan.layout) if plan.layout else 0,
-                    side_exits=len(unit.side_exits))
+                          kind="dispatch", seconds=round(elapsed, 9),
+                          warm=warm is not None)
         return unit
-
-    def _fail(self, function: Function, reason: str,
-              elapsed: float) -> None:
-        """Book a failed compilation: pin the function to tier 1 and
-        close out the flight record (engine thread)."""
-        self.pin(function, reason)
-        self.stats.compile_seconds += elapsed
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.compile.end",
-                          function=function.name, kind="error",
-                          seconds=round(elapsed, 9), warm=False)
-
-    def _compile(self, function: Function,
-                 plan: Optional["_CompilePlan"] = None
-                 ) -> Optional[CompiledUnit]:
-        started = time.perf_counter()
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.compile.begin", function=function.name)
-        if plan is None:
-            plan = self._plan(function)
-        try:
-            unit, codegen_seconds = self._build_plan(function, plan)
-        except UnsupportedFunction as reason:
-            self._fail(function, str(reason),
-                       time.perf_counter() - started)
-            return None
-        except Exception as error:  # pragma: no cover - defensive
-            # A codegen defect must never take the program down: the
-            # tier-1 engine is always a correct fallback.
-            self._fail(function,
-                       "tier-2 compile error: {0}".format(error),
-                       time.perf_counter() - started)
-            return None
-        return self._install(function, plan, unit,
-                             time.perf_counter() - started,
-                             codegen_seconds)
-
-    def _submit(self, function: Function,
-                priority: int = 0) -> Optional[CompiledUnit]:
-        """Hand a promotion to the background service: plan on the
-        engine thread, build on a worker.  The caller returns to tier
-        1 immediately; _poll installs the unit later.
-
-        Exception: a *warm* plan (validated blob from the translation
-        cache) is installed inline and returned — loading it is a
-        cheap deserialize, and parking it behind the idle policy would
-        make a warm start run tier 1 for no reason."""
-        plan = self._plan(function)
-        if plan.kind == "warm":
-            return self._compile(function, plan=plan)
-        service = self._compile_service()
-        self.stats.async_enqueued += 1
-        depth = service.queue_depth()
-        if observe.enabled():
-            observe.counter("tier2.async_enqueued", 1)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.compile.enqueue",
-                          function=function.name, queue_depth=depth,
-                          kind=plan.kind)
-            flight.record("tier2.compile.begin",
-                          function=function.name)
-        job = service.submit(
-            lambda: self._build_plan(function, plan),
-            priority=priority, label=function.name)
-        self._pending[id(function)] = (
-            function, plan, job, function.smc_version,
-            self._step_credit.get(id(function), 0))
-        return None
-
-    def _poll(self, function: Function,
-              force: bool = False) -> Optional[CompiledUnit]:
-        """Check an in-flight background compile at a safe point and
-        install its unit if the future has resolved (engine thread).
-        Returns the installed unit, or None while still compiling.
-
-        The completion check is the job's lock-free ``ready`` flag —
-        this runs on the engine's per-call hot path, where taking the
-        future's condition lock is measurable.  ``force`` (used by
-        :meth:`drain`) falls back to the authoritative
-        ``Future.done()`` to close the set-result-to-ready window."""
-        key = id(function)
-        entry = self._pending.get(key)
-        if entry is None:
-            return None
-        _function, plan, job, smc_version, _credit0 = entry
-        future = job.future
-        if not job.ready and not (force and future.done()):
-            return None
-        del self._pending[key]
-        try:
-            unit, codegen_seconds = future.result()
-        except UnsupportedFunction as reason:
-            self._fail(function, str(reason), job.seconds)
-            return None
-        except CancelledError:
-            # Service shut down under us: forget the request; a later
-            # promotion simply compiles online.
-            return None
-        except Exception as error:
-            self._fail(function,
-                       "tier-2 compile error: {0}".format(error),
-                       job.seconds)
-            return None
-        if function.smc_version != smc_version:
-            # SMC replaced the body while the job was in flight; the
-            # built unit describes dead code.  Drop it without pinning
-            # — the new body gets a fresh promotion run.
-            self.stats.stale_drops += 1
-            return None
-        self._install(function, plan, unit, job.seconds,
-                      codegen_seconds)
-        wait = time.perf_counter() - job.enqueued_at
-        self.stats.swap_ins += 1
-        self.stats.swap_wait_seconds += wait
-        if observe.enabled():
-            observe.counter("tier2.swap_ins", 1)
-            observe.histogram("tier2.swap_wait_seconds", wait,
-                              function=function.name)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.swap_in", function=function.name,
-                          wait_seconds=round(wait, 9), kind=unit.kind)
-        return unit
-
-    def _escalate(self, function: Function,
-                  reason: str = "escalated"
-                  ) -> Optional[CompiledUnit]:
-        """Stop waiting on a deferred build: cancel the queued job and
-        compile inline.  Called when a pending function proves hot —
-        burning more tier-1 steps than the compile itself would cost —
-        so idle-time deferral has become a loss.  A no-op (returns
-        None) when the job is already building; its result lands via
-        the normal poll."""
-        key = id(function)
-        entry = self._pending.get(key)
-        if entry is None:
-            return None
-        job = entry[2]
-        if not job.future.cancel():
-            return None
-        del self._pending[key]
-        self.stats.escalations += 1
-        if observe.enabled():
-            observe.counter("tier2.escalations", 1)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.promote", function=function.name,
-                          reason=reason)
-        return self._compile(function)
 
     # -- pinning / deopt / invalidation --------------------------------
 
@@ -2097,18 +1362,6 @@ class Tier2Cache:
         self._step_credit.pop(id(function), None)
         self._pinned.pop(id(function), None)
         self._preloaded.pop(function.name, None)
-        # An in-flight background job now describes dead code; unhook
-        # it so its result is never installed (the worker's future
-        # resolves unobserved — _poll's smc_version check is a second
-        # line of defence for jobs polled before this ran).
-        self._pending.pop(id(function), None)
-        if self._profile is not None:
-            # The profile described the replaced body; a layout formed
-            # from it would mis-guide the new one.
-            name = function.name
-            for stale in [key for key in self._profile.counts
-                          if key[0] == name]:
-                del self._profile.counts[stale]
 
     def listener(self):
         """A callback for ``Interpreter.smc_listeners``."""
@@ -2122,19 +1375,12 @@ class Tier2Cache:
         content hashes."""
         functions = {}
         for unit in self._units.values():
-            if unit.kind == "profiling":
-                # Profiling sources reference the per-unit counter
-                # list; they are a transient bootstrap, never persisted.
-                continue
             entry = {
                 "hash": unit.func_hash,
                 "num_slots": unit.num_slots,
                 "func_refs": {alias: name for alias, name
                               in self._refs_of(unit)},
                 "source": unit.source,
-                "kind": unit.kind,
-                "layout_hash": unit.layout_hash,
-                "side_exits": [list(pair) for pair in unit.side_exits],
             }
             if unit.code is not None:
                 # .pyc-style: same-interpreter warm starts skip
@@ -2143,7 +1389,7 @@ class Tier2Cache:
                     marshal.dumps(unit.code)).decode("ascii")
             functions[unit.function.name] = entry
         # Keep warm entries we did not recompile this run.
-        for name, (fhash, source, func_refs, num_slots, code, meta) \
+        for name, (fhash, source, func_refs, num_slots, code) \
                 in self._preloaded.items():
             if name in functions:
                 continue
@@ -2152,10 +1398,6 @@ class Tier2Cache:
                 "num_slots": num_slots,
                 "func_refs": func_refs,
                 "source": source,
-                "kind": meta.get("kind", "dispatch"),
-                "layout_hash": meta.get("layout_hash", "-"),
-                "side_exits": [list(pair)
-                               for pair in meta.get("side_exits", [])],
             }
             if code is not None:
                 entry["code"] = base64.b64encode(
@@ -2213,12 +1455,6 @@ class Tier2Cache:
                 source = entry["source"]
                 func_refs = dict(entry["func_refs"])
                 num_slots = int(entry["num_slots"])
-                meta = {
-                    "kind": str(entry.get("kind", "dispatch")),
-                    "layout_hash": str(entry.get("layout_hash", "-")),
-                    "side_exits": [tuple(pair) for pair
-                                   in entry.get("side_exits", [])],
-                }
                 code = None
                 if code_ok and "code" in entry:
                     code = marshal.loads(
@@ -2232,7 +1468,7 @@ class Tier2Cache:
                     "corrupt tier-2 cache entry {0!r}: empty source"
                     .format(name))
             self._preloaded[name] = (fhash, source, func_refs,
-                                     num_slots, code, meta)
+                                     num_slots, code)
             loaded += 1
         return loaded
 
@@ -2256,10 +1492,6 @@ class Tier2Cache:
         self._storage = storage
         self._storage_cache = cache_name
         self._storage_key = key
-        # The profile snapshot rides next to the translation blob and
-        # loads first: warm compiles below need the trace layouts it
-        # implies to validate per-function layout hashes.
-        self._load_profile_snapshot()
         try:
             data = storage.read(cache_name, key)
         except Exception:
@@ -2301,54 +1533,10 @@ class Tier2Cache:
                            functions=len(self._preloaded))
         return True
 
-    def _load_profile_snapshot(self) -> bool:
-        """Best-effort load of the persisted profile snapshot: on a
-        hit, ``prime_from_profile`` runs automatically so promotion
-        counters and superblock layouts are warm on run 2 without
-        re-profiling."""
-        try:
-            data = self._storage.read(PROFILE_CACHE_NAME,
-                                      self._storage_key)
-        except Exception:
-            data = None
-        if not data:
-            observe.counter("llee.profile.miss", 1)
-            self._flight_cache("miss", cache=PROFILE_CACHE_NAME)
-            return False
-        from repro.llee.profile import Profile
-        try:
-            profile = Profile.from_json(data)
-        except ValueError as error:
-            observe.counter("llee.profile.invalid", 1,
-                            reason=str(error)[:60])
-            self._flight_cache("invalid", cache=PROFILE_CACHE_NAME,
-                               reason=str(error)[:60])
-            return False
-        self.prime_from_profile(profile)
-        self.profile_cache_hit = True
-        observe.counter("llee.profile.hit", 1)
-        self._flight_cache("hit", cache=PROFILE_CACHE_NAME)
-        return True
-
     def flush_storage(self) -> bool:
-        """Write new translations (and any newly collected profile
-        counts) back through the storage API — no-op when nothing
-        changed or no storage is attached.  Best-effort, like the
-        native cache write-back."""
-        # Land any background-compiled units first so a short-lived
-        # process still persists (and reports) everything it queued.
-        self.drain()
-        if self._storage is not None and self._profile_dirty \
-                and self._profile is not None:
-            try:
-                self._storage.write(PROFILE_CACHE_NAME,
-                                    self._storage_key,
-                                    self._profile.to_json())
-                self._profile_dirty = False
-                observe.counter("llee.profile.store", 1)
-                self._flight_cache("store", cache=PROFILE_CACHE_NAME)
-            except Exception:
-                pass
+        """Write new translations back through the storage API — no-op
+        when nothing changed or no storage is attached.  Best-effort,
+        like the native cache write-back."""
         if self._storage is None:
             return False
         stored = False

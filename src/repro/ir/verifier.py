@@ -183,8 +183,9 @@ def _verify_ssa_uses(function: Function, inst: insts.Instruction,
             if operand.type.is_vector and def_block is not inst.parent:
                 # Vector registers are block-local by construction: they
                 # cannot cross phis, and keeping them out of cross-block
-                # liveness means no engine (OSR snapshots, native
-                # register allocation) ever has to spill one.
+                # liveness means no engine (trap-handler register
+                # snapshots, native register allocation) ever has to
+                # spill one.
                 errors.append(
                     prefix + "vector value %{0} used outside its "
                     "defining block in '{1}'".format(

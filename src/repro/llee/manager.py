@@ -96,25 +96,6 @@ class InterpretedRunReport:
     tier2_compile_seconds: float = 0.0
     #: Did a persisted tier-2 translation blob validate and load?
     translation_cache_hit: bool = False
-    #: Superblock/OSR activity (zero unless ``superblocks``/``osr``).
-    tier2_superblocks: int = 0
-    tier2_osr_entries: int = 0
-    tier2_osr_upgrades: int = 0
-    tier2_side_exits: int = 0
-    #: Did a persisted block-profile snapshot validate and load?
-    profile_cache_hit: bool = False
-    #: Asynchronous-compilation activity (zero unless
-    #: ``async_compile=True``).
-    tier2_async: bool = False
-    #: Background-compiled units installed at a safe point this run.
-    tier2_swap_ins: int = 0
-    #: Total enqueue-to-swap-in latency across those installs.
-    tier2_swap_wait_seconds: float = 0.0
-    #: Jobs still queued/building when the program finished (drained
-    #: before this report is built, so their units persist anyway).
-    tier2_pending_at_exit: int = 0
-    #: High-water mark of the compile service queue.
-    tier2_queue_peak: int = 0
 
 
 class LLEE:
@@ -135,26 +116,6 @@ class LLEE:
         #: key -> (module, DecodeCache).  The interpreter analogue of
         #: the native translation cache — decode once, run many times.
         self._interp_cache: dict = {}
-        #: One background CompileService shared by every async tier-2
-        #: cache this LLEE creates (the multi-tenant translation-
-        #: service shape), created lazily on the first async run.
-        self._compile_service = None
-
-    def compile_service(self, workers: Optional[int] = None):
-        """The shared background compile service (created on first
-        use).  *workers* only takes effect at creation time."""
-        if self._compile_service is None:
-            from repro.llee.compile_service import (
-                CompileService, DEFAULT_WORKERS)
-            self._compile_service = CompileService(
-                workers=DEFAULT_WORKERS if workers is None else workers)
-        return self._compile_service
-
-    def close(self) -> None:
-        """Shut down the shared compile service, if one was created."""
-        if self._compile_service is not None:
-            self._compile_service.shutdown(wait=False)
-            self._compile_service = None
 
     # -- the paper's Figure 3 flow -----------------------------------------
 
@@ -218,10 +179,6 @@ class LLEE:
                         sanitize: bool = False,
                         tier2: bool = False,
                         tier2_threshold: Optional[int] = None,
-                        superblocks: bool = False,
-                        osr: bool = False,
-                        async_compile: bool = False,
-                        compile_workers: Optional[int] = None,
                         executable_timestamp: Optional[float] = None
                         ) -> InterpretedRunReport:
         """Run a virtual executable on an interpreter engine.
@@ -242,44 +199,23 @@ class LLEE:
         stale, corrupt, or mismatched blob logs ``llee.cache.invalid``
         and degrades to online translation.
 
-        ``superblocks=True`` (tier 2 only) turns on trace-guided
-        superblock emission — hot multi-block paths compile to
-        straight-line code, with the block profile persisted next to
-        the translation blob so layouts form on warm starts without
-        re-profiling.  ``osr=True`` additionally lets a tier-1
-        activation stuck in a hot loop enter tier 2 mid-function
-        (on-stack replacement); OSR changes the decoded tier-1
-        closures, so its decoded modules are keyed separately.
-
         ``sanitize=True`` runs under llva-san (shadow-memory checking);
         sanitized decode caches are keyed separately because their
         closures carry site instrumentation.  The sanitizer pins
         execution to tier 1 (see ``docs/PERFORMANCE.md``).
 
-        ``async_compile=True`` (tier 2 only) routes promotions through
-        this LLEE's shared background :class:`CompileService` — the
-        paper's idle-time translation: the promoting call keeps
-        running tier 1 and the finished unit is swapped in at the next
-        safe point.  In-flight jobs are drained before the report is
-        built, so persistence and the compile statistics are complete
-        either way.
-
         The cached decoded module is keyed on every setting that
         shapes its :class:`DecodeCache` or :class:`Tier2Cache`, so a
-        call with a different tier-2 threshold or rung gets its own.
+        call with a different tier-2 threshold gets its own.
         """
         tier2_live = bool(tier2) and engine == "fast" and not sanitize
-        use_superblocks = tier2_live and bool(superblocks)
-        use_osr = tier2_live and bool(osr)
-        use_async = tier2_live and bool(async_compile)
         threshold = None
         if tier2_live:
             from repro.execution.tier2 import DEFAULT_THRESHOLD
             threshold = DEFAULT_THRESHOLD if tier2_threshold is None \
                 else tier2_threshold
         object_key = self._cache_key(object_code)
-        key = (sanitize, tier2_live, threshold, use_superblocks, use_osr,
-               use_async, object_key)
+        key = (sanitize, tier2_live, threshold, object_key)
         with observe.span("llee.run_interpreted", entry=entry,
                           engine=engine, tier2=bool(tier2)):
             cached = self._interp_cache.get(key) if engine == "fast" \
@@ -289,20 +225,14 @@ class LLEE:
             if cached is None:
                 module = read_module(object_code)
                 decode_cache = DecodeCache(module.target_data,
-                                           sanitize=sanitize,
-                                           osr=use_osr)
+                                           sanitize=sanitize)
             else:
                 module, decode_cache, tier2_cache = cached
             if tier2_live and tier2_cache is None:
                 from repro.execution.tier2 import Tier2Cache
 
-                service = self.compile_service(compile_workers) \
-                    if use_async else None
                 tier2_cache = Tier2Cache(module, module.target_data,
-                                         threshold=threshold,
-                                         superblocks=use_superblocks,
-                                         osr=use_osr,
-                                         compile_service=service)
+                                         threshold=threshold)
                 if self.storage is not None:
                     tier2_cache.attach_storage(
                         self.storage, object_key,
@@ -326,8 +256,6 @@ class LLEE:
             started = time.perf_counter()
             result = interpreter.run(entry, list(args))
             run_seconds = time.perf_counter() - started
-            pending_at_exit = tier2_cache.pending_compiles \
-                if tier2_cache is not None else 0
             if engine == "fast":
                 if smc_fired:
                     self._interp_cache.pop(key, None)
@@ -359,21 +287,6 @@ class LLEE:
                 tier2_cache.stats.compile_seconds - compile_before
             report.translation_cache_hit = \
                 tier2_cache.translation_cache_hit
-            report.tier2_superblocks = \
-                tier2_cache.stats.superblocks_compiled
-            report.tier2_osr_entries = tier2_cache.stats.osr_entries
-            report.tier2_osr_upgrades = tier2_cache.stats.osr_upgrades
-            report.tier2_side_exits = \
-                getattr(interpreter, "t2_side_exits", 0)
-            report.profile_cache_hit = tier2_cache.profile_cache_hit
-            report.tier2_async = tier2_cache.async_compile
-            report.tier2_swap_ins = tier2_cache.stats.swap_ins
-            report.tier2_swap_wait_seconds = \
-                tier2_cache.stats.swap_wait_seconds
-            report.tier2_pending_at_exit = pending_at_exit
-            if self._compile_service is not None:
-                report.tier2_queue_peak = \
-                    self._compile_service.stats.queue_peak
         return report
 
     def offline_translate(self, object_code: bytes,

@@ -10,7 +10,6 @@ the normal typed-load path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -54,53 +53,6 @@ class Profile:
                        ) -> List[Tuple[Tuple[str, str], int]]:
         ranked = sorted(self.counts.items(), key=lambda kv: -kv[1])
         return ranked[:limit]
-
-    def record(self, function: str, block: str, count: int) -> None:
-        """Add *count* executions of one block (merging profiles
-        collected online, e.g. tier-2 profiling-unit counters)."""
-        if count:
-            key = (function, block)
-            self.counts[key] = self.counts.get(key, 0) + int(count)
-
-    def merge(self, other: "Profile") -> None:
-        for (function, block), count in other.counts.items():
-            self.record(function, block, count)
-
-    # -- persistence (Section 4.1 storage API blobs) ------------------
-
-    def to_json(self) -> bytes:
-        """Serialize for cross-run persistence next to the tier-2
-        translation blob, so warm starts can prime promotion counters
-        and superblock layouts without re-profiling."""
-        entries = [[function, block, count]
-                   for (function, block), count in
-                   sorted(self.counts.items())]
-        return json.dumps({"version": 1, "counts": entries},
-                          sort_keys=True).encode("utf-8")
-
-    @staticmethod
-    def from_json(data: bytes) -> "Profile":
-        """Inverse of :meth:`to_json`; raises ``ValueError`` on any
-        corrupt or version-mismatched blob."""
-        try:
-            blob = json.loads(data.decode("utf-8"))
-        except Exception as error:
-            raise ValueError("corrupt profile blob: {0}".format(error))
-        if not isinstance(blob, dict) or blob.get("version") != 1:
-            raise ValueError("profile blob version mismatch")
-        entries = blob.get("counts")
-        if not isinstance(entries, list):
-            raise ValueError("corrupt profile blob: missing counts")
-        profile = Profile()
-        for entry in entries:
-            try:
-                function, block, count = entry
-                profile.counts[(str(function), str(block))] = int(count)
-            except Exception as error:
-                raise ValueError(
-                    "corrupt profile blob entry {0!r}: {1}".format(
-                        entry, error))
-        return profile
 
 
 def instrument_module(module: Module) -> ProfileMap:

@@ -16,7 +16,6 @@ call sites first (see :mod:`repro.llee.pgo`).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
@@ -36,79 +35,6 @@ class Trace:
     @property
     def length(self) -> int:
         return len(self.blocks)
-
-
-def form_function_traces(function: Function, profile: Profile,
-                         hot_threshold: int = 50,
-                         successor_bias: float = 0.4) -> List[Trace]:
-    """Form hot traces inside one function by the most-frequent-
-    successor walk (same algorithm :class:`SoftwareTraceCache` uses
-    module-wide).  This is the per-function export the tier-2
-    superblock code generator consumes: it guides straight-line
-    emission without reordering ``function.blocks``, so block ids stay
-    stable across tiers."""
-    counts = {
-        block.name or "": profile.block_count(function.name,
-                                              block.name or "")
-        for block in function.blocks
-    }
-    claimed: Set[int] = set()
-    traces: List[Trace] = []
-    seeds = sorted(function.blocks,
-                   key=lambda b: -counts[b.name or ""])
-    for seed in seeds:
-        if id(seed) in claimed:
-            continue
-        heat = counts[seed.name or ""]
-        if heat < hot_threshold:
-            break
-        blocks = [seed]
-        claimed.add(id(seed))
-        current = seed
-        while True:
-            successor = _best_successor_of(current, counts, claimed,
-                                           hot_threshold, successor_bias)
-            if successor is None:
-                break
-            blocks.append(successor)
-            claimed.add(id(successor))
-            current = successor
-        if len(blocks) > 1:
-            traces.append(Trace(function, blocks, heat))
-    return traces
-
-
-def _best_successor_of(block: BasicBlock, counts: Dict[str, int],
-                       claimed: Set[int], hot_threshold: int,
-                       successor_bias: float) -> Optional[BasicBlock]:
-    successors = [s for s in set(block.successors())
-                  if id(s) not in claimed]
-    if not successors:
-        return None
-    best = max(successors, key=lambda s: counts[s.name or ""])
-    block_count = max(counts[block.name or ""], 1)
-    if counts[best.name or ""] < hot_threshold:
-        return None
-    if counts[best.name or ""] < block_count * successor_bias:
-        return None
-    return best
-
-
-def layout_signature(traces: Optional[List[Trace]]) -> str:
-    """A stable content hash of one function's trace layout — the
-    per-function component of the persistent tier-2 key that
-    invalidates stale superblocks when profiles (and hence layouts)
-    change.  ``traces`` of None or [] both mean plain block dispatch
-    and hash to the reserved sentinel ``"-"``."""
-    if not traces:
-        return "-"
-    digest = hashlib.sha256()
-    for trace in traces:
-        for block in trace.blocks:
-            digest.update((block.name or "").encode("utf-8"))
-            digest.update(b"\x00")
-        digest.update(b"\x01")
-    return digest.hexdigest()[:16]
 
 
 class SoftwareTraceCache:
@@ -152,9 +78,53 @@ class SoftwareTraceCache:
 
     def _form_in(self, function: Function,
                  profile: Profile) -> List[Trace]:
-        return form_function_traces(function, profile,
-                                    self.hot_threshold,
-                                    self.successor_bias)
+        """The most-frequent-successor walk: seed a trace at each
+        still-unclaimed hot block, hottest first, and extend it while
+        the best unclaimed successor is hot enough."""
+        counts = {
+            block.name or "": profile.block_count(function.name,
+                                                  block.name or "")
+            for block in function.blocks
+        }
+        claimed: Set[int] = set()
+        traces: List[Trace] = []
+        seeds = sorted(function.blocks,
+                       key=lambda b: -counts[b.name or ""])
+        for seed in seeds:
+            if id(seed) in claimed:
+                continue
+            heat = counts[seed.name or ""]
+            if heat < self.hot_threshold:
+                break
+            blocks = [seed]
+            claimed.add(id(seed))
+            current = seed
+            while True:
+                successor = self._best_successor_of(current, counts,
+                                                    claimed)
+                if successor is None:
+                    break
+                blocks.append(successor)
+                claimed.add(id(successor))
+                current = successor
+            if len(blocks) > 1:
+                traces.append(Trace(function, blocks, heat))
+        return traces
+
+    def _best_successor_of(self, block: BasicBlock,
+                           counts: Dict[str, int],
+                           claimed: Set[int]) -> Optional[BasicBlock]:
+        successors = [s for s in set(block.successors())
+                      if id(s) not in claimed]
+        if not successors:
+            return None
+        best = max(successors, key=lambda s: counts[s.name or ""])
+        block_count = max(counts[block.name or ""], 1)
+        if counts[best.name or ""] < self.hot_threshold:
+            return None
+        if counts[best.name or ""] < block_count * self.successor_bias:
+            return None
+        return best
 
     # -- application ------------------------------------------------------------
 

@@ -3,10 +3,9 @@ events covering the full JIT lifecycle.
 
 Where the metrics registry answers "how many deopts happened?", the
 flight recorder answers "*when* did each deopt happen, in what order
-relative to the compiles and OSR entries, and *why*".  It is the
-black-box recorder for the tiered engine: tier-2 promotion decisions,
-compile begin/end with durations, superblock formation, OSR entries
-and upgrades, deopts and side exits with reasons, trap delivery,
+relative to the compiles and traps, and *why*".  It is the black-box
+recorder for the tiered engine: tier-2 promotion decisions, compile
+begin/end with durations, pins and deopts with reasons, trap delivery,
 SMC/cache invalidation, and LLEE storage traffic all land here as
 small dicts in a ``collections.deque(maxlen=capacity)``.
 
@@ -34,20 +33,20 @@ from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
 #: Bumped when the event vocabulary or header shape changes.
-#: v2: asynchronous compilation (``tier2.compile.enqueue`` carrying
-#: the service queue depth, ``tier2.swap_in`` carrying the enqueue-
-#: to-swap latency).
+#: v2: background-compilation events (removed in v7).
 #: v3: hosted native execution events (removed in v6).
 #: v4: hosted execution backend events (removed in v6).
 #: v5: loop autovectorization (``autovec.loop`` recording, per
 #: candidate loop, whether it was vectorized — with the lane count —
 #: or rejected, with the reason taxonomy of transforms/autovec.py).
 #: v6: v3/v4 events removed; ``smc.invalidate`` layers: tier2, native.
-FLIGHT_FORMAT_VERSION = 6
+#: v7: v2 events and the v1 trace-arm and mid-loop-entry events
+#: removed; ``tier2.compile.end`` kinds are ``dispatch``/``error``.
+FLIGHT_FORMAT_VERSION = 7
 
 #: Default ring capacity — big enough to hold the full JIT lifecycle
-#: of a benchsuite run (a few hundred events) with room for chatty
-#: side-exit traffic, small enough that an always-on recorder stays
+#: of a benchsuite run (a few hundred events) with room to spare,
+#: small enough that an always-on recorder stays
 #: cheap (< 1 MB of dicts).
 DEFAULT_CAPACITY = 4096
 
@@ -63,16 +62,8 @@ EVENT_SCHEMA: Dict[str, Set[str]] = {
     "tier2.promote": {"function", "reason"},
     "tier2.compile.begin": {"function"},
     "tier2.compile.end": {"function", "kind", "seconds", "warm"},
-    # asynchronous compilation (the background compile service)
-    "tier2.compile.enqueue": {"function", "queue_depth"},
-    "tier2.swap_in": {"function", "wait_seconds", "kind"},
-    "tier2.superblock": {"function", "traces"},
     "tier2.pin": {"function", "reason"},
     "tier2.deopt": {"function", "reason"},
-    "tier2.side_exit": {"function", "src", "dst"},
-    # on-stack replacement
-    "tier2.osr.enter": {"function", "block"},
-    "tier2.osr.upgrade": {"function", "kind"},
     # trap delivery
     "trap.deliver": {"engine", "trap", "handler"},
     "trap.unhandled": {"engine", "trap"},

@@ -4,16 +4,13 @@ Attributes executed V-ISA steps and wall time to ``(function, tier)``
 pairs, where tier is one of:
 
 * ``tier1`` — the closure-threaded (or reference) interpreter;
-* ``tier2`` — tier-2 block-dispatch / profiling units;
-* ``superblock`` — trace-compiled straight-line arms;
-* ``osr`` — frames that entered tier-2 mid-run via on-stack
-  replacement.
+* ``tier2`` — tier-2 compiled (block-dispatch) units.
 
 The scheme is frame-boundary accounting: the engines call
-:meth:`StepProfiler.push` / :meth:`pop` / :meth:`replace` at every
-frame transition (call, return, OSR swap, unwind), passing the
-architectural step counter.  The window of steps since the previous
-transition is charged to whatever context sat on top of the stack.
+:meth:`StepProfiler.push` / :meth:`pop` at every frame transition
+(call, return, unwind), passing the architectural step counter.  The
+window of steps since the previous transition is charged to whatever
+context sat on top of the stack.
 This is exact, not sampled: tier-2 generated code syncs ``st.steps``
 before every yield and return, and every frame transition happens at
 one of those synced points — so the per-tier totals reconcile exactly
@@ -32,10 +29,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 #: Tier labels, in promotion order.
-TIERS: Tuple[str, ...] = ("tier1", "tier2", "superblock", "osr")
-
-#: Tiers whose steps the engine books under ``tier2_steps``.
-TIER2_TIERS = frozenset(("tier2", "superblock", "osr"))
+TIERS: Tuple[str, ...] = ("tier1", "tier2")
 
 #: Ceiling on recorded speedscope open/close events; past it the
 #: profiler keeps aggregating but stops growing the event log
@@ -55,9 +49,7 @@ class StepProfiler:
     __slots__ = ("rows", "_stack", "_mark_steps", "_mark_time",
                  "_clock", "record_stack", "start_time", "end_time",
                  "max_stack_events", "_frame_index", "_frame_names",
-                 "_stack_events", "_event_recorded",
-                 "background_compiles", "background_compile_seconds",
-                 "background_swap_wait_seconds")
+                 "_stack_events", "_event_recorded")
 
     def __init__(self, record_stack: bool = False,
                  max_stack_events: int = DEFAULT_MAX_STACK_EVENTS,
@@ -75,12 +67,6 @@ class StepProfiler:
         self._frame_names: List[str] = []
         self._stack_events: List[Tuple[str, int, float]] = []
         self._event_recorded: List[Optional[int]] = []
-        # Off-critical-path work (async tier-2 compilation) reported
-        # via note_background_compiles: it overlaps the frame windows
-        # above, so it is tracked separately, never added to rows.
-        self.background_compiles = 0
-        self.background_compile_seconds = 0.0
-        self.background_swap_wait_seconds = 0.0
 
     # -- frame-transition hooks (the hot path) -------------------------------
 
@@ -118,22 +104,6 @@ class StepProfiler:
             if self.record_stack:
                 self._close_frame(now)
 
-    def replace(self, steps: int, function: str, tier: str) -> None:
-        """The top frame changed tier in place (OSR entry/upgrade)."""
-        now = self._account(steps)
-        if self._stack:
-            self._stack.pop()
-            if self.record_stack:
-                self._close_frame(now)
-        key = (function, tier)
-        row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = [0, 0.0, 0]
-        row[2] += 1
-        self._stack.append(key)
-        if self.record_stack:
-            self._open_frame(key, now)
-
     def flush(self, steps: int) -> None:
         """End of run: charge the residual window and close every
         still-open frame (exit intrinsics and traps can strand the
@@ -168,20 +138,6 @@ class StepProfiler:
             self._stack_events.append(
                 ("C", index, now - self.start_time))
 
-    # -- background (async) compile accounting -------------------------------
-
-    def note_background_compiles(self, count: int, seconds: float,
-                                 swap_wait_seconds: float = 0.0) -> None:
-        """Record compile work done off the critical path by the
-        background compile service.  Frame-boundary accounting cannot
-        see it (the engine thread keeps running tier 1 while a worker
-        compiles), so it is kept beside the rows: ``seconds`` is
-        builder wall time, ``swap_wait_seconds`` the total enqueue-to-
-        swap-in latency of the installed units."""
-        self.background_compiles += int(count)
-        self.background_compile_seconds += seconds
-        self.background_swap_wait_seconds += swap_wait_seconds
-
     # -- reads ---------------------------------------------------------------
 
     def total_steps(self) -> int:
@@ -200,13 +156,12 @@ class StepProfiler:
 
     def tier1_steps(self) -> int:
         return int(sum(row[0] for (_, tier), row in self.rows.items()
-                       if tier not in TIER2_TIERS))
+                       if tier != "tier2"))
 
     def tier2_steps(self) -> int:
-        """Steps the engine books as ``tier2_steps`` (tier-2 dispatch
-        + superblock + OSR-entered frames)."""
+        """Steps the engine books as ``tier2_steps``."""
         return int(sum(row[0] for (_, tier), row in self.rows.items()
-                       if tier in TIER2_TIERS))
+                       if tier == "tier2"))
 
     def function_rows(self) -> List[Dict[str, object]]:
         """Rows sorted hottest-first, JSON-ready."""
@@ -222,7 +177,7 @@ class StepProfiler:
     def to_dict(self) -> Dict[str, object]:
         duration = ((self.end_time if self.end_time is not None
                      else self._mark_time) - self.start_time)
-        document = {
+        return {
             "functions": self.function_rows(),
             "tiers": self.tier_totals(),
             "tier1_steps": self.tier1_steps(),
@@ -230,13 +185,6 @@ class StepProfiler:
             "total_steps": self.total_steps(),
             "duration_seconds": duration,
         }
-        if self.background_compiles:
-            document["background_compile"] = {
-                "compiles": self.background_compiles,
-                "seconds": self.background_compile_seconds,
-                "swap_wait_seconds": self.background_swap_wait_seconds,
-            }
-        return document
 
     # -- speedscope export ---------------------------------------------------
 

@@ -7,8 +7,8 @@ One entry point, classic subcommands::
     python -m repro dis prog.bc                      # object code -> assembly
     python -m repro opt prog.bc -o out.bc -O2 [--link-time]
     python -m repro run prog.bc [--target x86|sparc] [--entry main]
-                        [--engine fast] [--tier2 [--translation-cache DIR]]
-                        [--superblocks] [--osr] [args...]
+                        [--engine fast] [--tier2 [--tier2-threshold N]
+                        [--translation-cache DIR]] [args...]
     python -m repro llc prog.bc --target sparc       # native listing
     python -m repro link a.bc b.bc -o out.bc         # module linker
     python -m repro stats prog.bc [--target x86]     # observability report
@@ -26,9 +26,12 @@ timings, expansion ratios, cache behaviour, opcode mix, and the
 hottest profiled blocks.  ``run``/``stats``/``profile`` accept
 ``--flight-record FILE`` (the JIT-lifecycle flight recorder, dumped as
 JSONL), and ``repro profile`` attributes every interpreter step to a
-``(function, tier)`` pair — tier 1, tier 2, superblock, or OSR —
-with optional speedscope export.  See
-``docs/OBSERVABILITY.md``.
+``(function, tier)`` pair — tier 1 or tier 2 — with optional
+speedscope export.  See ``docs/OBSERVABILITY.md``.
+
+A file that cannot be read or written, or an input that is malformed,
+ends in one stderr line (``<command>: cannot read|write <path>:
+<reason>``) and exit status 1.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.asm import LexerError, ParseError, parse_module
 from repro.bitcode import BitcodeError, read_module, write_module
 from repro.execution import ExecutionTrap, Interpreter
 from repro.execution.machine_sim import MachineSimulator
+from repro.execution.tier2 import DEFAULT_THRESHOLD, Tier2Cache
 from repro.ir import VerificationError, print_module, verify_module
 from repro.ir.module import Module
 from repro.llee.jit import FunctionJIT
@@ -51,16 +55,17 @@ from repro.minic import MiniCSyntaxError, compile_source
 from repro.targets import disassemble, make_target, verify_native_module
 from repro.transforms import link_modules, optimize
 
-#: What reading an unreadable or malformed input file raises.
-_INPUT_ERRORS = (OSError, BitcodeError, ParseError, LexerError,
-                 MiniCSyntaxError, VerificationError)
+#: What reading an unreadable or malformed input file raises
+#: (``ValueError`` covers undecodable text and malformed JSON).
+_INPUT_ERRORS = (OSError, ValueError, BitcodeError, ParseError,
+                 LexerError, MiniCSyntaxError, VerificationError)
 
 
-class _InputError(Exception):
-    """An input file could not be read or is malformed; :func:`main`
-    reports it in one line instead of a traceback."""
+class _FileError(Exception):
+    """A file could not be read or written, or an input is malformed;
+    :func:`main` reports it in one line instead of a traceback."""
 
-    def __init__(self, path: str, error: Exception):
+    def __init__(self, path: str, error: Exception, verb: str = "read"):
         if isinstance(error, OSError) and error.strerror:
             reason = error.strerror
         else:
@@ -68,19 +73,23 @@ class _InputError(Exception):
             reason = lines[0]
             if len(lines) > 1:
                 reason += " (and {0} more)".format(len(lines) - 1)
-        super().__init__("cannot read {0}: {1}".format(path, reason))
+        super().__init__("cannot {0} {1}: {2}".format(verb, path, reason))
 
 
 @contextmanager
-def _reading(path: str) -> Iterator[None]:
+def _file_errors(path: str, verb: str = "read") -> Iterator[None]:
+    """Report what fails inside the block as one ``cannot <verb>
+    <path>`` line.  Reads catch every malformed-input error; writes
+    (``verb="write"``) catch only ``OSError``."""
+    errors = _INPUT_ERRORS if verb == "read" else OSError
     try:
         yield
-    except _INPUT_ERRORS as error:
-        raise _InputError(path, error) from error
+    except errors as error:
+        raise _FileError(path, error, verb) from error
 
 
 def _load_module(path: str) -> Module:
-    with observe.span("cli.load_module", path=path), _reading(path):
+    with observe.span("cli.load_module", path=path), _file_errors(path):
         if path.endswith(".ll"):
             with open(path) as handle:
                 module = parse_module(handle.read(), path)
@@ -94,26 +103,29 @@ def _load_module(path: str) -> Module:
     return module
 
 
+def _write_text(text: str, output: Optional[str]) -> None:
+    if output:
+        with _file_errors(output, "write"), open(output, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_output(module: Module, output: Optional[str],
                   as_text: bool = False) -> None:
     if as_text or (output and output.endswith(".ll")):
-        text = print_module(module)
-        if output:
-            with open(output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(print_module(module), output)
         return
     data = write_module(module)
     if output:
-        with open(output, "wb") as handle:
+        with _file_errors(output, "write"), open(output, "wb") as handle:
             handle.write(data)
     else:
         sys.stdout.buffer.write(data)
 
 
 def _cmd_cc(args) -> int:
-    with _reading(args.input), open(args.input) as handle:
+    with _file_errors(args.input), open(args.input) as handle:
         module = compile_source(handle.read(), args.input,
                                 optimization_level=args.optimize,
                                 pointer_size=args.pointer_size,
@@ -190,8 +202,8 @@ def _check_program_args(module, entry: str,
 
 
 #: Registry prefixes surfaced on the one-line ``--stats`` report.
-_STATS_PREFIXES = ("run.", "jit.", "llee.cache.", "llee.profile.",
-                   "fastpath.", "san.", "tier2.", "vec.")
+_STATS_PREFIXES = ("run.", "jit.", "llee.cache.", "fastpath.", "san.",
+                   "tier2.", "vec.")
 
 
 def _format_stats_line(label: str, result: object) -> str:
@@ -213,48 +225,49 @@ def _format_stats_line(label: str, result: object) -> str:
 
 
 def _normalize_tier_flags(args) -> None:
-    """Resolve flag implications before any mutual-exclusion check
-    runs: the tier-2 variants (``--superblocks``/``--osr``/
-    ``--async-compile``) imply ``--tier2``, and ``--tier2`` implies
-    ``--engine fast``.  Validation must see the normalized
-    values — checking first would let an implied combination (say
-    ``--superblocks --target x86``) slip past the ``--tier2``
-    rejections."""
-    if (getattr(args, "superblocks", False)
-            or getattr(args, "osr", False)
-            or getattr(args, "async_compile", False)):
-        args.tier2 = True
-    if getattr(args, "tier2", False):
+    """Resolve the one flag implication, ``--tier2`` ⇒ ``--engine
+    fast``, before :func:`_flag_conflict` checks the combination."""
+    if args.tier2:
         args.engine = "fast"
+
+
+def _flag_conflict(args) -> Optional[str]:
+    """The flag-combination check ``run`` and ``stats`` share: the
+    conflict message, or None.  ``--sanitize`` and ``--tier2`` apply to
+    the interpreter engines only, and llva-san pins execution to
+    tier 1."""
+    for flag, on in (("--sanitize", args.sanitize),
+                     ("--tier2", args.tier2)):
+        if on and args.target:
+            return ("{0} applies to the interpreter engines only, "
+                    "not --target".format(flag))
+    if args.tier2 and args.sanitize:
+        return ("--sanitize pins execution to tier 1; --tier2 has no "
+                "effect under llva-san")
+    return None
+
+
+def _disk_storage(path: str, max_bytes: Optional[int] = None):
+    """A :class:`DiskStorage` rooted at *path*; a path that cannot be
+    a cache directory is reported as ``cannot write <path>``."""
+    from repro.llee.storage import DiskStorage
+
+    with _file_errors(path, "write"):
+        return DiskStorage(path, max_bytes=max_bytes)
 
 
 def _make_tier2_cache(module, args):
     """Build the CLI's Tier2Cache, optionally wired to a
     ``--translation-cache`` directory for cross-process warm starts."""
-    from repro.execution.tier2 import Tier2Cache
-    from repro.llee.storage import DiskStorage
-
-    kwargs = {}
-    if args.tier2_threshold is not None:
-        kwargs["threshold"] = args.tier2_threshold
-    if getattr(args, "superblocks", False):
-        kwargs["superblocks"] = True
-    if getattr(args, "osr", False):
-        kwargs["osr"] = True
-    if getattr(args, "async_compile", False):
-        kwargs["async_compile"] = True
-        if getattr(args, "compile_workers", None) is not None:
-            kwargs["compile_workers"] = args.compile_workers
-    cache = Tier2Cache(module, module.target_data, **kwargs)
+    cache = Tier2Cache(module, module.target_data,
+                       threshold=args.tier2_threshold)
     if args.translation_cache:
         import hashlib
 
-        key = "{0}".format(
-            hashlib.sha256(write_module(module)).hexdigest()[:24])
-        storage = DiskStorage(
-            args.translation_cache,
-            max_bytes=getattr(args, "cache_max_bytes", None))
-        cache.attach_storage(storage, key)
+        key = hashlib.sha256(write_module(module)).hexdigest()[:24]
+        cache.attach_storage(
+            _disk_storage(args.translation_cache, args.cache_max_bytes),
+            key)
     return cache
 
 
@@ -271,17 +284,9 @@ def _cmd_run(args) -> int:
         sys.stderr.write("run: " + problem)
         return 2
     _normalize_tier_flags(args)
-    if args.sanitize and args.target:
-        sys.stderr.write("run: --sanitize applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and args.target:
-        sys.stderr.write("run: --tier2 applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and args.sanitize:
-        sys.stderr.write("run: --sanitize pins execution to tier 1; "
-                         "--tier2 has no effect under llva-san\n")
+    conflict = _flag_conflict(args)
+    if conflict:
+        sys.stderr.write("run: {0}\n".format(conflict))
         return 2
     try:
         if args.target:
@@ -307,10 +312,7 @@ def _cmd_run(args) -> int:
                                       tier2=tier2_cache)
             result = interpreter.run(args.entry, program_args)
             if tier2_cache:
-                # flush_storage drains in-flight background compiles
-                # first, so async stats and persistence are complete.
                 tier2_cache.flush_storage()
-                tier2_cache.close()
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:
@@ -333,12 +335,7 @@ def _cmd_llc(args) -> int:
     verify_native_module(native)
     chunks = [disassemble(machine)
               for machine in native.functions.values()]
-    text = "\n".join(chunks)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(chunks), args.output)
     sys.stderr.write(
         "; {0} LLVA instructions -> {1} {2} instructions "
         "({3:.2f}x), {4} bytes\n".format(
@@ -359,10 +356,40 @@ def _labels_text(labels) -> str:
     return ",".join("{0}={1}".format(k, v) for k, v in labels)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _check_metrics_snapshot(snapshot) -> None:
+    """Raise ``ValueError`` unless *snapshot* has the shape
+    ``MetricsRegistry.snapshot`` exports: ``counters`` and
+    ``histograms`` lists of named entries with numeric values."""
+    def histogram_ok(value):
+        return (isinstance(value, dict)
+                and _is_number(value.get("count"))
+                and _is_number(value.get("mean"))
+                and all(value.get(k) is None or _is_number(value.get(k))
+                        for k in ("min", "max")))
+
+    if not isinstance(snapshot, dict):
+        raise ValueError("not a metrics snapshot")
+    for section, value_ok in (("counters", _is_number),
+                              ("histograms", histogram_ok)):
+        entries = snapshot.get(section)
+        if not isinstance(entries, list) or not all(
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("labels", {}), dict)
+                and value_ok(entry.get("value"))
+                for entry in entries):
+            raise ValueError("not a metrics snapshot")
+
+
 def _print_loaded_metrics(path: str, out) -> int:
     """Pretty-print a previously exported ``--metrics`` JSON file."""
-    with open(path) as handle:
+    with _file_errors(path), open(path) as handle:
         snapshot = json.load(handle)
+        _check_metrics_snapshot(snapshot)
     out.write("== metrics ({0}) ==\n".format(path))
     for entry in snapshot.get("counters", []):
         labels = entry.get("labels", {})
@@ -534,21 +561,16 @@ def _cmd_stats(args) -> int:
         sys.stderr.write("stats: " + problem)
         return 2
     _normalize_tier_flags(args)
-    if args.sanitize and args.target:
-        sys.stderr.write("stats: --sanitize applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and (args.target or args.sanitize):
-        sys.stderr.write("stats: --tier2 applies to the unsanitized "
-                         "interpreter engines only\n")
+    conflict = _flag_conflict(args)
+    if conflict:
+        sys.stderr.write("stats: {0}\n".format(conflict))
         return 2
     profile = None
     try:
         if args.target:
             from repro.llee.manager import LLEE
-            from repro.llee.storage import DiskStorage
 
-            storage = DiskStorage(args.cache) if args.cache else None
+            storage = _disk_storage(args.cache) if args.cache else None
             llee = LLEE(make_target(args.target), storage)
             report = llee.run_executable(write_module(module),
                                          entry=args.entry,
@@ -569,7 +591,6 @@ def _cmd_stats(args) -> int:
             result = interpreter.run(args.entry, program_args)
             if tier2_cache:
                 tier2_cache.flush_storage()
-                tier2_cache.close()
             (sys.stderr if args.json else sys.stdout).write(
                 result.output)
             result_value = result.return_value
@@ -650,23 +671,11 @@ def _profile_payload(profiler, interpreter, result, flight,
         payload["tier2"] = {
             "functions_compiled": stats.functions_compiled,
             "warm_compiles": stats.warm_compiles,
-            "superblocks_compiled": stats.superblocks_compiled,
-            "osr_entries": stats.osr_entries,
-            "osr_upgrades": stats.osr_upgrades,
             "deopts": stats.deopts,
             "pins": stats.pins,
             "invalidations": stats.invalidations,
             "compile_seconds": round(stats.compile_seconds, 9),
-            "side_exits": getattr(interpreter, "t2_side_exits", 0),
         }
-        if stats.async_enqueued:
-            payload["tier2"]["async"] = {
-                "enqueued": stats.async_enqueued,
-                "swap_ins": stats.swap_ins,
-                "swap_wait_seconds":
-                    round(stats.swap_wait_seconds, 9),
-                "stale_drops": stats.stale_drops,
-            }
     vectorization = _vectorization_payload()
     if vectorization is not None:
         payload["vectorization"] = vectorization
@@ -730,22 +739,10 @@ def _render_profile_report(payload: dict, out) -> None:
     tier2 = payload.get("tier2")
     if tier2:
         out.write("== jit lifecycle ==\n")
-        out.write(
-            "  compiled={0} (warm={1}) superblocks={2} "
-            "osr_entries={3} osr_upgrades={4} side_exits={5}\n".format(
-                tier2["functions_compiled"], tier2["warm_compiles"],
-                tier2["superblocks_compiled"], tier2["osr_entries"],
-                tier2["osr_upgrades"], tier2["side_exits"]))
+        out.write("  compiled={0} (warm={1})\n".format(
+            tier2["functions_compiled"], tier2["warm_compiles"]))
         out.write("  deopts={0} pins={1} invalidations={2}\n".format(
             tier2["deopts"], tier2["pins"], tier2["invalidations"]))
-        async_info = tier2.get("async")
-        if async_info:
-            out.write(
-                "  async: enqueued={0} swap_ins={1} "
-                "swap_wait={2:.4f}s stale_drops={3}\n".format(
-                    async_info["enqueued"], async_info["swap_ins"],
-                    async_info["swap_wait_seconds"],
-                    async_info["stale_drops"]))
     vectorization = payload.get("vectorization")
     if vectorization:
         out.write("== vectorization ==\n")
@@ -787,14 +784,8 @@ def _cmd_profile(args) -> int:
     if problem:
         sys.stderr.write("profile: " + problem)
         return 2
-    # profile defaults to the full tiered pipeline; --no-* flags
-    # peel layers off for A/B comparisons
+    # profile defaults to tiered execution; --no-tier2 profiles tier 1
     tier2_on = args.engine == "fast" and not args.no_tier2
-    args.tier2 = tier2_on
-    args.superblocks = tier2_on and not args.no_superblocks
-    args.osr = tier2_on and not args.no_osr
-    args.async_compile = tier2_on and \
-        getattr(args, "async_compile", False)
     profiler = StepProfiler(record_stack=bool(args.speedscope))
     tier2_cache = _make_tier2_cache(module, args) if tier2_on else False
     interpreter = Interpreter(module,
@@ -810,22 +801,15 @@ def _cmd_profile(args) -> int:
     finally:
         if tier2_cache:
             tier2_cache.flush_storage()
-            stats = tier2_cache.stats
-            if stats.swap_ins:
-                # Background compile work never shows up in frame-
-                # boundary accounting; report it alongside.
-                profiler.note_background_compiles(
-                    stats.swap_ins, stats.compile_seconds,
-                    stats.swap_wait_seconds)
-            tier2_cache.close()
     # under --json stdout carries only the document; the program's own
     # output moves to stderr
     (sys.stderr if args.json else sys.stdout).write(result.output)
     payload = _profile_payload(profiler, interpreter, result,
                                observe.flight(), args.top)
     if args.speedscope:
-        profiler.write_speedscope(args.speedscope,
-                                  name="repro profile " + args.input)
+        with _file_errors(args.speedscope, "write"):
+            profiler.write_speedscope(args.speedscope,
+                                      name="repro profile " + args.input)
     if args.json:
         json.dump(payload, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
@@ -852,20 +836,21 @@ def _add_observe_flags(sub) -> None:
 def _add_flight_flag(sub) -> None:
     sub.add_argument(
         "--flight-record", metavar="FILE",
-        help="record the JIT lifecycle (promotions, compiles, "
-             "superblocks, OSR, deopts, traps, cache events) in a "
-             "bounded ring buffer and write it as JSONL")
+        help="record the JIT lifecycle (promotions, compiles, pins, "
+             "deopts, traps, cache events) in a bounded ring buffer "
+             "and write it as JSONL")
 
 
-def _add_async_flags(sub) -> None:
+def _add_tier2_flags(sub) -> None:
     sub.add_argument(
-        "--async-compile", action="store_true",
-        help="compile tier-2 units on a background worker instead of "
-             "on the promoting call; units swap in at the next safe "
-             "point (implies --tier2)")
+        "--tier2-threshold", type=int, default=DEFAULT_THRESHOLD,
+        metavar="N",
+        help="tier-1 invocations before a function is promoted to "
+             "tier 2 (default %(default)s; 0 = compile on first call)")
     sub.add_argument(
-        "--compile-workers", type=int, default=None, metavar="N",
-        help="background compile worker threads (default 1)")
+        "--translation-cache", metavar="DIR",
+        help="persist tier-2 translations in DIR (POSIX storage API) "
+             "for cross-process warm starts")
     sub.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="BYTES",
         help="LRU size budget per --translation-cache cache "
@@ -944,23 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable the tiered translator: hot functions "
                           "are compiled to Python bytecode "
                           "(implies --engine fast)")
-    run.add_argument("--tier2-threshold", type=int, default=None,
-                     metavar="N",
-                     help="invocations before a function is promoted "
-                          "to tier 2 (0 = compile on first call)")
-    run.add_argument("--superblocks", action="store_true",
-                     help="tier 2 compiles hot traces as straight-line "
-                          "superblocks guided by the block profile "
-                          "(implies --tier2)")
-    run.add_argument("--osr", action="store_true",
-                     help="on-stack replacement: a tier-1 activation "
-                          "stuck in a hot loop enters tier 2 "
-                          "mid-function (implies --tier2)")
-    run.add_argument("--translation-cache", metavar="DIR",
-                     help="persist tier-2 translations in DIR "
-                          "(POSIX storage API) for cross-process "
-                          "warm starts")
-    _add_async_flags(run)
+    _add_tier2_flags(run)
     run.add_argument("--stats", action="store_true")
     _add_observe_flags(run)
     _add_flight_flag(run)
@@ -1004,19 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--tier2", action="store_true",
                        help="enable the tiered translator "
                             "(implies --engine fast)")
-    stats.add_argument("--tier2-threshold", type=int, default=None,
-                       metavar="N",
-                       help="promotion threshold (0 = first call)")
-    stats.add_argument("--superblocks", action="store_true",
-                       help="trace-guided superblock tier-2 codegen "
-                            "(implies --tier2)")
-    stats.add_argument("--osr", action="store_true",
-                       help="on-stack replacement at hot loop headers "
-                            "(implies --tier2)")
-    stats.add_argument("--translation-cache", metavar="DIR",
-                       help="persist tier-2 translations in DIR for "
-                            "cross-process warm starts")
-    _add_async_flags(stats)
+    _add_tier2_flags(stats)
     stats.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of the "
                             "human-readable rendering")
@@ -1029,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run under the step-attribution profiler: per-function "
              "per-tier steps and wall time, the JIT lifecycle, and "
-             "deopt reasons (tier2+superblocks+OSR on by default)")
+             "deopt reasons (tier 2 on by default)")
     profile.add_argument("input")
     profile.add_argument("--engine", choices=("fast", "reference"),
                          default="fast",
@@ -1045,17 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rows in the hot-function table")
     profile.add_argument("--no-tier2", action="store_true",
                          help="profile pure tier-1 execution")
-    profile.add_argument("--no-superblocks", action="store_true",
-                         help="tier 2 without trace-guided superblocks")
-    profile.add_argument("--no-osr", action="store_true",
-                         help="tier 2 without on-stack replacement")
-    profile.add_argument("--tier2-threshold", type=int, default=None,
-                         metavar="N",
-                         help="promotion threshold (0 = first call)")
-    profile.add_argument("--translation-cache", metavar="DIR",
-                         help="persist tier-2 translations in DIR for "
-                              "cross-process warm starts")
-    _add_async_flags(profile)
+    _add_tier2_flags(profile)
     profile.add_argument("--json", action="store_true",
                          help="emit the profile as JSON instead of "
                               "the human-readable report")
@@ -1095,7 +1042,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with observe.span("cli." + args.command):
             status = args.func(args)
-    except _InputError as error:
+    except _FileError as error:
         sys.stderr.write("{0}: {1}\n".format(args.command, error))
         status = 1
     finally:

@@ -75,62 +75,3 @@ class TestCompareBench:
         code, text = _run(_doc({"a": 1.0}), _doc({"b": 1.0}))
         assert code == 1
         assert "no programs in common" in text
-
-
-def _first_run_doc(speedups, scale=0.05):
-    return {
-        "programs": [{"program": name, "speedup": 10.0, "scale": scale,
-                      "first_run_speedup": value}
-                     for name, value in speedups.items()],
-    }
-
-
-def _run_first(current, baseline, tolerance=0.15):
-    out = io.StringIO()
-    code = compare_bench.compare_first_run(current, baseline,
-                                           tolerance=tolerance, out=out)
-    return code, out.getvalue()
-
-
-class TestFirstRunGate:
-    """The compile-inclusive cold-start gate (--first-run-baseline):
-    per-program async-vs-sync first-run speedups, so the comparison is
-    machine-independent and CI can gate against a committed file."""
-
-    def test_matching_speedup_passes(self):
-        code, text = _run_first(_first_run_doc({"ft": 1.5, "ks": 1.3}),
-                                _first_run_doc({"ft": 1.5, "ks": 1.3}))
-        assert code == 0
-        assert "OK: first-run latency within tolerance" in text
-
-    def test_lost_first_run_speedup_fails(self):
-        # Async cold starts fell back to sync-level latency: the
-        # steady-state gate cannot see it, this one must.
-        code, text = _run_first(_first_run_doc({"ft": 1.0, "ks": 1.0}),
-                                _first_run_doc({"ft": 1.5, "ks": 1.3}))
-        assert code == 1
-        assert "FAIL: first-run latency regressed" in text
-
-    def test_improved_first_run_warns_but_passes(self):
-        code, text = _run_first(_first_run_doc({"ft": 2.5, "ks": 2.0}),
-                                _first_run_doc({"ft": 1.5, "ks": 1.3}))
-        assert code == 0
-        assert "WARN" in text and "refreshing" in text
-
-    def test_gate_is_on_geomean_not_single_programs(self):
-        code, _text = _run_first(_first_run_doc({"ft": 1.1, "ks": 1.7}),
-                                 _first_run_doc({"ft": 1.4, "ks": 1.3}))
-        assert code == 0
-
-    def test_scale_mismatch_is_an_error(self):
-        code, text = _run_first(_first_run_doc({"ft": 1.5}, scale=0.2),
-                                _first_run_doc({"ft": 1.5}, scale=0.05))
-        assert code == 1
-        assert "scale differs" in text
-
-    def test_sync_only_run_fails_the_gate(self):
-        # A run without --async-compile has no first-run speedups to
-        # gate — that is a configuration error, not a silent pass.
-        code, text = _run_first(_doc({"ft": 10.0}), _doc({"ft": 10.0}))
-        assert code == 1
-        assert "no first-run speedups" in text

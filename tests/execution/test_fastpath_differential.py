@@ -8,26 +8,14 @@ program plus hand-written programs exercising the exception model
 (masked/unmasked faults, trap handlers, register snapshots, unwind,
 self-modifying code) through both engines and compares outcomes.
 
-Every ``run_both`` scenario additionally runs a third configuration —
-the fast engine with the tier-2 translator *forced* (promotion
-threshold 0) — so the whole differential corpus doubles as the tier-2
-conformance suite: traps delivered inside compiled code, deopt, SMC
-invalidation, unwind pinning, and register snapshots all compare
-against the oracle byte-for-byte.
-
-A fourth configuration forces the superblock+OSR mode on top: trace-
-guided superblock emission with aggressively low thresholds (so the
-profiling stage, the mid-activation OSR upgrade, side-exit deopt, and
-tier-1 on-stack replacement all fire inside even small scenarios),
-compared against the oracle exactly like the others.
-
-A fifth configuration forces *asynchronous* compilation on top of
-that: promotions submit background jobs and the engine swaps units in
-at call boundaries and back-edge checks, with the escalation bar set
-low enough that deferred builds, mid-run swap-ins, and inline
-escalations all occur inside small scenarios.  Whatever mix of tier-1,
-deferred, escalated, and OSR execution a timing happens to produce,
-the observations must still match the oracle byte for byte.
+Every ``run_both`` scenario additionally runs the fast engine with the
+tier-2 translator twice: *forced* (promotion threshold 0, so every
+function compiles on its first call) and at the *default* threshold
+(the path users run, where tier-1 and tier-2 frames call each other
+and functions promote mid-run).  So the whole differential corpus
+doubles as the tier-2 conformance suite: traps delivered inside
+compiled code, deopt, SMC invalidation, unwind pinning, and register
+snapshots all compare against the oracle byte-for-byte.
 """
 
 import pytest
@@ -51,60 +39,21 @@ SCALE = 0.05
 ENGINES = ("reference", "fast")
 
 #: (label, engine, tier2 mode) triples every scenario runs under; the
-#: mode is False (off), True (forced plain tier 2), "superblock"
-#: (forced tier 2 with superblocks and OSR), or "async" (superblocks
-#: plus background compilation with deterministic-outcome swap-in).
+#: mode is False (off), True (tier 2 forced: threshold 0), or
+#: "default" (tier 2 at the default promotion threshold).
 CONFIGS = (
     ("reference", "reference", False),
     ("fast", "fast", False),
     ("tier2", "fast", True),
-    ("superblock", "fast", "superblock"),
-    ("async", "fast", "async"),
+    ("tier2-default", "fast", "default"),
 )
-
-
-def _superblock_cache(module):
-    """A Tier2Cache with superblocks+OSR forced hard enough that the
-    profiling stage, mid-activation upgrades, and tier-1 OSR all fire
-    inside small test scenarios."""
-    from repro.execution.tier2 import Tier2Cache
-
-    return Tier2Cache(module, module.target_data, threshold=0,
-                      superblocks=True, osr=True,
-                      superblock_threshold=8, osr_step_threshold=50)
-
-
-def _async_cache(module):
-    """The superblock configuration with background compilation on and
-    the escalation bar low, so deferred builds, swap-ins, and inline
-    escalations all happen inside small test scenarios."""
-    from repro.execution.tier2 import Tier2Cache
-
-    return Tier2Cache(module, module.target_data, threshold=0,
-                      superblocks=True, osr=True,
-                      superblock_threshold=8, osr_step_threshold=50,
-                      async_compile=True, escalate_step_threshold=64)
 
 
 def _make_interpreter(module, engine, tier2, privileged=False,
                       sanitize=False):
-    if tier2 == "superblock":
-        cache = _superblock_cache(module)
-    elif tier2 == "async":
-        cache = _async_cache(module)
-    else:
-        return Interpreter(module, privileged=privileged, engine=engine,
-                           sanitize=sanitize, tier2=tier2,
-                           tier2_threshold=0 if tier2 else None)
     return Interpreter(module, privileged=privileged, engine=engine,
-                       sanitize=sanitize, tier2=cache)
-
-
-def _close_tier2(interpreter, cache_mode):
-    """Stop a private compile service so workers never outlive their
-    scenario (a no-op for synchronous configurations)."""
-    if cache_mode == "async" and interpreter.tier2 is not None:
-        interpreter.tier2.close()
+                       sanitize=sanitize, tier2=bool(tier2),
+                       tier2_threshold=0 if tier2 is True else None)
 
 
 def _outcome(module, entry="main", args=(), privileged=False,
@@ -116,25 +65,21 @@ def _outcome(module, entry="main", args=(), privileged=False,
         result = interpreter.run(entry, list(args))
     except ExecutionTrap as trap:
         return ("trap", trap.trap_number, interpreter.steps)
-    finally:
-        _close_tier2(interpreter, tier2)
     return ("ok", result.return_value, result.output, result.steps,
             result.exit_status)
 
 
 def run_both(source, entry="main", args=(), privileged=False):
-    """Assemble *source* per configuration (reference, fast, and
-    tier-2-forced fast) and assert identical outcomes."""
+    """Assemble *source* per configuration (see ``CONFIGS``) and
+    assert identical outcomes."""
     outcomes = {}
     for label, engine, tier2 in CONFIGS:
         module = parse_module(source)
         verify_module(module)
         outcomes[label] = _outcome(module, entry, args, privileged,
                                    engine, tier2)
-    assert outcomes["reference"] == outcomes["fast"]
-    assert outcomes["reference"] == outcomes["tier2"]
-    assert outcomes["reference"] == outcomes["superblock"]
-    assert outcomes["reference"] == outcomes["async"]
+    for label in outcomes:
+        assert outcomes[label] == outcomes["reference"], label
     return outcomes["reference"]
 
 
@@ -157,18 +102,26 @@ def _outcome_sanitized(module, engine, tier2=False):
 
 def run_both_sanitized(source):
     """Run under llva-san on both engines; reports must be identical.
-    The tier-2 configuration participates too, verifying the sanitizer
-    pins it back to tier 1 without changing observations."""
+    The tier-2 configurations participate too, verifying the sanitizer
+    pins them back to tier 1 without changing observations."""
     outcomes = {}
     for label, engine, tier2 in CONFIGS:
         module = parse_module(source)
         verify_module(module)
         outcomes[label] = _outcome_sanitized(module, engine, tier2)
-    assert outcomes["reference"] == outcomes["fast"]
-    assert outcomes["reference"] == outcomes["tier2"]
-    assert outcomes["reference"] == outcomes["superblock"]
-    assert outcomes["reference"] == outcomes["async"]
+    for label in outcomes:
+        assert outcomes[label] == outcomes["reference"], label
     return outcomes["reference"]
+
+
+#: The one workload that runs entirely in tier 1 at the default
+#: threshold and scale: no function is called often enough, or burns
+#: enough steps per activation, to promote.
+ALL_TIER1_AT_DEFAULT = ("equake",)
+
+#: Workloads where a function promotes by accumulated step credit
+#: rather than by invocation count, at the default thresholds.
+PROMOTED_BY_STEPS = ("bc", "bzip2", "parser")
 
 
 class TestBenchsuiteDifferential:
@@ -206,45 +159,29 @@ class TestBenchsuiteDifferential:
         assert interpreter.tier2.stats.functions_compiled > 0
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_superblock_osr_forced(self, name):
-        """All 17 programs again with superblocks and OSR forced at
-        low thresholds: the profiling stage, mid-activation upgrades,
-        side exits, and tier-1 OSR all run against the oracle."""
+    def test_workload_tier2_default_threshold(self, name):
+        """All 17 programs at the default promotion threshold, against
+        the oracle: identical observations with nothing pinned, and —
+        except where nothing gets hot enough to promote — steps run in
+        both tiers, with tier-1 and tier-2 frames calling each other
+        and functions promoting mid-run."""
         workload = load_workload(name, SCALE)
         module = compile_source(workload.source, name,
                                 optimization_level=2)
         reference = _outcome(module, engine="reference")
-        cache = _superblock_cache(module)
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
+        interpreter = Interpreter(module, engine="fast", tier2=True)
         result = interpreter.run("main", [])
-        forced = ("ok", result.return_value, result.output,
+        tiered = ("ok", result.return_value, result.output,
                   result.steps, result.exit_status)
-        assert reference == forced
-        assert interpreter.tier2_steps == result.steps
-        assert cache.stats.pins == 0
-
-    @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_async_compile_forced(self, name):
-        """All 17 programs with background compilation forced on top
-        of superblocks+OSR: deferred builds, safe-point swap-ins, and
-        inline escalations all run against the oracle, and a drain
-        after the run must leave nothing pending."""
-        workload = load_workload(name, SCALE)
-        module = compile_source(workload.source, name,
-                                optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        cache = _async_cache(module)
-        try:
-            interpreter = Interpreter(module, engine="fast", tier2=cache)
-            result = interpreter.run("main", [])
-            forced = ("ok", result.return_value, result.output,
-                      result.steps, result.exit_status)
-            assert reference == forced
-            assert cache.stats.pins == 0
-            assert cache.drain(timeout=30.0)
-            assert cache.pending_compiles == 0
-        finally:
-            cache.close()
+        assert reference == tiered
+        stats = interpreter.tier2.stats
+        assert stats.pins == 0
+        if name in ALL_TIER1_AT_DEFAULT:
+            assert interpreter.tier2_steps == 0
+        else:
+            assert 0 < interpreter.tier2_steps < result.steps
+        assert (stats.promotions_by_steps > 0) == \
+            (name in PROMOTED_BY_STEPS)
 
 
 class TestExceptionModelDifferential:

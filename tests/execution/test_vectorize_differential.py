@@ -1,7 +1,7 @@
 """``--vectorize`` differential conformance: vectorized builds of every
 benchsuite workload (and hand-written vector kernels) must be
 observationally identical to the reference interpreter on every tier —
-fast engine, forced tier 2, superblock+OSR, and async compilation —
+fast engine, and tier 2 forced and at the default threshold —
 and the vectorized module must agree with the scalar build
 on everything a program can observe (return value, output, exit
 status; step counts legitimately shrink)."""
@@ -10,7 +10,6 @@ import pytest
 
 from test_fastpath_differential import (
     CONFIGS,
-    _close_tier2,
     _make_interpreter,
     _outcome,
     run_both,

@@ -147,13 +147,11 @@ class TestToolchain:
 
 
 class TestTierFlagNormalization:
-    """Flag implications resolve before mutual-exclusion validation:
-    an implied --tier2 (from --superblocks/--osr/--async-compile) must
-    hit the same rejections an explicit one does, for run, stats, and
-    profile alike."""
+    """The flag implication (--tier2 => --engine fast) resolves before
+    the shared conflict check, and run and stats reject the same
+    combinations."""
 
-    IMPLYING_FLAGS = ("--tier2", "--superblocks", "--osr",
-                      "--async-compile")
+    IMPLYING_FLAGS = ("--tier2",)
 
     @pytest.fixture()
     def prog(self, workdir, capsys):
@@ -232,11 +230,15 @@ class TestMalformedInput:
         if case == "minic-syntax":
             return "cc", self._write(workdir / "bad.c",
                                      b"int main( { return 0; }")
+        if case == "minic-undecodable":
+            return "cc", self._write(workdir / "bin.c",
+                                     b"int main() { return 0; }\xff")
         assert case == "asm-garbage"
         return "run", self._write(workdir / "bad.ll", b"garbage here\n")
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "flipped",
-                                      "minic-syntax", "asm-garbage"])
+                                      "minic-syntax", "minic-undecodable",
+                                      "asm-garbage"])
     def test_reported_in_one_line(self, workdir, squares_bc, capsys,
                                   case):
         command, path = self._argv(case, workdir, squares_bc)
@@ -249,3 +251,77 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1, err
         assert err.startswith(command + ": cannot read " + path + ": ")
+
+
+class TestUnusablePaths:
+    """A path the command cannot read or write — an output that is a
+    directory or sits in a missing one, a cache directory that is a
+    file, a --load file that is missing or not a metrics snapshot —
+    ends in one stderr line naming the command, the path and the
+    reason, with exit status 1."""
+
+    @pytest.fixture()
+    def prog(self, workdir, capsys):
+        bc = str(workdir / "prog.bc")
+        assert main(["cc", str(workdir / "prog.c"), "-o", bc]) == 0
+        capsys.readouterr()
+        return bc
+
+    @staticmethod
+    def _assert_one_line(code, err, command, verb, path):
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("{0}: cannot {1} {2}: ".format(
+            command, verb, path)), err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{prog}", "--tier2", "--translation-cache", "{file}"],
+        ["stats", "{prog}", "--target", "x86", "--cache", "{file}"],
+    ])
+    def test_cache_directory_is_a_file(self, workdir, prog, capsys,
+                                       argv):
+        path = workdir / "not-a-dir"
+        path.write_text("x")
+        argv = [a.format(prog=prog, file=path) for a in argv]
+        code, out, err = _capture(argv, capsys)
+        assert out == ""
+        self._assert_one_line(code, err, argv[0], "write", str(path))
+
+    @pytest.mark.parametrize("command", ["cc", "as", "dis", "opt",
+                                         "link", "llc"])
+    def test_output_is_a_directory(self, workdir, prog, capsys,
+                                   command):
+        source = str(workdir / "prog.c") if command == "cc" else (
+            str(workdir / "prog.ll") if command == "as" else prog)
+        outdir = workdir / "outdir"
+        outdir.mkdir()
+        code, out, err = _capture([command, source, "-o", str(outdir)],
+                                  capsys)
+        assert out == ""
+        self._assert_one_line(code, err, command, "write", str(outdir))
+
+    def test_output_in_missing_directory(self, workdir, prog, capsys):
+        path = str(workdir / "no" / "such" / "x.bc")
+        code, out, err = _capture(["opt", prog, "-o", path], capsys)
+        assert out == ""
+        self._assert_one_line(code, err, "opt", "write", path)
+
+    def test_speedscope_is_a_directory(self, workdir, prog, capsys):
+        outdir = workdir / "scope"
+        outdir.mkdir()
+        code, _out, err = _capture(
+            ["profile", prog, "--speedscope", str(outdir)], capsys)
+        self._assert_one_line(code, err, "profile", "write",
+                              str(outdir))
+
+    @pytest.mark.parametrize("content", [None, "garbage", "[]",
+                                         '{"counters": 5}'])
+    def test_load_rejects_non_snapshot(self, workdir, capsys, content):
+        path = workdir / "metrics.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = _capture(["stats", "--load", str(path)],
+                                  capsys)
+        assert out == ""
+        self._assert_one_line(code, err, "stats", "read", str(path))

@@ -292,14 +292,14 @@ class TestFlightRecordExport:
 
         flight = tmp_path / "flight.jsonl"
         code, _out, _err = _capture(
-            ["run", str(prog_bc), "--tier2", "--superblocks", "--osr",
+            ["run", str(prog_bc), "--tier2",
              "--tier2-threshold", "2", "--flight-record", str(flight)],
             capsys)
         assert code == 85
         lines = [json.loads(line)
                  for line in flight.read_text().splitlines()]
         header, events = lines[0], lines[1:]
-        assert header["flight"] == 6
+        assert header["flight"] == 7
         assert header["recorded"] == len(events) + header["dropped"]
         for event in events:
             assert validate_event(event) == [], event

@@ -33,16 +33,12 @@ def _module():
     return compile_source(PROGRAM, "flightprog.mc")
 
 
-def _run(engine, tier2=False, superblocks=False, osr=False,
-         profiler=None):
+def _run(engine, tier2=False, profiler=None):
     module = _module()
     with observe.capture(flight=True) as obs:
         cache = False
         if tier2:
-            cache = Tier2Cache(module, module.target_data,
-                               threshold=1, superblocks=superblocks,
-                               osr=osr, superblock_threshold=8,
-                               osr_step_threshold=100)
+            cache = Tier2Cache(module, module.target_data, threshold=1)
         interpreter = Interpreter(module, engine=engine, tier2=cache,
                                   profiler=profiler)
         result = interpreter.run("main")
@@ -101,7 +97,7 @@ class TestFlightRecorder:
         recorder.write_jsonl(str(path))
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
-        assert lines[0]["flight"] == 6
+        assert lines[0]["flight"] == 7
         assert lines[0]["recorded"] == 2
         assert [e["type"] for e in lines[1:]] == ["run.begin",
                                                   "run.end"]
@@ -132,14 +128,15 @@ class TestStepProfiler:
         assert rows == {("main", "tier1"): 15, ("callee", "tier1"): 15}
         assert profiler.total_steps() == 30
 
-    def test_replace_models_osr(self):
+    def test_tier2_rows_count_as_tier2_steps(self):
         profiler = StepProfiler()
         profiler.push(0, "main", "tier1")
-        profiler.replace(40, "main", "osr")    # OSR at step 40
-        profiler.flush(100)
-        assert profiler.tier1_steps() == 40
+        profiler.push(40, "callee", "tier2")   # main ran 0..40
+        profiler.pop(100)                      # callee ran 40..100
+        profiler.flush(110)                    # main resumed 100..110
+        assert profiler.tier1_steps() == 50
         assert profiler.tier2_steps() == 60
-        assert profiler.tier_totals()["osr"]["steps"] == 60
+        assert profiler.tier_totals()["tier2"]["steps"] == 60
 
     def test_speedscope_document_is_balanced(self):
         profiler = StepProfiler(record_stack=True)
@@ -167,8 +164,6 @@ class TestEngineParity:
             "reference": _run("reference"),
             "fast": _run("fast"),
             "tier2": _run("fast", tier2=True),
-            "tier2+sb+osr": _run("fast", tier2=True,
-                                 superblocks=True, osr=True),
         }
         values = {name: run[0].return_value
                   for name, run in runs.items()}
@@ -183,15 +178,13 @@ class TestEngineParity:
 
     def test_flight_events_validate_on_every_engine(self):
         for kwargs in ({"engine": "reference"}, {"engine": "fast"},
-                       {"engine": "fast", "tier2": True,
-                        "superblocks": True, "osr": True}):
+                       {"engine": "fast", "tier2": True}):
             _result, obs, _interp = _run(**kwargs)
             assert obs.flight is not None
             assert obs.flight.validate() == []
 
     def test_jit_lifecycle_is_replayable_from_flight(self):
-        _result, obs, interpreter = _run("fast", tier2=True,
-                                         superblocks=True, osr=True)
+        _result, obs, interpreter = _run("fast", tier2=True)
         counts = obs.flight.counts()
         assert counts["run.begin"] == 1
         assert counts["run.end"] == 1
@@ -201,14 +194,6 @@ class TestEngineParity:
         assert counts["tier2.compile.end"] >= \
             stats.functions_compiled > 0
         assert counts.get("tier2.promote", 0) >= 1
-        assert counts.get("tier2.osr.enter", 0) == stats.osr_entries \
-            > 0
-        assert counts.get("tier2.osr.upgrade", 0) == \
-            stats.osr_upgrades
-        assert counts.get("tier2.superblock", 0) == \
-            stats.superblocks_compiled > 0
-        assert counts.get("tier2.side_exit", 0) == \
-            interpreter.t2_side_exits
         # Ordering: a function's promotion precedes its compile end.
         events = obs.flight.events()
         first_promote = next(i for i, e in enumerate(events)
@@ -220,7 +205,6 @@ class TestEngineParity:
     def test_profiler_totals_match_engine_accounting(self):
         profiler = StepProfiler()
         result, _obs, interpreter = _run("fast", tier2=True,
-                                         superblocks=True, osr=True,
                                          profiler=profiler)
         assert profiler.total_steps() == result.steps
         assert profiler.tier2_steps() == interpreter.tier2_steps
@@ -232,7 +216,7 @@ class TestEngineParity:
         # The hot helper dominates and runs in tier 2.
         hottest = profiler.function_rows()[0]
         assert hottest["function"] == "work"
-        assert hottest["tier"] in ("tier2", "superblock")
+        assert hottest["tier"] == "tier2"
 
     def test_profiler_matches_reference_engine_too(self):
         profiler = StepProfiler()
