@@ -88,6 +88,7 @@ from repro.ir.values import (
     ConstantNull,
     UndefValue,
 )
+from repro.llee.storage import load_entry, store_entry
 
 #: Bump whenever generated code or the yield protocol changes shape;
 #: persisted translations from other versions are discarded.
@@ -1189,7 +1190,6 @@ class Tier2Cache:
         #: by the same Python (``sys.implementation.cache_tag``).
         self._preloaded: Dict[str, Tuple] = {}
         self._storage = None
-        self._storage_cache: Optional[str] = None
         self._storage_key: Optional[str] = None
         self._dirty = False
         self.translation_cache_hit = False
@@ -1448,7 +1448,7 @@ class Tier2Cache:
         # Marshalled bytecode is only trusted from the exact same
         # Python build (like .pyc); otherwise the source is recompiled.
         code_ok = blob.get("cache_tag") == sys.implementation.cache_tag
-        loaded = 0
+        preloaded = {}
         for name, entry in functions.items():
             try:
                 fhash = entry["hash"]
@@ -1467,21 +1467,11 @@ class Tier2Cache:
                 raise ValueError(
                     "corrupt tier-2 cache entry {0!r}: empty source"
                     .format(name))
-            self._preloaded[name] = (fhash, source, func_refs,
-                                     num_slots, code)
-            loaded += 1
-        return loaded
-
-    @staticmethod
-    def _flight_cache(event: str, cache: str = TIER2_CACHE_NAME,
-                      **fields) -> None:
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("llee.cache", cache=cache, event=event,
-                          **fields)
+            preloaded[name] = (fhash, source, func_refs, num_slots, code)
+        self._preloaded.update(preloaded)
+        return len(preloaded)
 
     def attach_storage(self, storage, key: str,
-                       cache_name: str = TIER2_CACHE_NAME,
                        executable_timestamp: Optional[float] = None
                        ) -> bool:
         """Wire this cache to a Section-4.1 storage API and try a warm
@@ -1490,65 +1480,21 @@ class Tier2Cache:
         ``llee.cache.invalid`` (or a plain miss) and degrades to online
         translation; persistence must never break execution."""
         self._storage = storage
-        self._storage_cache = cache_name
         self._storage_key = key
-        try:
-            data = storage.read(cache_name, key)
-        except Exception:
-            observe.counter("llee.cache.invalid", 1, target="tier2",
-                            reason="read-error")
-            observe.counter("llee.cache.miss", 1, target="tier2")
-            self._flight_cache("invalid", cache=cache_name,
-                               reason="read-error")
-            return False
-        if not data:
-            observe.counter("llee.cache.miss", 1, target="tier2")
-            self._flight_cache("miss", cache=cache_name)
-            return False
-        if executable_timestamp is not None:
-            try:
-                cached_at = storage.timestamp(cache_name, key)
-            except Exception:
-                cached_at = None
-            if cached_at is None or cached_at < executable_timestamp:
-                observe.counter("llee.cache.invalid", 1, target="tier2",
-                                reason="stale")
-                observe.counter("llee.cache.miss", 1, target="tier2")
-                self._flight_cache("invalid", cache=cache_name,
-                                   reason="stale")
-                return False
-        try:
-            self.load_serialized(data, key)
-        except ValueError as error:
-            observe.counter("llee.cache.invalid", 1, target="tier2",
-                            reason=str(error)[:60])
-            observe.counter("llee.cache.miss", 1, target="tier2")
-            self._flight_cache("invalid", cache=cache_name,
-                               reason=str(error)[:60])
-            self._preloaded.clear()
-            return False
-        self.translation_cache_hit = True
-        observe.counter("llee.cache.hit", 1, target="tier2")
-        self._flight_cache("hit", cache=cache_name,
-                           functions=len(self._preloaded))
-        return True
+        loaded = load_entry(storage, TIER2_CACHE_NAME, key, "tier2",
+                            lambda data: self.load_serialized(data, key),
+                            executable_timestamp)
+        self.translation_cache_hit = loaded is not None
+        return self.translation_cache_hit
 
     def flush_storage(self) -> bool:
         """Write new translations back through the storage API — no-op
         when nothing changed or no storage is attached.  Best-effort,
         like the native cache write-back."""
-        if self._storage is None:
+        if self._storage is None or not self._dirty:
             return False
-        stored = False
-        if self._dirty:
-            try:
-                self._storage.write(self._storage_cache,
-                                    self._storage_key,
-                                    self.serialize(self._storage_key))
-                self._dirty = False
-                stored = True
-                observe.counter("llee.cache.store", 1, target="tier2")
-                self._flight_cache("store", cache=self._storage_cache)
-            except Exception:
-                pass
+        stored = store_entry(self._storage, TIER2_CACHE_NAME,
+                             self._storage_key, "tier2",
+                             self.serialize(self._storage_key))
+        self._dirty = not stored
         return stored

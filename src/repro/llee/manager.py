@@ -32,7 +32,12 @@ from repro.execution.fastpath import DecodeCache
 from repro.execution.interpreter import Interpreter
 from repro.execution.machine_sim import MachineSimulator
 from repro.llee.jit import FunctionJIT, JITStats
-from repro.llee.storage import StorageAPI
+from repro.llee.storage import (
+    StorageAPI,
+    flight_cache,
+    load_entry,
+    store_entry,
+)
 from repro.targets.native import (
     NativeModule,
     deserialize_native,
@@ -40,14 +45,6 @@ from repro.targets.native import (
 )
 
 _CACHE_NAME = "llee-native"
-
-
-def _flight_cache(event: str, cache: str, **fields) -> None:
-    """One ``llee.cache`` flight event (hit/miss/store/invalid) —
-    only emitted on cold cache-management paths."""
-    flight = observe.flight()
-    if flight is not None:
-        flight.record("llee.cache", cache=cache, event=event, **fields)
 
 
 @dataclass
@@ -130,13 +127,11 @@ class LLEE:
             module = read_module(object_code)
             key = self._cache_key(object_code)
             with observe.span("llee.cache_lookup", key=key):
-                native, cache_hit = self._lookup_cache(
-                    key, executable_timestamp)
-            observe.counter(
-                "llee.cache.hit" if cache_hit else "llee.cache.miss",
-                1, target=self.target.name)
-            _flight_cache("hit" if cache_hit else "miss", _CACHE_NAME,
-                          key=key, target=self.target.name)
+                native = load_entry(
+                    self.storage, _CACHE_NAME, key, self.target.name,
+                    lambda data: deserialize_native(data, self.target),
+                    executable_timestamp)
+            cache_hit = native is not None
             if native is None:
                 native = NativeModule(self.target, module.name)
             jit = FunctionJIT(module, self.target)
@@ -155,11 +150,9 @@ class LLEE:
                     and jit.stats.functions_translated:
                 # Write back any code the JIT had to generate.
                 with observe.span("llee.cache_store", key=key):
-                    self._store_cache(key, native)
-                observe.counter("llee.cache.store", 1,
-                                target=self.target.name)
-                _flight_cache("store", _CACHE_NAME, key=key,
-                              target=self.target.name)
+                    store_entry(self.storage, _CACHE_NAME, key,
+                                self.target.name,
+                                serialize_native(native))
         return RunReport(
             return_value=value,
             output=simulator.output_text(),
@@ -240,8 +233,8 @@ class LLEE:
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
-            _flight_cache("hit" if cache_hit else "miss",
-                          "llee-interp", key=key)
+            flight_cache("hit" if cache_hit else "miss", "llee-interp",
+                         key, "interp")
             interpreter = Interpreter(
                 module, privileged=privileged, engine=engine,
                 decode_cache=decode_cache if engine == "fast" else None,
@@ -313,7 +306,9 @@ class LLEE:
                 optimize(module, level=optimize_level)
             jit = FunctionJIT(module, self.target)
             native = jit.translate_all()
-            self._store_cache(self._cache_key(object_code), native)
+            store_entry(self.storage, _CACHE_NAME,
+                        self._cache_key(object_code), self.target.name,
+                        serialize_native(native))
             observe.counter("llee.offline_translations", 1,
                             target=self.target.name)
         return jit.stats
@@ -330,45 +325,3 @@ class LLEE:
     def _cache_key(self, object_code: bytes) -> str:
         digest = hashlib.sha256(object_code).hexdigest()[:24]
         return "{0}-{1}".format(self.target.name, digest)
-
-    def _lookup_cache(self, key: str,
-                      executable_timestamp: Optional[float]):
-        if self.storage is None:
-            return None, False
-        # The storage API is strictly optional; a failing implementation
-        # must degrade to online translation, never break execution
-        # (Section 4.1: "the system will operate correctly in their
-        # absence").
-        try:
-            data = self.storage.read(_CACHE_NAME, key)
-            if not data:
-                return None, False
-            if executable_timestamp is not None:
-                cached_at = self.storage.timestamp(_CACHE_NAME, key)
-                if cached_at is None or cached_at < executable_timestamp:
-                    # Stale translation: the executable was rebuilt
-                    # after the cache entry was written.
-                    observe.counter("llee.cache.invalid", 1,
-                                    target=self.target.name,
-                                    reason="stale")
-                    _flight_cache("invalid", _CACHE_NAME, key=key,
-                                  reason="stale")
-                    return None, False
-            native = deserialize_native(data, self.target)
-        except Exception as error:
-            # Corrupt or truncated entry, or a failing storage
-            # implementation: record why, then translate online.
-            observe.counter("llee.cache.invalid", 1,
-                            target=self.target.name,
-                            reason=type(error).__name__)
-            _flight_cache("invalid", _CACHE_NAME, key=key,
-                          reason=type(error).__name__)
-            return None, False
-        return native, True
-
-    def _store_cache(self, key: str, native: NativeModule) -> None:
-        try:
-            self.storage.write(_CACHE_NAME, key,
-                               serialize_native(native))
-        except Exception:
-            pass  # cache write-back is best-effort

@@ -13,39 +13,30 @@ pure online translation when constructed without one.
 
 Two implementations are provided, mirroring the paper's user-level
 prototype: an in-memory store (tests, and the "no OS support" baseline
-for cache-behaviour experiments) and a POSIX-directory store.
+for cache-behaviour experiments) and a POSIX-directory store, one file
+per vector (``root/<cache>/<entry>``).  A disk write is atomic: the
+bytes and the timestamp land in a dot-prefixed temp file that
+``os.replace`` then publishes, so a reader — in this process or
+another — sees the old vector or the new one, whole and with its
+timestamp, never a torn mix.
 
-Both are **multi-tenant**: a system-wide LLEE serves many concurrent
-programs from one translation cache, so the disk layout shards
-entries by name hash (``<cache>/<2-hex-shard>/<entry>``), every write
-is atomic (temp file + ``os.replace`` — a reader never observes a
-torn vector), cross-process writers serialize on per-shard ``flock``
-locks where the OS provides them, and an optional ``max_bytes``
-budget evicts least-recently-used entries, tracked by a per-cache
-``index.json``.  The index is advisory: reads never need it, and a
-missing or corrupt index is rebuilt from a directory scan.
+:func:`load_entry` and :func:`store_entry` are the one lookup and
+write-back path of both persistent translation caches (``llee-native``
+and ``llee-tier2``): they decide what counts as a hit, a miss, a stale
+or an invalid entry, and they record every such decision as an
+``llee.cache.*`` counter and an ``llee.cache`` flight event.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import shutil
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import observe
-
-try:  # POSIX advisory locks; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - platform-dependent
-    fcntl = None
-
-#: Index filename, kept directly under the cache directory.  Dot-
-#: prefixed names (locks, in-flight temp files) and the index itself
-#: are bookkeeping, not stored vectors: ``cache_size`` excludes them.
-_INDEX_NAME = "index.json"
 
 
 def _flight_io(op: str, cache: str, name: str,
@@ -59,11 +50,14 @@ def _flight_io(op: str, cache: str, name: str,
                       bytes=len(data) if data is not None else 0)
 
 
-def _flight_evict(cache: str, name: str, freed: int) -> None:
+def flight_cache(event: str, cache: str, key, target: str,
+                 **fields) -> None:
+    """One ``llee.cache`` flight event (hit/miss/invalid/store) —
+    only emitted on cold cache-management paths."""
     flight = observe.flight()
     if flight is not None:
-        flight.record("llee.storage", op="evict", cache=cache,
-                      name=name, hit=False, bytes=freed)
+        flight.record("llee.cache", cache=cache, event=event, key=key,
+                      target=target, **fields)
 
 
 class StorageAPI:
@@ -95,32 +89,18 @@ class StorageAPI:
 
 class InMemoryStorage(StorageAPI):
     """Volatile storage — behaves like the paper's DAISY/Crusoe scenario
-    when discarded between 'boots', and like an OS cache when kept.
+    when discarded between 'boots', and like an OS cache when kept."""
 
-    With ``max_bytes`` set, each cache is LRU-bounded like the disk
-    store (reads refresh recency), so cache-pressure experiments run
-    without touching a filesystem."""
-
-    def __init__(self, max_bytes: Optional[int] = None):
+    def __init__(self):
         self._caches: Dict[str, Dict[str, Tuple[bytes, float]]] = {}
-        self.max_bytes = max_bytes
         self.reads = 0
         self.writes = 0
-        self.evictions = 0
-        #: name -> monotonic use tick, per cache (LRU recency).
-        self._used: Dict[str, Dict[str, int]] = {}
-        self._tick = 0
-
-    def _touch(self, cache: str, name: str) -> None:
-        self._tick += 1
-        self._used.setdefault(cache, {})[name] = self._tick
 
     def create_cache(self, cache: str) -> None:
         self._caches.setdefault(cache, {})
 
     def delete_cache(self, cache: str) -> None:
         self._caches.pop(cache, None)
-        self._used.pop(cache, None)
 
     def cache_size(self, cache: str) -> int:
         entries = self._caches.get(cache, {})
@@ -130,8 +110,6 @@ class InMemoryStorage(StorageAPI):
         self.reads += 1
         entry = self._caches.get(cache, {}).get(name)
         data = entry[0] if entry is not None else None
-        if data is not None:
-            self._touch(cache, name)
         _flight_io("read", cache, name, data)
         return data
 
@@ -142,26 +120,7 @@ class InMemoryStorage(StorageAPI):
         self._caches[cache][name] = (
             bytes(data), timestamp if timestamp is not None
             else time.time())
-        self._touch(cache, name)
-        if self.max_bytes is not None:
-            self._evict(cache, keep=name)
         _flight_io("write", cache, name, data)
-
-    def _evict(self, cache: str, keep: str) -> None:
-        entries = self._caches[cache]
-        used = self._used.get(cache, {})
-        total = sum(len(data) for data, _ts in entries.values())
-        while total > self.max_bytes:
-            victims = [n for n in entries if n != keep]
-            if not victims:
-                return
-            victim = min(victims, key=lambda n: used.get(n, 0))
-            freed = len(entries.pop(victim)[0])
-            used.pop(victim, None)
-            total -= freed
-            self.evictions += 1
-            observe.counter("llee.storage.evictions", 1, cache=cache)
-            _flight_evict(cache, victim, freed)
 
     def timestamp(self, cache: str, name: str) -> Optional[float]:
         entry = self._caches.get(cache, {}).get(name)
@@ -173,241 +132,70 @@ class DiskStorage(StorageAPI):
     ("executes the cached native translations from the disk, using a
     user-level version of our storage API").
 
-    Layout: ``root/<cache>/<2-hex shard>/<entry>`` with a per-cache
-    ``index.json`` tracking ``{relative path: [size, last-used]}``.
-    Writers take a per-shard ``flock`` (plus an in-process lock), land
-    bytes with temp-file + ``os.replace``, then update the index under
-    its own lock — so concurrent LLEE processes share one warm cache
-    with no torn vectors.  ``max_bytes`` bounds each cache via LRU
-    eviction; reads refresh recency best-effort."""
+    Layout: ``root/<cache>/<entry>``, one file per vector, its mtime
+    the vector's timestamp.  Dot-prefixed files are in-flight writes,
+    not stored vectors.  Concurrent writers of one entry (threads or
+    processes) each publish a whole vector, and the last rename wins."""
 
-    def __init__(self, root: str, max_bytes: Optional[int] = None):
+    def __init__(self, root: str):
         self.root = root
-        self.max_bytes = max_bytes
-        self.evictions = 0
         os.makedirs(root, exist_ok=True)
-        self._thread_locks: Dict[str, threading.Lock] = {}
-        self._thread_locks_guard = threading.Lock()
-
-    # -- paths ---------------------------------------------------------
 
     def _cache_dir(self, cache: str) -> str:
         return os.path.join(self.root, _sanitize(cache))
 
-    @staticmethod
-    def _shard_of(name: str) -> str:
-        return hashlib.sha256(name.encode("utf-8")).hexdigest()[:2]
-
     def _entry_path(self, cache: str, name: str) -> str:
-        return os.path.join(self._cache_dir(cache),
-                            self._shard_of(name), _sanitize(name))
-
-    def _entry_rel(self, name: str) -> str:
-        return "/".join((self._shard_of(name), _sanitize(name)))
-
-    # -- locking -------------------------------------------------------
-
-    def _lock(self, path: str):
-        """A two-level lock context: an in-process mutex (threads of
-        one engine) wrapping an advisory ``flock`` (other processes)
-        on *path*.  Degrades to the mutex alone without ``fcntl``."""
-        with self._thread_locks_guard:
-            mutex = self._thread_locks.get(path)
-            if mutex is None:
-                mutex = self._thread_locks[path] = threading.Lock()
-        return _PathLock(mutex, path)
-
-    def _shard_lock(self, cache: str, name: str):
-        shard_dir = os.path.join(self._cache_dir(cache),
-                                 self._shard_of(name))
-        os.makedirs(shard_dir, exist_ok=True)
-        return self._lock(os.path.join(shard_dir, ".lock"))
-
-    def _index_lock(self, cache: str):
-        directory = self._cache_dir(cache)
-        os.makedirs(directory, exist_ok=True)
-        return self._lock(os.path.join(directory, ".index.lock"))
-
-    # -- the index -----------------------------------------------------
-
-    def _index_path(self, cache: str) -> str:
-        return os.path.join(self._cache_dir(cache), _INDEX_NAME)
-
-    def _load_index(self, cache: str) -> Dict[str, list]:
-        """Entries as ``{rel path: [size, used]}``.  Advisory: a
-        missing or corrupt index is rebuilt by scanning the shards."""
-        try:
-            with open(self._index_path(cache), "rb") as handle:
-                document = json.loads(handle.read().decode("utf-8"))
-            entries = document["entries"]
-            if not isinstance(entries, dict):
-                raise ValueError("bad index")
-            return entries
-        except Exception:
-            return self._scan(cache)
-
-    def _scan(self, cache: str) -> Dict[str, list]:
-        entries: Dict[str, list] = {}
-        directory = self._cache_dir(cache)
-        if not os.path.isdir(directory):
-            return entries
-        for shard in sorted(os.listdir(directory)):
-            shard_dir = os.path.join(directory, shard)
-            if shard.startswith(".") or shard == _INDEX_NAME \
-                    or not os.path.isdir(shard_dir):
-                continue
-            for fname in os.listdir(shard_dir):
-                if fname.startswith("."):
-                    continue
-                path = os.path.join(shard_dir, fname)
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue
-                entries["/".join((shard, fname))] = \
-                    [status.st_size, status.st_mtime]
-        return entries
-
-    def _store_index(self, cache: str,
-                     entries: Dict[str, list]) -> None:
-        document = json.dumps({"version": 1, "entries": entries},
-                              sort_keys=True).encode("utf-8")
-        path = self._index_path(cache)
-        tmp = os.path.join(self._cache_dir(cache),
-                           ".index.{0}.tmp".format(os.getpid()))
-        with open(tmp, "wb") as handle:
-            handle.write(document)
-        os.replace(tmp, path)
-
-    # -- the storage API -----------------------------------------------
+        return os.path.join(self._cache_dir(cache), _sanitize(name))
 
     def create_cache(self, cache: str) -> None:
         os.makedirs(self._cache_dir(cache), exist_ok=True)
 
     def delete_cache(self, cache: str) -> None:
-        import shutil
         shutil.rmtree(self._cache_dir(cache), ignore_errors=True)
 
     def cache_size(self, cache: str) -> int:
-        """Stored vector bytes only — the index, locks, and in-flight
-        temp files are bookkeeping, not cached data."""
-        return sum(size for size, _used in self._scan(cache).values())
+        """Stored vector bytes only — in-flight temp files are not
+        cached data."""
+        try:
+            with os.scandir(self._cache_dir(cache)) as entries:
+                return sum(entry.stat().st_size for entry in entries
+                           if not entry.name.startswith(".")
+                           and entry.is_file())
+        except (FileNotFoundError, NotADirectoryError):
+            return 0
 
     def read(self, cache: str, name: str) -> Optional[bytes]:
-        path = self._entry_path(cache, name)
         try:
-            with open(path, "rb") as handle:
+            with open(self._entry_path(cache, name), "rb") as handle:
                 data = handle.read()
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-            _flight_io("read", cache, name, None)
-            return None
-        # Refresh LRU recency, best-effort: losing a touch only skews
-        # eviction order, never correctness.
-        try:
-            with self._index_lock(cache):
-                entries = self._load_index(cache)
-                rel = self._entry_rel(name)
-                if rel in entries:
-                    entries[rel][1] = time.time()
-                    self._store_index(cache, entries)
-        except Exception:
-            pass
+            data = None
         _flight_io("read", cache, name, data)
         return data
 
     def write(self, cache: str, name: str, data: bytes,
               timestamp: Optional[float] = None) -> None:
         data = bytes(data)
-        path = self._entry_path(cache, name)
-        with self._shard_lock(cache, name):
-            # Atomic publish: a crash mid-write leaves only a dot-
-            # prefixed temp file (invisible to reads and cache_size);
-            # a concurrent reader sees the old vector or the new one,
-            # never a torn mix.
-            tmp = "{0}.{1}.{2}.tmp".format(
-                os.path.join(os.path.dirname(path),
-                             "." + os.path.basename(path)),
-                os.getpid(), threading.get_ident())
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-            if timestamp is not None:
-                os.utime(path, (timestamp, timestamp))
-        try:
-            with self._index_lock(cache):
-                entries = self._load_index(cache)
-                rel = self._entry_rel(name)
-                entries[rel] = [len(data), time.time()]
-                if self.max_bytes is not None:
-                    self._evict(cache, entries, keep=rel)
-                self._store_index(cache, entries)
-        except Exception:
-            pass
+        directory = self._cache_dir(cache)
+        os.makedirs(directory, exist_ok=True)
+        entry = _sanitize(name)
+        # The temp name is unique per process and thread, so no two
+        # writers share one; it is stamped before the rename, so the
+        # vector and its timestamp are published together.
+        tmp = os.path.join(directory, ".{0}.{1}.{2}.tmp".format(
+            entry, os.getpid(), threading.get_ident()))
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        if timestamp is not None:
+            os.utime(tmp, (timestamp, timestamp))
+        os.replace(tmp, os.path.join(directory, entry))
         _flight_io("write", cache, name, data)
 
-    def _evict(self, cache: str, entries: Dict[str, list],
-               keep: str) -> None:
-        """Drop least-recently-used entries until the cache fits the
-        budget (called under the index lock; mutates *entries* in
-        place, caller persists).  The entry just written is exempt so
-        a single oversized vector still lands."""
-        total = sum(size for size, _used in entries.values())
-        while total > self.max_bytes:
-            victims = [rel for rel in entries if rel != keep]
-            if not victims:
-                return
-            victim = min(victims, key=lambda rel: entries[rel][1])
-            size = entries.pop(victim)[0]
-            try:
-                os.unlink(os.path.join(self._cache_dir(cache),
-                                       *victim.split("/")))
-            except OSError:
-                pass
-            total -= size
-            self.evictions += 1
-            observe.counter("llee.storage.evictions", 1, cache=cache)
-            _flight_evict(cache, victim, size)
-
     def timestamp(self, cache: str, name: str) -> Optional[float]:
-        path = self._entry_path(cache, name)
-        if not os.path.isfile(path):
+        try:
+            return os.stat(self._entry_path(cache, name)).st_mtime
+        except (FileNotFoundError, NotADirectoryError):
             return None
-        return os.path.getmtime(path)
-
-
-class _PathLock:
-    """Context manager pairing an in-process mutex with an advisory
-    ``flock`` on a lock file (no-op where ``fcntl`` is missing)."""
-
-    __slots__ = ("_mutex", "_path", "_handle")
-
-    def __init__(self, mutex: threading.Lock, path: str):
-        self._mutex = mutex
-        self._path = path
-        self._handle = None
-
-    def __enter__(self):
-        self._mutex.acquire()
-        if fcntl is not None:
-            try:
-                self._handle = open(self._path, "ab")
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-            except OSError:
-                if self._handle is not None:
-                    self._handle.close()
-                    self._handle = None
-        return self
-
-    def __exit__(self, *exc):
-        if self._handle is not None:
-            try:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            except OSError:
-                pass
-            self._handle.close()
-            self._handle = None
-        self._mutex.release()
-        return False
 
 
 def _sanitize(name: str) -> str:
@@ -418,3 +206,59 @@ def _sanitize(name: str) -> str:
     safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
     digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
     return "{0}-{1}".format(safe[:64] or "_", digest)
+
+
+# -- the translation caches' lookup and write-back --------------------------
+
+def load_entry(storage: Optional[StorageAPI], cache: str, key: str,
+               target: str, decode: Callable[[bytes], object],
+               executable_timestamp: Optional[float] = None
+               ) -> Optional[object]:
+    """Look up one persisted translation: read it, check that it is no
+    older than the executable, and decode it.
+
+    Returns the decoded entry, or None on a miss.  No storage, or no
+    (or an empty) entry, is a plain miss.  An entry that cannot be read
+    (reason ``read-error``), is older than ``executable_timestamp``
+    (``stale``) or that *decode* rejects (the error's message) first
+    counts as ``llee.cache.invalid``, then as a miss: the storage API
+    is strictly optional, so nothing here may break execution.  Every
+    count is labelled ``target``."""
+    value = reason = None
+    try:
+        data = storage.read(cache, key) if storage is not None else None
+        if data and executable_timestamp is not None:
+            cached_at = storage.timestamp(cache, key)
+            if cached_at is None or cached_at < executable_timestamp:
+                data, reason = None, "stale"
+    except Exception:
+        data, reason = None, "read-error"
+    if data:
+        try:
+            value = decode(data)
+        except Exception as error:
+            reason = str(error)[:60] or type(error).__name__
+    if reason is not None:
+        observe.counter("llee.cache.invalid", 1, target=target,
+                        reason=reason)
+        flight_cache("invalid", cache, key, target, reason=reason)
+    hit = value is not None
+    observe.counter("llee.cache.hit" if hit else "llee.cache.miss", 1,
+                    target=target)
+    flight_cache("hit" if hit else "miss", cache, key, target)
+    return value
+
+
+def store_entry(storage: StorageAPI, cache: str, key: str, target: str,
+                data: bytes) -> bool:
+    """Write one translation back, best-effort: a failing storage
+    implementation costs the next run a cold start, never this run its
+    result.  Returns True, and counts ``llee.cache.store``, only when
+    the write succeeded."""
+    try:
+        storage.write(cache, key, data)
+    except Exception:
+        return False
+    observe.counter("llee.cache.store", 1, target=target)
+    flight_cache("store", cache, key, target)
+    return True

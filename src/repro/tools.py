@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
@@ -247,13 +248,13 @@ def _flag_conflict(args) -> Optional[str]:
     return None
 
 
-def _disk_storage(path: str, max_bytes: Optional[int] = None):
+def _disk_storage(path: str):
     """A :class:`DiskStorage` rooted at *path*; a path that cannot be
     a cache directory is reported as ``cannot write <path>``."""
     from repro.llee.storage import DiskStorage
 
     with _file_errors(path, "write"):
-        return DiskStorage(path, max_bytes=max_bytes)
+        return DiskStorage(path)
 
 
 def _make_tier2_cache(module, args):
@@ -265,9 +266,7 @@ def _make_tier2_cache(module, args):
         import hashlib
 
         key = hashlib.sha256(write_module(module)).hexdigest()[:24]
-        cache.attach_storage(
-            _disk_storage(args.translation_cache, args.cache_max_bytes),
-            key)
+        cache.attach_storage(_disk_storage(args.translation_cache), key)
     return cache
 
 
@@ -851,10 +850,6 @@ def _add_tier2_flags(sub) -> None:
         "--translation-cache", metavar="DIR",
         help="persist tier-2 translations in DIR (POSIX storage API) "
              "for cross-process warm starts")
-    sub.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES",
-        help="LRU size budget per --translation-cache cache "
-             "(default: unbounded)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1044,6 +1039,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = args.func(args)
     except _FileError as error:
         sys.stderr.write("{0}: {1}\n".format(args.command, error))
+        status = 1
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro stats p.bc | head
+        # -1``): stop quietly, with stdout pointed at os.devnull so
+        # that the interpreter's exit flush cannot raise again.
+        sys.stdout = open(os.devnull, "w")
         status = 1
     finally:
         export_failed = False

@@ -1,7 +1,10 @@
 """CLI observability: --trace / --metrics exports, the stats
 subcommand, the unified --stats line, and program-argument parsing."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -310,3 +313,22 @@ class TestFlightRecordExport:
     def test_flight_off_by_default(self, prog_bc, capsys):
         _capture(["run", str(prog_bc), "--stats"], capsys)
         assert observe.flight() is None
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away (``repro ... | head -1``)."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["profile", "stats"])
+    def test_report_into_closed_pipe_exits_quietly(self, command, prog_bc,
+                                                   capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main([command, str(prog_bc)]) == 1
+        # Later writes, and the exit flush, go to os.devnull.
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""

@@ -44,6 +44,48 @@ def object_code():
     return write_module(module)
 
 
+#: Figure 3's program: five functions reached from ``main``, plus a
+#: leaf entry point that reaches only ``work``.
+FIG3_PROGRAM = r"""
+int work(int n) {
+    int total = 0;
+    int i;
+    for (i = 0; i < n; i++) {
+        total = (total * 31 + i) % 100003;
+    }
+    return total;
+}
+
+int helper_a(int x) { return work(x) + 1; }
+int helper_b(int x) { return work(x + 3) * 2; }
+int helper_c(int x) { return helper_a(x) + helper_b(x); }
+
+int main() {
+    int total = 0;
+    int i;
+    for (i = 0; i < 12; i++) {
+        total = (total + helper_c(i * 17)) % 1000003;
+    }
+    return total;
+}
+
+int tiny_entry() { return work(5); }
+"""
+
+
+@pytest.fixture(scope="module")
+def fig3_code():
+    module = compile_source(FIG3_PROGRAM, "fig3", optimization_level=2)
+    return write_module(module)
+
+
+@pytest.fixture(params=["memory", "disk"])
+def storage(request, tmp_path):
+    if request.param == "memory":
+        return InMemoryStorage()
+    return DiskStorage(str(tmp_path / "cache"))
+
+
 class TestStorageAPI:
     def _exercise(self, storage):
         assert storage.read("c", "missing") is None
@@ -110,6 +152,48 @@ class TestLLEECaching:
         llee = LLEE(make_target("x86"), storage=None)
         with pytest.raises(RuntimeError):
             llee.offline_translate(object_code)
+
+    # -- Figure 3's dataflows ------------------------------------------
+
+    def test_fig3_cold_then_warm(self, fig3_code, storage):
+        """The first run JITs and writes back; the second loads the
+        cached translation and translates nothing."""
+        llee = LLEE(make_target("x86"), storage)
+        cold = llee.run_executable(fig3_code)
+        assert not cold.cache_hit and cold.functions_jitted > 0
+        warm = llee.run_executable(fig3_code)
+        assert warm.cache_hit
+        assert warm.functions_jitted == 0
+        assert warm.return_value == cold.return_value
+        assert warm.translate_seconds == 0.0
+
+    def test_fig3_no_storage_translates_every_run(self, fig3_code):
+        """Without the storage API every launch translates online
+        (DAISY and Crusoe 'cannot cache any translated code ... in
+        off-processor storage')."""
+        llee = LLEE(make_target("x86"), storage=None)
+        for _ in range(2):
+            report = llee.run_executable(fig3_code)
+            assert not report.cache_hit
+            assert report.functions_jitted > 0
+            assert report.translate_seconds > 0.0
+
+    def test_fig3_idle_time_translation(self, fig3_code, storage):
+        """Idle-time translation fills the cache without executing, so
+        the first run does no JIT work."""
+        llee = LLEE(make_target("sparc"), storage)
+        stats = llee.offline_translate(fig3_code)
+        assert stats.functions_translated >= 5
+        first = llee.run_executable(fig3_code)
+        assert first.cache_hit and first.functions_jitted == 0
+
+    def test_fig3_lazy_jit_translates_only_reached_code(self, fig3_code):
+        """"the JIT translates functions on demand, so that unused code
+        is not translated": a leaf entry point reaches only itself and
+        ``work``."""
+        llee = LLEE(make_target("x86"), storage=None)
+        report = llee.run_executable(fig3_code, entry="tiny_entry")
+        assert report.functions_jitted == 2
 
     def test_both_targets_agree_with_interpreter(self, object_code):
         from repro.bitcode import read_module

@@ -1,17 +1,19 @@
-"""Multi-tenant storage: sharding, atomicity, eviction, concurrency.
+"""The POSIX directory store under concurrency, and its layout.
 
-A system-wide LLEE serves many programs from one translation cache, so
-the Section-4.1 storage implementations must hold up under concurrent
-writers (threads of one engine, and separate interpreter processes
-sharing a disk root), bound their footprint via LRU eviction, and
-survive index loss — all without a reader ever observing a torn
-vector or a cache failure breaking execution.
+Every disk write is a temp file published by ``os.replace``, so
+concurrent writers (threads of one engine, or separate interpreter
+processes sharing a disk root) never let a reader observe a torn
+vector, a vector published without its timestamp, or stray temp
+files; a cache directory in an older layout reads as empty and costs
+a cold start, never a wrong result.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -19,8 +21,10 @@ from repro import observe
 from repro.bitcode import read_module, write_module
 from repro.execution import Interpreter
 from repro.execution.tier2 import TIER2_CACHE_NAME, Tier2Cache
+from repro.llee import LLEE
 from repro.llee.storage import DiskStorage, InMemoryStorage, _sanitize
 from repro.minic import compile_source
+from repro.targets import make_target
 
 CACHE = "llee-tier2"
 
@@ -84,16 +88,34 @@ class TestAtomicWrites:
         assert storage.read(CACHE, "entry") in payloads
 
     def test_crash_mid_write_leaves_no_visible_debris(self, tmp_path):
-        # Temp files are dot-prefixed: invisible to reads, cache_size,
-        # and the index scan even if a crash strands one.
+        # Temp files are dot-prefixed: invisible to reads and
+        # cache_size even if a crash strands one.
         storage = DiskStorage(str(tmp_path))
         storage.write(CACHE, "real", b"x" * 100)
-        shard_dir = os.path.dirname(storage._entry_path(CACHE, "real"))
-        stranded = os.path.join(shard_dir, ".stranded.123.tmp")
+        cache_dir = os.path.dirname(storage._entry_path(CACHE, "real"))
+        stranded = os.path.join(cache_dir, ".stranded.123.tmp")
         with open(stranded, "wb") as handle:
             handle.write(b"half a vec")
         assert storage.cache_size(CACHE) == 100
         assert storage.read(CACHE, "real") == b"x" * 100
+
+    def test_timestamp_is_published_with_the_vector(self, tmp_path,
+                                                    monkeypatch):
+        """The entry carries its timestamp the moment it appears, so
+        a concurrent reader never validates new bytes against the
+        previous vector's timestamp."""
+        storage = DiskStorage(str(tmp_path))
+        published = []
+        replace = os.replace
+
+        def recording_replace(source, destination):
+            published.append(os.stat(source).st_mtime)
+            replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        storage.write(CACHE, "entry", b"vector", timestamp=100.0)
+        assert published == [pytest.approx(100.0)]
+        assert storage.timestamp(CACHE, "entry") == pytest.approx(100.0)
 
     def test_threaded_writers_distinct_names(self, tmp_path):
         storage = DiskStorage(str(tmp_path))
@@ -129,6 +151,12 @@ def _process_writer(root, base):
         storage.write("llee-tier2", name, name.encode("utf-8") * 100)
 
 
+def _process_rewriter(root, payload):
+    storage = DiskStorage(root)
+    for _ in range(200):
+        storage.write(CACHE, "shared", payload)
+
+
 class TestCrossProcess:
     def test_two_processes_share_one_root(self, tmp_path):
         """The bench's warm-sharing shape: N interpreter processes
@@ -149,63 +177,35 @@ class TestCrossProcess:
                 assert storage.read(CACHE, name) \
                     == name.encode("utf-8") * 100
 
-
-class TestEviction:
-    def test_disk_lru_keeps_the_hottest_entry(self, tmp_path):
-        storage = DiskStorage(str(tmp_path), max_bytes=300)
-        storage.write(CACHE, "hot", b"h" * 100)
-        storage.write(CACHE, "cold", b"c" * 100)
-        storage.write(CACHE, "warm", b"w" * 100)
-        assert storage.read(CACHE, "hot")  # refresh recency
-        storage.write(CACHE, "new", b"n" * 100)  # forces one eviction
-        assert storage.read(CACHE, "cold") is None  # LRU victim
-        assert storage.read(CACHE, "hot") == b"h" * 100
-        assert storage.read(CACHE, "new") == b"n" * 100
-        assert storage.evictions == 1
-        assert storage.cache_size(CACHE) <= 300
-
-    def test_disk_budget_is_respected_across_writes(self, tmp_path):
-        storage = DiskStorage(str(tmp_path), max_bytes=500)
-        for i in range(10):
-            storage.write(CACHE, "entry-{0}".format(i), b"x" * 100)
-        assert storage.cache_size(CACHE) <= 500
-        assert storage.evictions >= 5
-
-    def test_oversized_entry_still_lands(self, tmp_path):
-        # The just-written entry is exempt, so one vector larger than
-        # the whole budget replaces everything instead of bouncing.
-        storage = DiskStorage(str(tmp_path), max_bytes=100)
-        storage.write(CACHE, "small", b"s" * 50)
-        storage.write(CACHE, "huge", b"h" * 400)
-        assert storage.read(CACHE, "huge") == b"h" * 400
-        assert storage.read(CACHE, "small") is None
-
-    def test_memory_lru_matches_disk_semantics(self):
-        storage = InMemoryStorage(max_bytes=300)
-        storage.write(CACHE, "hot", b"h" * 100)
-        storage.write(CACHE, "cold", b"c" * 100)
-        storage.write(CACHE, "warm", b"w" * 100)
-        assert storage.read(CACHE, "hot")
-        storage.write(CACHE, "new", b"n" * 100)
-        assert storage.read(CACHE, "cold") is None
-        assert storage.read(CACHE, "hot") == b"h" * 100
-        assert storage.evictions == 1
-        assert storage.cache_size(CACHE) <= 300
-
-    def test_index_loss_is_survivable(self, tmp_path):
-        """The index is advisory: deleting or corrupting it only costs
-        a directory scan, never data."""
-        storage = DiskStorage(str(tmp_path), max_bytes=10_000)
-        for i in range(5):
-            storage.write(CACHE, "entry-{0}".format(i), b"x" * 100)
-        index_path = storage._index_path(CACHE)
-        os.unlink(index_path)
-        assert storage.cache_size(CACHE) == 500
-        with open(index_path, "wb") as handle:
-            handle.write(b"{ not json")
-        storage.write(CACHE, "after", b"y" * 100)  # rebuilds via scan
-        entries = json.loads(open(index_path, "rb").read())["entries"]
-        assert len(entries) == 6
+    def test_two_processes_rewrite_one_entry(self, tmp_path):
+        """Two processes race to rewrite one entry while this one
+        reads it: every read is one whole payload, the last rename
+        wins, and no temp file is left behind."""
+        root = str(tmp_path)
+        payloads = [bytes([fill]) * 65536 for fill in (1, 2)]
+        storage = DiskStorage(root)
+        storage.write(CACHE, "shared", payloads[0])
+        workers = [multiprocessing.Process(target=_process_rewriter,
+                                           args=(root, payload))
+                   for payload in payloads]
+        for worker in workers:
+            worker.start()
+        torn = []
+        deadline = time.monotonic() + 60.0
+        while any(worker.is_alive() for worker in workers) \
+                and time.monotonic() < deadline:
+            data = storage.read(CACHE, "shared")
+            if data not in payloads:
+                torn.append(data)
+        for worker in workers:
+            worker.join(timeout=60.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(worker.exitcode == 0 for worker in workers)
+        assert not torn
+        assert storage.read(CACHE, "shared") in payloads
+        cache_dir = os.path.dirname(storage._entry_path(CACHE, "shared"))
+        assert not [name for name in os.listdir(cache_dir)
+                    if name.endswith(".tmp")]
 
 
 PROGRAM = r"""
@@ -219,7 +219,7 @@ int main() {
 }
 """
 
-KEY = "evict-test"
+KEY = "blob-test"
 
 
 def _object_code():
@@ -235,7 +235,7 @@ def _forced_run(module, cache):
     return (result.return_value, result.output, result.steps)
 
 
-class TestEvictedBlobFallsBackOnline:
+class TestInvalidBlobFallsBackOnline:
     def _populate(self, storage):
         code = _object_code()
         module = read_module(code)
@@ -244,23 +244,6 @@ class TestEvictedBlobFallsBackOnline:
         outcome = _forced_run(module, cache)
         assert cache.flush_storage()
         return code, outcome
-
-    def test_evicted_translation_recompiles_online(self, tmp_path):
-        storage = DiskStorage(str(tmp_path))
-        code, cold_outcome = self._populate(storage)
-        blob_size = len(storage.read(TIER2_CACHE_NAME, KEY))
-        # A competing tenant's write inside a tight budget evicts our
-        # cold blob (never read since, so it is the LRU victim).
-        bounded = DiskStorage(str(tmp_path), max_bytes=blob_size + 10)
-        bounded.write(TIER2_CACHE_NAME, "rival", b"r" * blob_size)
-        assert bounded.read(TIER2_CACHE_NAME, KEY) is None
-        module = read_module(code)
-        cache = Tier2Cache(module, module.target_data, threshold=0)
-        assert not cache.attach_storage(bounded, KEY)
-        assert not cache.translation_cache_hit
-        assert _forced_run(module, cache) == cold_outcome
-        assert cache.stats.functions_compiled > 0
-        assert cache.stats.warm_compiles == 0
 
     def test_corrupt_blob_logs_invalid_and_recompiles(self, tmp_path):
         storage = DiskStorage(str(tmp_path))
@@ -278,3 +261,33 @@ class TestEvictedBlobFallsBackOnline:
             observe.disable()
         assert _forced_run(module, cache) == cold_outcome
         assert cache.stats.warm_compiles == 0
+
+
+class TestOlderLayout:
+    def test_sharded_cache_directory_starts_cold(self, tmp_path):
+        """A root left in the older sharded layout — entries under
+        ``<cache>/<2-hex shard>/``, an ``index.json`` and ``.lock``
+        files — reads as empty: the run translates from a cold start,
+        returns the right result, and the next run hits."""
+        code = _object_code()
+        expected = Interpreter(read_module(code)).run("main", [])
+        seeded = InMemoryStorage()
+        key = LLEE(make_target("x86"), seeded)._cache_key(code)
+        LLEE(make_target("x86"), seeded).run_executable(code)
+        blob = seeded.read("llee-native", key)
+        cache_dir = tmp_path / _sanitize("llee-native")
+        shard = hashlib.sha256(key.encode("utf-8")).hexdigest()[:2]
+        entry = shard + "/" + _sanitize(key)
+        (cache_dir / shard).mkdir(parents=True)
+        (cache_dir / entry).write_bytes(blob)
+        (cache_dir / shard / ".lock").write_bytes(b"")
+        (cache_dir / ".index.lock").write_bytes(b"")
+        (cache_dir / "index.json").write_text(json.dumps(
+            {"version": 1, "entries": {entry: [len(blob), 0.0]}}))
+        llee = LLEE(make_target("x86"), DiskStorage(str(tmp_path)))
+        cold = llee.run_executable(code)
+        assert not cold.cache_hit and cold.functions_jitted > 0
+        assert (cold.return_value, cold.output) == (
+            expected.return_value, expected.output)
+        warm = llee.run_executable(code)
+        assert warm.cache_hit and warm.functions_jitted == 0
