@@ -36,7 +36,13 @@ import sys
 import time
 
 from repro.benchsuite import SUITE_ORDER, load_workload
-from repro.execution import DecodeCache, ExecutionTrap, Interpreter
+from repro.execution import (
+    DecodeCache,
+    ExecutionTrap,
+    Interpreter,
+    Tier2Cache,
+)
+from repro.execution.config import ExecConfig
 from repro.minic import compile_source
 
 #: Small, fast-terminating programs for the CI smoke run.
@@ -48,24 +54,24 @@ def run_engine(module, engine, sanitize=False, repeat=1,
                tier2=False, tier2_threshold=0):
     """Run *module* ``repeat`` times on one engine against shared
     decode/tier-2 caches; returns a measurement dict (seconds = min)."""
+    config = ExecConfig(engine=engine, tier2=tier2,
+                        tier2_threshold=tier2_threshold,
+                        sanitize=sanitize)
     decode_cache = None
     tier2_cache = None
     if engine == "fast":
-        decode_cache = DecodeCache(module.target_data, sanitize=sanitize)
-        if tier2 and not sanitize:
-            from repro.execution.tier2 import Tier2Cache
-
+        decode_cache = DecodeCache(module.target_data, sanitize)
+        if tier2:
             tier2_cache = Tier2Cache(module, module.target_data,
-                                     threshold=tier2_threshold)
+                                     tier2_threshold)
     seconds = []
     observations = []
     faults = 0
     tier2_steps = tier2_calls = 0
     for _iteration in range(repeat):
-        interpreter = Interpreter(
-            module, engine=engine,
-            decode_cache=decode_cache, sanitize=sanitize,
-            tier2=tier2_cache if tier2_cache is not None else False)
+        interpreter = Interpreter(module, config,
+                                  decode_cache=decode_cache,
+                                  tier2_cache=tier2_cache)
         started = time.perf_counter()
         try:
             result = interpreter.run("main")
@@ -356,7 +362,13 @@ def main(argv=None):
     if args.vectorize:
         return _vectorize_main(parser, args, programs, scale, out_path)
 
-    if args.tier2 and not args.sanitize:
+    try:
+        ExecConfig(engine="fast", tier2=args.tier2,
+                   tier2_threshold=args.tier2_threshold,
+                   sanitize=args.sanitize)
+    except ValueError as error:
+        parser.error(str(error))
+    if args.tier2:
         warm_translator()
 
     rows = []

@@ -49,6 +49,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import observe
+from repro.execution.config import ExecConfig
 from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
 from repro.execution.interpreter import (
     ExecutionResult,
@@ -423,10 +424,6 @@ class DecodeCache:
         if self._cache.pop(id(function), None) is not None:
             self.stats.invalidations += 1
             observe.counter("fastpath.invalidations", 1)
-
-    def invalidate_all(self) -> None:
-        for _, _, function in list(self._cache.values()):
-            self.invalidate(function)
 
     def listener(self) -> Callable[[Function], None]:
         """A callback suitable for ``smc_listeners``/``relayout_listeners``."""
@@ -1847,60 +1844,60 @@ def _decode_function(function: Function, target: types.TargetData,
     )
 
 
+def _same_layout(a: types.TargetData, b: types.TargetData) -> bool:
+    return a.pointer_size == b.pointer_size and a.endianness == b.endianness
+
+
 class FastInterpreter(Interpreter):
     """The fast engine.  Construct directly, or via
-    ``Interpreter(module, engine="fast")``."""
+    ``Interpreter(module, ExecConfig(engine="fast"))``.  With
+    ``config.tier2`` on, *tier2_cache* (or a new :class:`Tier2Cache` at
+    ``config.tier2_threshold``) compiles hot functions; a cache passed
+    in must match the config and the target layout."""
 
-    def __init__(self, module: Module,
+    engine = "fast"
+
+    def __init__(self, module: Module, config: ExecConfig = ExecConfig(),
+                 *,
                  target: Optional[types.TargetData] = None,
                  privileged: bool = False,
                  max_steps: Optional[int] = None,
-                 engine: str = "fast",
                  decode_cache: Optional[DecodeCache] = None,
-                 sanitize: bool = False,
-                 tier2=False,
-                 tier2_threshold: Optional[int] = None,
-                 profiler=None):
-        super().__init__(module, target=target, privileged=privileged,
-                         max_steps=max_steps, sanitize=sanitize,
-                         profiler=profiler)
-        self.engine = "fast"
-        # Tier 2: hot functions compiled to Python bytecode.  Sanitized
-        # runs pin everything to tier 1 — shadow-memory checking needs
-        # per-instruction fault sites, which compiled code merges away
-        # (documented in docs/PERFORMANCE.md, tested in the
-        # differential suite).
-        if tier2 and not sanitize:
+                 tier2_cache=None,
+                 profiler=None,
+                 **settings):
+        super().__init__(module, config, target=target,
+                         privileged=privileged, max_steps=max_steps,
+                         profiler=profiler, **settings)
+        config = self.config
+        self.tier2 = None
+        if config.tier2:
             from repro.execution.tier2 import Tier2Cache
-            if isinstance(tier2, Tier2Cache):
-                if (tier2.target.pointer_size != self.target.pointer_size
-                        or tier2.target.endianness
-                        != self.target.endianness):
-                    raise ValueError("tier-2 cache was built for a "
-                                     "different target layout")
-                self.tier2 = tier2
-            else:
-                kwargs = {}
-                if tier2_threshold is not None:
-                    kwargs["threshold"] = tier2_threshold
-                self.tier2 = Tier2Cache(module, self.target, **kwargs)
-            self.smc_listeners.append(self.tier2.listener())
-        else:
-            self.tier2 = None
+            if tier2_cache is None:
+                tier2_cache = Tier2Cache(module, self.target,
+                                         config.tier2_threshold)
+            elif not _same_layout(tier2_cache.target, self.target):
+                raise ValueError("tier-2 cache was built for a "
+                                 "different target layout")
+            elif tier2_cache.threshold != config.tier2_threshold:
+                raise ValueError(
+                    "tier-2 cache threshold ({0}) does not match the "
+                    "config ({1})".format(tier2_cache.threshold,
+                                          config.tier2_threshold))
+            self.tier2 = tier2_cache
+            self.smc_listeners.append(tier2_cache.listener())
         if decode_cache is not None:
-            if (decode_cache.target.pointer_size != self.target.pointer_size
-                    or decode_cache.target.endianness
-                    != self.target.endianness):
+            if not _same_layout(decode_cache.target, self.target):
                 raise ValueError(
                     "decode cache was built for a different target layout")
-            if decode_cache.sanitize != sanitize:
+            if decode_cache.sanitize != config.sanitize:
                 raise ValueError(
                     "decode cache sanitize mode ({0}) does not match the "
                     "interpreter ({1})".format(decode_cache.sanitize,
-                                               sanitize))
+                                               config.sanitize))
             self.decode_cache = decode_cache
         else:
-            self.decode_cache = DecodeCache(self.target, sanitize=sanitize)
+            self.decode_cache = DecodeCache(self.target, config.sanitize)
         self.smc_listeners.append(self.decode_cache.listener())
         self.fused_runs = 0
         self.fused_instructions = 0

@@ -21,10 +21,11 @@ host recursion limit, and the stack-walking intrinsics are trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import observe
+from repro.execution.config import ExecConfig
 from repro.execution.events import (
     ExecutionTrap,
     ExitRequest,
@@ -48,6 +49,8 @@ from repro.ir.values import (
 )
 
 _F32 = types.FLOAT
+
+_REFERENCE = ExecConfig(engine="reference")
 
 
 class StepLimitExceeded(Exception):
@@ -84,46 +87,40 @@ class _Frame:
 class Interpreter:
     """Executes LLVA modules directly.
 
-    ``engine="fast"`` dispatches construction to
-    :class:`repro.execution.fastpath.FastInterpreter`, the pre-decoded
-    closure-threaded engine; the default ``"reference"`` engine is this
-    class, the semantic oracle.
+    *config* selects the engine: the reference engine is this class,
+    the semantic oracle, and ``ExecConfig(engine="fast")`` dispatches
+    construction to :class:`repro.execution.fastpath.FastInterpreter`,
+    the pre-decoded closure-threaded engine.  Keyword *settings* name
+    :class:`ExecConfig` fields and replace config's, so
+    ``Interpreter(module, engine="fast")`` is ``Interpreter(module,
+    ExecConfig(engine="fast"))``.  The fast engine alone reads
+    *decode_cache* and *tier2_cache*.
     """
 
+    engine = "reference"
+
     def __new__(cls, module: Optional[Module] = None,
-                target: Optional[types.TargetData] = None,
-                privileged: bool = False,
-                max_steps: Optional[int] = None,
-                engine: str = "reference",
-                decode_cache=None,
-                sanitize: bool = False,
-                tier2=False,
-                tier2_threshold: Optional[int] = None,
-                profiler=None):
-        if cls is Interpreter and engine == "fast":
+                config: ExecConfig = _REFERENCE, **options):
+        if cls is Interpreter \
+                and options.get("engine", config.engine) == "fast":
             from repro.execution.fastpath import FastInterpreter
             return object.__new__(FastInterpreter)
         return object.__new__(cls)
 
-    def __init__(self, module: Module,
+    def __init__(self, module: Module, config: ExecConfig = _REFERENCE, *,
                  target: Optional[types.TargetData] = None,
                  privileged: bool = False,
                  max_steps: Optional[int] = None,
-                 engine: str = "reference",
                  decode_cache=None,
-                 sanitize: bool = False,
-                 tier2=False,
-                 tier2_threshold: Optional[int] = None,
-                 profiler=None):
-        if engine not in ("reference", "fast"):
-            raise ValueError("unknown engine {0!r}".format(engine))
-        if tier2:
-            raise ValueError(
-                "tier2 requires the fast engine (engine=\"fast\")")
-        self.engine = "reference"
+                 tier2_cache=None,
+                 profiler=None,
+                 **settings):
+        if settings:
+            config = replace(config, **settings)
+        self.config = config
         self.module = module
         self.target = target or module.target_data
-        if sanitize:
+        if config.sanitize:
             from repro.execution.sanitizer import SanitizedMemory
             self.memory = SanitizedMemory(self.target)
         else:

@@ -32,14 +32,15 @@ the same semantics as tier 1.
 Functions the code generator does not support (``invoke``/``unwind``
 bodies, exotic operands) are *pinned* to tier 1; a delivered trap
 inside a tier-2 activation completes precisely in place and then
-*deopts* the function (future invocations run tier 1).  Sanitized runs
-pin everything — shadow-memory checking needs per-instruction sites.
+*deopts* the function (future invocations run tier 1).  Tier 2 never
+runs under llva-san: :class:`~repro.execution.config.ExecConfig`
+rejects the combination, because shadow-memory checking needs
+per-instruction sites.
 
 Promotion is counter-driven: a function is compiled after
 ``threshold`` tier-1 invocations, or once its tier-1 activations have
-accumulated ``step_threshold`` architectural steps (credited on
-return).  ``threshold=0`` promotes on first call; ``Tier2Cache=None``
-on the interpreter turns the tier off.
+accumulated :data:`DEFAULT_STEP_THRESHOLD` architectural steps
+(credited on return).  ``threshold=0`` promotes on first call.
 
 Translations persist across processes through the Section 4.1 storage
 API: :meth:`Tier2Cache.attach_storage` loads previously generated
@@ -66,6 +67,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import observe
+from repro.execution.config import DEFAULT_THRESHOLD
 from repro.execution.events import ExecutionTrap
 from repro.execution.interpreter import (
     StepLimitExceeded,
@@ -103,9 +105,6 @@ from repro.llee.storage import load_entry, store_entry
 #: mid-function entry argument, and blob entries carry only ``hash``,
 #: ``num_slots``, ``func_refs``, ``source`` and ``code``.
 TIER2_VERSION = 7
-
-#: Tier-1 invocations before a function is promoted (0 = immediately).
-DEFAULT_THRESHOLD = 16
 
 #: Architectural steps credited to a function (on return of its tier-1
 #: activations) before it is promoted regardless of invocation count.
@@ -1171,12 +1170,10 @@ class Tier2Cache:
     :class:`~repro.execution.fastpath.DecodeCache`)."""
 
     def __init__(self, module: Module, target: types.TargetData,
-                 threshold: int = DEFAULT_THRESHOLD,
-                 step_threshold: int = DEFAULT_STEP_THRESHOLD):
+                 threshold: int = DEFAULT_THRESHOLD):
         self.module = module
         self.target = target
-        self.threshold = max(int(threshold), 0)
-        self.step_threshold = max(int(step_threshold), 0)
+        self.threshold = threshold
         self.stats = Tier2Stats()
         # id(function) -> CompiledUnit; the unit pins the function
         # object through .function, keeping the id unique.
@@ -1211,8 +1208,7 @@ class Tier2Cache:
         count = self._counts.get(key, 0) + 1
         self._counts[key] = count
         if count <= self.threshold:
-            if self._step_credit.get(key, 0) < self.step_threshold \
-                    or self.step_threshold == 0:
+            if self._step_credit.get(key, 0) < DEFAULT_STEP_THRESHOLD:
                 return None
             self.stats.promotions_by_steps += 1
             reason = "steps"
@@ -1231,24 +1227,6 @@ class Tier2Cache:
         heat promotes the function even at a low invocation count."""
         key = id(function)
         self._step_credit[key] = self._step_credit.get(key, 0) + steps
-
-    def prime(self, function: Function, invocations: int) -> None:
-        """Pre-seed the invocation counter (profile-guided warm-up)."""
-        key = id(function)
-        self._counts[key] = self._counts.get(key, 0) + int(invocations)
-
-    def prime_from_profile(self, profile, module: Optional[Module] = None
-                           ) -> None:
-        """Seed promotion counters from a collected
-        :class:`repro.llee.profile.Profile` — the offline
-        reoptimization loop feeding the online tiering decision."""
-        module = module or self.module
-        for function in module.functions.values():
-            if function.is_declaration:
-                continue
-            entries = profile.function_entry_count(function)
-            if entries:
-                self.prime(function, entries)
 
     # -- compilation ----------------------------------------------------
 

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from repro import observe
 from repro.bitcode.reader import read_module
+from repro.execution.config import ExecConfig
 from repro.execution.fastpath import DecodeCache
 from repro.execution.interpreter import Interpreter
 from repro.execution.machine_sim import MachineSimulator
@@ -63,12 +64,6 @@ class RunReport:
     translate_seconds: float
     run_seconds: float
 
-    @property
-    def translate_run_ratio(self) -> float:
-        if self.run_seconds <= 0:
-            return float("inf")
-        return self.translate_seconds / self.run_seconds
-
 
 @dataclass
 class InterpretedRunReport:
@@ -85,7 +80,7 @@ class InterpretedRunReport:
     run_seconds: float
     #: Was the run executed under llva-san shadow-memory checking?
     sanitized: bool = False
-    #: Tier-2 translation activity (all zero unless ``tier2=True``).
+    #: Tier-2 translation activity (all zero with tier 2 off).
     tier2_steps: int = 0
     tier2_calls: int = 0
     tier2_functions_compiled: int = 0
@@ -166,81 +161,65 @@ class LLEE:
         )
 
     def run_interpreted(self, object_code: bytes, entry: str = "main",
-                        args: Sequence[object] = (),
-                        engine: str = "fast",
+                        args: Sequence[object] = (), *,
                         privileged: bool = False,
-                        sanitize: bool = False,
-                        tier2: bool = False,
-                        tier2_threshold: Optional[int] = None,
-                        executable_timestamp: Optional[float] = None
-                        ) -> InterpretedRunReport:
+                        executable_timestamp: Optional[float] = None,
+                        **settings) -> InterpretedRunReport:
         """Run a virtual executable on an interpreter engine.
 
-        With ``engine="fast"``, the decoded module is cached across
-        invocations keyed on the object code — the pre-decode cost is
-        paid once.  A run that triggers ``llva.smc.replace`` drops the
-        cached module (its in-memory body has been mutated), so the
-        next invocation re-reads the pristine object code, matching the
-        fresh-module semantics of :meth:`run_executable`.
+        *settings* are :class:`ExecConfig` fields (``engine``,
+        ``tier2``, ``tier2_threshold``, ``sanitize``); the defaults run
+        the fast engine with tier 2 off.
 
-        ``tier2=True`` enables the tiered translator: the Tier2Cache is
-        kept alongside the decode cache (hot functions stay compiled
-        across invocations), and — when this LLEE was constructed with
-        a storage API — tier-2 source is persisted through it under the
-        ``llee-tier2`` cache, so a fresh process warm-starts from the
-        offline translation exactly like the native path does.  A
-        stale, corrupt, or mismatched blob logs ``llee.cache.invalid``
-        and degrades to online translation.
+        On the fast engine the decoded module is cached across
+        invocations, keyed on the config and the object code — the
+        pre-decode cost is paid once.  A run that triggers
+        ``llva.smc.replace`` drops the cached module (its in-memory
+        body has been mutated), so the next invocation re-reads the
+        pristine object code, matching the fresh-module semantics of
+        :meth:`run_executable`.
 
-        ``sanitize=True`` runs under llva-san (shadow-memory checking);
-        sanitized decode caches are keyed separately because their
-        closures carry site instrumentation.  The sanitizer pins
-        execution to tier 1 (see ``docs/PERFORMANCE.md``).
-
-        The cached decoded module is keyed on every setting that
-        shapes its :class:`DecodeCache` or :class:`Tier2Cache`, so a
-        call with a different tier-2 threshold gets its own.
+        With tier 2 on, the Tier2Cache is kept alongside the decode
+        cache (hot functions stay compiled across invocations), and —
+        when this LLEE was constructed with a storage API — tier-2
+        source is persisted through it under the ``llee-tier2`` cache,
+        so a fresh process warm-starts from the offline translation
+        exactly like the native path does.  A stale, corrupt, or
+        mismatched blob logs ``llee.cache.invalid`` and degrades to
+        online translation.
         """
-        tier2_live = bool(tier2) and engine == "fast" and not sanitize
-        threshold = None
-        if tier2_live:
-            from repro.execution.tier2 import DEFAULT_THRESHOLD
-            threshold = DEFAULT_THRESHOLD if tier2_threshold is None \
-                else tier2_threshold
+        config = ExecConfig(**settings)
         object_key = self._cache_key(object_code)
-        key = (sanitize, tier2_live, threshold, object_key)
+        key = (config, object_key)
+        fast = config.engine == "fast"
         with observe.span("llee.run_interpreted", entry=entry,
-                          engine=engine, tier2=bool(tier2)):
-            cached = self._interp_cache.get(key) if engine == "fast" \
-                else None
+                          engine=config.engine, tier2=config.tier2):
+            cached = self._interp_cache.get(key) if fast else None
             cache_hit = cached is not None
-            tier2_cache = None
             if cached is None:
                 module = read_module(object_code)
                 decode_cache = DecodeCache(module.target_data,
-                                           sanitize=sanitize)
+                                           config.sanitize)
+                tier2_cache = None
+                if config.tier2:
+                    from repro.execution.tier2 import Tier2Cache
+
+                    tier2_cache = Tier2Cache(module, module.target_data,
+                                             config.tier2_threshold)
+                    if self.storage is not None:
+                        tier2_cache.attach_storage(
+                            self.storage, object_key,
+                            executable_timestamp=executable_timestamp)
             else:
                 module, decode_cache, tier2_cache = cached
-            if tier2_live and tier2_cache is None:
-                from repro.execution.tier2 import Tier2Cache
-
-                tier2_cache = Tier2Cache(module, module.target_data,
-                                         threshold=threshold)
-                if self.storage is not None:
-                    tier2_cache.attach_storage(
-                        self.storage, object_key,
-                        executable_timestamp=executable_timestamp)
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
             flight_cache("hit" if cache_hit else "miss", "llee-interp",
-                         key, "interp")
+                         object_key, "interp")
             interpreter = Interpreter(
-                module, privileged=privileged, engine=engine,
-                decode_cache=decode_cache if engine == "fast" else None,
-                sanitize=sanitize,
-                tier2=tier2_cache if tier2_cache is not None else False,
-                tier2_threshold=tier2_threshold)
+                module, config, privileged=privileged,
+                decode_cache=decode_cache, tier2_cache=tier2_cache)
             smc_fired = []
             interpreter.smc_listeners.append(smc_fired.append)
             decode_before = decode_cache.stats.decode_seconds
@@ -249,7 +228,7 @@ class LLEE:
             started = time.perf_counter()
             result = interpreter.run(entry, list(args))
             run_seconds = time.perf_counter() - started
-            if engine == "fast":
+            if fast:
                 if smc_fired:
                     self._interp_cache.pop(key, None)
                 else:
@@ -264,15 +243,15 @@ class LLEE:
             output=result.output,
             exit_status=result.exit_status,
             steps=result.steps,
-            engine=engine,
+            engine=config.engine,
             cache_hit=cache_hit,
             decode_seconds=decode_seconds,
             run_seconds=max(run_seconds - decode_seconds, 0.0),
-            sanitized=sanitize,
+            sanitized=config.sanitize,
         )
         if tier2_cache is not None:
-            report.tier2_steps = getattr(interpreter, "tier2_steps", 0)
-            report.tier2_calls = getattr(interpreter, "tier2_calls", 0)
+            report.tier2_steps = interpreter.tier2_steps
+            report.tier2_calls = interpreter.tier2_calls
             report.tier2_functions_compiled = \
                 tier2_cache.stats.functions_compiled
             report.tier2_warm_compiles = tier2_cache.stats.warm_compiles
@@ -312,13 +291,6 @@ class LLEE:
             observe.counter("llee.offline_translations", 1,
                             target=self.target.name)
         return jit.stats
-
-    def invalidate(self, object_code: bytes) -> None:
-        """Drop any cached translation of this executable."""
-        if self.storage is not None:
-            self.storage.write(_CACHE_NAME,
-                               self._cache_key(object_code), b"",
-                               timestamp=0.0)
 
     # -- cache plumbing ---------------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import threading
 import time
@@ -154,12 +155,14 @@ class DiskStorage(StorageAPI):
         shutil.rmtree(self._cache_dir(cache), ignore_errors=True)
 
     def cache_size(self, cache: str) -> int:
-        """Stored vector bytes only — in-flight temp files are not
-        cached data."""
+        """Bytes of the vectors :meth:`read` can return: the files
+        named the way :func:`_sanitize` names entries.  In-flight temp
+        files and what an older layout left behind (``index.json``)
+        are not cached data."""
         try:
             with os.scandir(self._cache_dir(cache)) as entries:
                 return sum(entry.stat().st_size for entry in entries
-                           if not entry.name.startswith(".")
+                           if _ENTRY_NAME.match(entry.name)
                            and entry.is_file())
         except (FileNotFoundError, NotADirectoryError):
             return 0
@@ -196,6 +199,10 @@ class DiskStorage(StorageAPI):
             return os.stat(self._entry_path(cache, name)).st_mtime
         except (FileNotFoundError, NotADirectoryError):
             return None
+
+
+#: The shape of every name :func:`_sanitize` returns.
+_ENTRY_NAME = re.compile(r".+-[0-9a-f]{8}\Z")
 
 
 def _sanitize(name: str) -> str:

@@ -47,8 +47,9 @@ from repro import observe
 from repro.asm import LexerError, ParseError, parse_module
 from repro.bitcode import BitcodeError, read_module, write_module
 from repro.execution import ExecutionTrap, Interpreter
+from repro.execution.config import DEFAULT_THRESHOLD, ExecConfig
 from repro.execution.machine_sim import MachineSimulator
-from repro.execution.tier2 import DEFAULT_THRESHOLD, Tier2Cache
+from repro.execution.tier2 import Tier2Cache
 from repro.ir import VerificationError, print_module, verify_module
 from repro.ir.module import Module
 from repro.llee.jit import FunctionJIT
@@ -225,27 +226,30 @@ def _format_stats_line(label: str, result: object) -> str:
     return "[{0}] {1}\n".format(label, " ".join(parts))
 
 
-def _normalize_tier_flags(args) -> None:
-    """Resolve the one flag implication, ``--tier2`` ⇒ ``--engine
-    fast``, before :func:`_flag_conflict` checks the combination."""
-    if args.tier2:
-        args.engine = "fast"
+def _exec_config(args):
+    """The execution settings of ``run``, ``stats`` or ``profile`` as
+    one :class:`ExecConfig`, or the diagnostic that rejects them.
 
-
-def _flag_conflict(args) -> Optional[str]:
-    """The flag-combination check ``run`` and ``stats`` share: the
-    conflict message, or None.  ``--sanitize`` and ``--tier2`` apply to
-    the interpreter engines only, and llva-san pins execution to
-    tier 1."""
-    for flag, on in (("--sanitize", args.sanitize),
-                     ("--tier2", args.tier2)):
-        if on and args.target:
-            return ("{0} applies to the interpreter engines only, "
-                    "not --target".format(flag))
-    if args.tier2 and args.sanitize:
-        return ("--sanitize pins execution to tier 1; --tier2 has no "
-                "effect under llva-san")
-    return None
+    ``--tier2`` implies ``--engine fast``; ``profile`` runs tier 2 on
+    the fast engine unless ``--no-tier2`` is given.  ``--sanitize`` and
+    ``--tier2`` apply to the interpreter engines only, not
+    ``--target``; every other rule is :class:`ExecConfig`'s own."""
+    if args.command == "profile":
+        tier2 = args.engine == "fast" and not args.no_tier2
+        sanitize = False
+    else:
+        tier2, sanitize = args.tier2, args.sanitize
+        for flag, on in (("--sanitize", sanitize), ("--tier2", tier2)):
+            if on and args.target:
+                return ("{0} applies to the interpreter engines only, "
+                        "not --target".format(flag))
+    try:
+        return ExecConfig(engine="fast" if tier2 else args.engine,
+                          tier2=tier2,
+                          tier2_threshold=args.tier2_threshold,
+                          sanitize=sanitize)
+    except ValueError as error:
+        return str(error)
 
 
 def _disk_storage(path: str):
@@ -257,17 +261,27 @@ def _disk_storage(path: str):
         return DiskStorage(path)
 
 
-def _make_tier2_cache(module, args):
-    """Build the CLI's Tier2Cache, optionally wired to a
-    ``--translation-cache`` directory for cross-process warm starts."""
-    cache = Tier2Cache(module, module.target_data,
-                       threshold=args.tier2_threshold)
-    if args.translation_cache:
+def _run_interpreter(args, module, config, program_args, profiler=None):
+    """Run *module* on the interpreter *config* selects and return
+    ``(interpreter, result)``.  ``--translation-cache`` persists the
+    tier-2 translations in a directory, for cross-process warm
+    starts."""
+    tier2_cache = None
+    if config.tier2 and args.translation_cache:
         import hashlib
 
+        tier2_cache = Tier2Cache(module, module.target_data,
+                                 config.tier2_threshold)
         key = hashlib.sha256(write_module(module)).hexdigest()[:24]
-        cache.attach_storage(_disk_storage(args.translation_cache), key)
-    return cache
+        tier2_cache.attach_storage(_disk_storage(args.translation_cache),
+                                   key)
+    interpreter = Interpreter(module, config, privileged=args.privileged,
+                              tier2_cache=tier2_cache, profiler=profiler)
+    try:
+        return interpreter, interpreter.run(args.entry, program_args)
+    finally:
+        if tier2_cache is not None:
+            tier2_cache.flush_storage()
 
 
 def _cmd_run(args) -> int:
@@ -282,10 +296,9 @@ def _cmd_run(args) -> int:
     if problem:
         sys.stderr.write("run: " + problem)
         return 2
-    _normalize_tier_flags(args)
-    conflict = _flag_conflict(args)
-    if conflict:
-        sys.stderr.write("run: {0}\n".format(conflict))
+    config = _exec_config(args)
+    if isinstance(config, str):
+        sys.stderr.write("run: {0}\n".format(config))
         return 2
     try:
         if args.target:
@@ -301,22 +314,13 @@ def _cmd_run(args) -> int:
             if args.stats:
                 sys.stderr.write(_format_stats_line(args.target, value))
         else:
-            engine = args.engine
-            tier2_cache = _make_tier2_cache(module, args) \
-                if args.tier2 else False
-            interpreter = Interpreter(module,
-                                      privileged=args.privileged,
-                                      engine=engine,
-                                      sanitize=args.sanitize,
-                                      tier2=tier2_cache)
-            result = interpreter.run(args.entry, program_args)
-            if tier2_cache:
-                tier2_cache.flush_storage()
+            _interpreter, result = _run_interpreter(args, module, config,
+                                                    program_args)
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:
-                label = "tier2" if args.tier2 else (
-                    "fast" if engine == "fast" else "interp")
+                label = "tier2" if config.tier2 else (
+                    "fast" if config.engine == "fast" else "interp")
                 sys.stderr.write(_format_stats_line(label, value))
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))
@@ -559,10 +563,9 @@ def _cmd_stats(args) -> int:
     if problem:
         sys.stderr.write("stats: " + problem)
         return 2
-    _normalize_tier_flags(args)
-    conflict = _flag_conflict(args)
-    if conflict:
-        sys.stderr.write("stats: {0}\n".format(conflict))
+    config = _exec_config(args)
+    if isinstance(config, str):
+        sys.stderr.write("stats: {0}\n".format(config))
         return 2
     profile = None
     try:
@@ -579,17 +582,8 @@ def _cmd_stats(args) -> int:
             result_value = report.return_value
             profile = read_profile(profile_map, llee.last_simulator)
         else:
-            engine = args.engine
-            tier2_cache = _make_tier2_cache(module, args) \
-                if args.tier2 else False
-            interpreter = Interpreter(module,
-                                      privileged=args.privileged,
-                                      engine=engine,
-                                      sanitize=args.sanitize,
-                                      tier2=tier2_cache)
-            result = interpreter.run(args.entry, program_args)
-            if tier2_cache:
-                tier2_cache.flush_storage()
+            interpreter, result = _run_interpreter(args, module, config,
+                                                   program_args)
             (sys.stderr if args.json else sys.stdout).write(
                 result.output)
             result_value = result.return_value
@@ -783,23 +777,17 @@ def _cmd_profile(args) -> int:
     if problem:
         sys.stderr.write("profile: " + problem)
         return 2
-    # profile defaults to tiered execution; --no-tier2 profiles tier 1
-    tier2_on = args.engine == "fast" and not args.no_tier2
+    config = _exec_config(args)
+    if isinstance(config, str):
+        sys.stderr.write("profile: {0}\n".format(config))
+        return 2
     profiler = StepProfiler(record_stack=bool(args.speedscope))
-    tier2_cache = _make_tier2_cache(module, args) if tier2_on else False
-    interpreter = Interpreter(module,
-                              privileged=args.privileged,
-                              engine=args.engine,
-                              tier2=tier2_cache,
-                              profiler=profiler)
     try:
-        result = interpreter.run(args.entry, program_args)
+        interpreter, result = _run_interpreter(args, module, config,
+                                               program_args, profiler)
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))
         return 128 + trap.trap_number
-    finally:
-        if tier2_cache:
-            tier2_cache.flush_storage()
     # under --json stdout carries only the document; the program's own
     # output moves to stderr
     (sys.stderr if args.json else sys.stdout).write(result.output)

@@ -1,12 +1,11 @@
-"""IR cloning utilities shared by the inliner, the trace cache, and the
-self-extending-code demonstrations."""
+"""IR cloning: deep copies of basic blocks, used by the inliner."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import instructions as insts
-from repro.ir.module import BasicBlock, Function
+from repro.ir.module import BasicBlock
 from repro.ir.values import Constant, Value
 
 
@@ -94,19 +93,3 @@ def _clone_instruction(inst: insts.Instruction, remap) -> insts.Instruction:
         raise TypeError("cannot clone {0!r}".format(inst))
     copied.exceptions_enabled = inst.exceptions_enabled
     return copied
-
-
-def clone_function_into(source: Function, target_name: str,
-                        module) -> Function:
-    """Create a fresh function in *module* with a deep copy of
-    *source*'s body (used by SMC donors and trace materialization)."""
-    clone = module.create_function(
-        target_name, source.function_type,
-        [arg.name for arg in source.args], internal=source.internal)
-    value_map: Dict[int, Value] = {
-        id(arg): clone_arg
-        for arg, clone_arg in zip(source.args, clone.args)}
-    for block in clone_blocks(source.blocks, value_map, name_suffix=""):
-        block.parent = clone
-        clone.blocks.append(block)
-    return clone

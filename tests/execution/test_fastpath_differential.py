@@ -8,15 +8,19 @@ program plus hand-written programs exercising the exception model
 (masked/unmasked faults, trap handlers, register snapshots, unwind,
 self-modifying code) through both engines and compares outcomes.
 
-Every ``run_both`` scenario additionally runs the fast engine with the
-tier-2 translator twice: *forced* (promotion threshold 0, so every
-function compiles on its first call) and at the *default* threshold
-(the path users run, where tier-1 and tier-2 frames call each other
-and functions promote mid-run).  So the whole differential corpus
-doubles as the tier-2 conformance suite: traps delivered inside
-compiled code, deopt, SMC invalidation, unwind pinning, and register
-snapshots all compare against the oracle byte-for-byte.
+The configurations come from ``ExecConfig.all()``.  Every
+``run_both`` scenario runs the ones without llva-san, so besides the
+two engines it runs the fast engine with the tier-2 translator twice:
+*forced* (promotion threshold 0, so every function compiles on its
+first call) and at the *default* threshold (the path users run, where
+tier-1 and tier-2 frames call each other and functions promote
+mid-run).  So the whole differential corpus doubles as the tier-2
+conformance suite: traps delivered inside compiled code, deopt, SMC
+invalidation, unwind pinning, and register snapshots all compare
+against the oracle byte-for-byte.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.execution import (
     Interpreter,
     StepLimitExceeded,
 )
+from repro.execution.config import ExecConfig
 from repro.execution.fastpath import FUSE_MIN
 from repro.ir import verify_module
 from repro.llee.tracecache import SoftwareTraceCache
@@ -36,82 +41,67 @@ from repro.minic import compile_source
 
 SCALE = 0.05
 
-ENGINES = ("reference", "fast")
+#: Every supported configuration: ``run_both`` runs a scenario under
+#: the ones without llva-san, ``run_both_sanitized`` under the others.
+CONFIGS = ExecConfig.all()
 
-#: (label, engine, tier2 mode) triples every scenario runs under; the
-#: mode is False (off), True (tier 2 forced: threshold 0), or
-#: "default" (tier 2 at the default promotion threshold).
-CONFIGS = (
-    ("reference", "reference", False),
-    ("fast", "fast", False),
-    ("tier2", "fast", True),
-    ("tier2-default", "fast", "default"),
-)
+REFERENCE = ExecConfig(engine="reference")
+FAST = ExecConfig(engine="fast")
+#: Tier 2 forced: every function compiles on its first call.
+TIER2_FORCED = ExecConfig(engine="fast", tier2=True, tier2_threshold=0)
+TIER2_DEFAULT = ExecConfig(engine="fast", tier2=True)
 
 
-def _make_interpreter(module, engine, tier2, privileged=False,
-                      sanitize=False):
-    return Interpreter(module, privileged=privileged, engine=engine,
-                       sanitize=sanitize, tier2=bool(tier2),
-                       tier2_threshold=0 if tier2 is True else None)
-
-
-def _outcome(module, entry="main", args=(), privileged=False,
-             engine="reference", tier2=False):
-    """Run and capture (kind, ...) so trap runs compare structurally."""
-    interpreter = _make_interpreter(module, engine, tier2,
-                                    privileged=privileged)
+def _outcome(module, config=REFERENCE, entry="main", args=(),
+             privileged=False):
+    """Run and capture (kind, ...) so trap runs compare structurally;
+    a trap's tuple carries its detail, so a differing llva-san
+    diagnosis (not just a differing trap number) fails."""
+    interpreter = Interpreter(module, config, privileged=privileged)
     try:
         result = interpreter.run(entry, list(args))
     except ExecutionTrap as trap:
+        if config.sanitize:
+            return ("trap", trap.trap_number, trap.detail,
+                    interpreter.steps)
         return ("trap", trap.trap_number, interpreter.steps)
     return ("ok", result.return_value, result.output, result.steps,
             result.exit_status)
 
 
 def run_both(source, entry="main", args=(), privileged=False):
-    """Assemble *source* per configuration (see ``CONFIGS``) and
-    assert identical outcomes."""
+    """Assemble *source* per configuration without llva-san and assert
+    identical outcomes."""
     outcomes = {}
-    for label, engine, tier2 in CONFIGS:
+    for config in CONFIGS:
+        if config.sanitize:
+            continue
         module = parse_module(source)
         verify_module(module)
-        outcomes[label] = _outcome(module, entry, args, privileged,
-                                   engine, tier2)
-    for label in outcomes:
-        assert outcomes[label] == outcomes["reference"], label
-    return outcomes["reference"]
-
-
-def _outcome_sanitized(module, engine, tier2=False):
-    """Sanitized outcome, with the full fault report in the tuple so a
-    differing diagnosis (not just a differing trap number) fails."""
-    interpreter = _make_interpreter(module, engine, tier2,
-                                    sanitize=True)
-    if tier2:
-        # Documented behaviour: llva-san pins execution to tier 1 —
-        # shadow-memory checking needs per-instruction sites.
-        assert interpreter.tier2 is None
-    try:
-        result = interpreter.run("main", [])
-    except ExecutionTrap as trap:
-        return ("trap", trap.trap_number, trap.detail, interpreter.steps)
-    return ("ok", result.return_value, result.output, result.steps,
-            result.exit_status)
+        outcomes[config] = _outcome(module, config, entry, args,
+                                    privileged)
+    for config in outcomes:
+        assert outcomes[config] == outcomes[REFERENCE], config
+    return outcomes[REFERENCE]
 
 
 def run_both_sanitized(source):
     """Run under llva-san on both engines; reports must be identical.
-    The tier-2 configurations participate too, verifying the sanitizer
-    pins them back to tier 1 without changing observations."""
+    Tier 2 has no llva-san configuration: the interpreter rejects
+    each tier-2 configuration with llva-san added."""
     outcomes = {}
-    for label, engine, tier2 in CONFIGS:
+    for config in CONFIGS:
         module = parse_module(source)
         verify_module(module)
-        outcomes[label] = _outcome_sanitized(module, engine, tier2)
-    for label in outcomes:
-        assert outcomes[label] == outcomes["reference"], label
-    return outcomes["reference"]
+        if config.tier2:
+            with pytest.raises(ValueError, match="pins execution"):
+                Interpreter(module, config, sanitize=True)
+        elif config.sanitize:
+            outcomes[config] = _outcome(module, config)
+    reference = outcomes[replace(REFERENCE, sanitize=True)]
+    for config in outcomes:
+        assert outcomes[config] == reference, config
+    return reference
 
 
 #: The one workload that runs entirely in tier 1 at the default
@@ -134,8 +124,8 @@ class TestBenchsuiteDifferential:
         # self-modifies, and each interpreter builds its own memory.
         module = compile_source(workload.source, name,
                                 optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        fast = _outcome(module, engine="fast")
+        reference = _outcome(module)
+        fast = _outcome(module, FAST)
         assert reference == fast
         assert reference[0] == "ok"
 
@@ -147,9 +137,8 @@ class TestBenchsuiteDifferential:
         workload = load_workload(name, SCALE)
         module = compile_source(workload.source, name,
                                 optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        interpreter = Interpreter(module, engine="fast", tier2=True,
-                                  tier2_threshold=0)
+        reference = _outcome(module)
+        interpreter = Interpreter(module, TIER2_FORCED)
         result = interpreter.run("main", [])
         tiered = ("ok", result.return_value, result.output,
                   result.steps, result.exit_status)
@@ -168,8 +157,8 @@ class TestBenchsuiteDifferential:
         workload = load_workload(name, SCALE)
         module = compile_source(workload.source, name,
                                 optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        interpreter = Interpreter(module, engine="fast", tier2=True)
+        reference = _outcome(module)
+        interpreter = Interpreter(module, TIER2_DEFAULT)
         result = interpreter.run("main", [])
         tiered = ("ok", result.return_value, result.output,
                   result.steps, result.exit_status)
@@ -473,15 +462,16 @@ class TestSanitizerDifferential:
         workload = load_workload(name, SCALE)
         module = compile_source(workload.source, name,
                                 optimization_level=2)
-        outcomes = {}
-        for engine in ENGINES:
-            interpreter = Interpreter(module, engine=engine,
-                                      sanitize=True)
+        outcomes = set()
+        for config in CONFIGS:
+            if not config.sanitize:
+                continue
+            interpreter = Interpreter(module, config)
             result = interpreter.run("main", [])
             assert interpreter.memory.san.fault_count == 0
-            outcomes[engine] = (result.return_value, result.output,
-                                result.steps, result.exit_status)
-        assert outcomes["reference"] == outcomes["fast"]
+            outcomes.add((result.return_value, result.output,
+                          result.steps, result.exit_status))
+        assert len(outcomes) == 1
 
 
 class TestUnwindDifferential:
@@ -640,7 +630,7 @@ class TestEngineSelection:
 
     def test_constructor_dispatch(self):
         assert type(Interpreter(self._module())) is Interpreter
-        fast = Interpreter(self._module(), engine="fast")
+        fast = Interpreter(self._module(), FAST)
         assert isinstance(fast, FastInterpreter)
         assert fast.engine == "fast"
         assert Interpreter(self._module()).engine == "reference"
@@ -752,8 +742,8 @@ class TestTier2Behaviour:
 
     def test_promotion_after_threshold_invocations(self):
         module = self._module()
-        interpreter = Interpreter(module, engine="fast", tier2=True,
-                                  tier2_threshold=5)
+        interpreter = Interpreter(module, replace(TIER2_DEFAULT,
+                                                  tier2_threshold=5))
         result = interpreter.run("main", [])
         assert result.return_value == 100
         # %work runs 20 times; it must cross the threshold and finish
@@ -764,15 +754,14 @@ class TestTier2Behaviour:
 
     def test_threshold_zero_promotes_first_call(self):
         module = self._module()
-        interpreter = Interpreter(module, engine="fast", tier2=True,
-                                  tier2_threshold=0)
+        interpreter = Interpreter(module, TIER2_FORCED)
         result = interpreter.run("main", [])
         assert result.return_value == 100
         assert interpreter.tier2_steps == result.steps
 
     def test_tier2_off_by_default(self):
         module = self._module()
-        interpreter = Interpreter(module, engine="fast")
+        interpreter = Interpreter(module, FAST)
         result = interpreter.run("main", [])
         assert result.return_value == 100
         assert interpreter.tier2 is None
@@ -780,8 +769,9 @@ class TestTier2Behaviour:
 
     def test_step_credit_promotes_hot_loop(self):
         # One long-running invocation accumulates enough architectural
-        # steps to promote even though the invocation count stays 1.
-        from repro.execution.tier2 import Tier2Cache
+        # steps to promote at the default thresholds, although the
+        # invocation count stays far below DEFAULT_THRESHOLD.
+        from repro.execution.tier2 import DEFAULT_STEP_THRESHOLD
 
         source = """
         int %hot(int %n) {
@@ -797,48 +787,21 @@ class TestTier2Behaviour:
         }
         int %main() {
         entry:
-                %a = call int %hot(int 2000)
-                %b = call int %hot(int 2000)
+                %a = call int %hot(int 15000)
+                %b = call int %hot(int 15000)
                 %r = add int %a, %b
                 ret int %r
         }
         """
         module = self._module(source)
-        cache = Tier2Cache(module, module.target_data,
-                           threshold=1000, step_threshold=500)
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
+        interpreter = Interpreter(module, TIER2_DEFAULT)
         result = interpreter.run("main", [])
-        assert result.return_value == 4000
-        assert cache.stats.promotions_by_steps >= 1
-        assert interpreter.tier2_steps > 0
-
-    def test_profile_guided_priming(self):
-        # The offline reoptimization loop: a collected profile seeds
-        # the promotion counters, so a profiled-hot function compiles
-        # on its first call of the next run.
-        from repro.llee.profile import instrument_module, read_profile
-
-        module = self._module()
-        profile_map = instrument_module(module)
-        profiling = Interpreter(module, engine="fast")
-        profiling.run("main", [])
-        profile = read_profile(profile_map, profiling)
-        assert profile.function_entry_count(
-            module.get_function("work")) >= 20
-
-        cache = __import__(
-            "repro.execution.tier2", fromlist=["Tier2Cache"]
-        ).Tier2Cache(module, module.target_data, threshold=10)
-        cache.prime_from_profile(profile)
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
-        result = interpreter.run("main", [])
-        assert result.return_value == 100
-        # %work was primed past the threshold, so every one of its 20
-        # invocations ran tier 2; %main (one profiled entry) stays
-        # tier 1 — priming is per-function, not per-module.
-        assert interpreter.tier2_calls == 20
-        assert 0 < interpreter.tier2_steps < result.steps
-        assert cache.stats.functions_compiled == 1
+        assert result.return_value == 30000
+        # The first activation alone passes the step threshold.
+        assert result.steps > 2 * DEFAULT_STEP_THRESHOLD
+        assert interpreter.tier2.stats.promotions_by_steps == 1
+        assert interpreter.tier2_calls == 1
+        assert interpreter.tier2_steps > DEFAULT_STEP_THRESHOLD
 
     def test_trap_inside_tier2_deopts_function(self):
         source = """
@@ -871,9 +834,7 @@ class TestTier2Behaviour:
         """
         ref = _outcome(self._module(source), privileged=True)
         module = self._module(source)
-        interpreter = Interpreter(module, engine="fast",
-                                  privileged=True,
-                                  tier2=True, tier2_threshold=0)
+        interpreter = Interpreter(module, TIER2_FORCED, privileged=True)
         result = interpreter.run("main", [])
         assert ("ok", result.return_value, result.output, result.steps,
                 result.exit_status) == ref
@@ -885,8 +846,7 @@ class TestTier2Behaviour:
 
     def test_unwind_body_pins_to_tier1(self):
         module = self._module(TestUnwindDifferential.INVOKE)
-        interpreter = Interpreter(module, engine="fast", tier2=True,
-                                  tier2_threshold=0)
+        interpreter = Interpreter(module, TIER2_FORCED)
         result = interpreter.run("main", [50])
         assert result.return_value == -1
         assert interpreter.tier2.stats.pins >= 1
@@ -919,8 +879,7 @@ class TestTier2Behaviour:
         }
         """
         module = self._module(source)
-        interpreter = Interpreter(module, engine="fast", tier2=True,
-                                  tier2_threshold=0)
+        interpreter = Interpreter(module, TIER2_FORCED)
         result = interpreter.run("main", [])
         assert result.return_value == 494
         assert interpreter.tier2.stats.invalidations >= 1
@@ -930,8 +889,14 @@ class TestTier2Behaviour:
             Interpreter(self._module(), engine="reference", tier2=True)
 
     def test_sanitize_disables_tier2(self):
+        # llva-san rules tier 2 out: the combination is rejected rather
+        # than silently pinned to tier 1, and llva-san alone builds no
+        # tier-2 cache.
+        with pytest.raises(ValueError, match="pins execution"):
+            Interpreter(self._module(), engine="fast", sanitize=True,
+                        tier2=True)
         interpreter = Interpreter(self._module(), engine="fast",
-                                  sanitize=True, tier2=True)
+                                  sanitize=True)
         assert interpreter.tier2 is None
 
     def test_register_snapshot_inside_tier2_frame(self):
@@ -966,7 +931,7 @@ class TestTier2Behaviour:
         }
         """
         ref = _outcome(self._module(source), privileged=True)
-        tiered = _outcome(self._module(source), privileged=True,
-                          engine="fast", tier2=True)
+        tiered = _outcome(self._module(source), TIER2_FORCED,
+                          privileged=True)
         assert ref == tiered
         assert ref[1] == 42

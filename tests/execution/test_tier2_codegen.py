@@ -12,7 +12,7 @@ import re
 
 from repro.asm import parse_module
 from repro.execution import ExecutionTrap, Interpreter
-from repro.execution.tier2 import Tier2Cache, generate_source
+from repro.execution.tier2 import generate_source
 from repro.ir import verify_module
 
 
@@ -32,10 +32,9 @@ def _reference_outcome(source):
             result.exit_status)
 
 
-def _fast_outcome(source, cache_factory=None):
+def _fast_outcome(source, **settings):
     module = _module(source)
-    cache = cache_factory(module) if cache_factory is not None else False
-    interpreter = Interpreter(module, engine="fast", tier2=cache)
+    interpreter = Interpreter(module, engine="fast", **settings)
     try:
         result = interpreter.run("main", [])
     except ExecutionTrap as trap:
@@ -217,8 +216,7 @@ class TestConstDivremDifferential:
     def test_tier2_forced_matches_reference(self):
         reference = _reference_outcome(CONST_DIVREM_DIFF)
         fast, interpreter = _fast_outcome(
-            CONST_DIVREM_DIFF,
-            lambda m: Tier2Cache(m, m.target_data, threshold=0))
+            CONST_DIVREM_DIFF, tier2=True, tier2_threshold=0)
         assert fast == reference
         assert interpreter.tier2.stats.functions_compiled > 0
 

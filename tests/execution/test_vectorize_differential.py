@@ -1,8 +1,9 @@
 """``--vectorize`` differential conformance: vectorized builds of every
 benchsuite workload (and hand-written vector kernels) must be
 observationally identical to the reference interpreter on every tier —
-fast engine, and tier 2 forced and at the default threshold —
-and the vectorized module must agree with the scalar build
+fast engine, and tier 2 forced and at the default threshold (the
+numeric rows and one kernel also under llva-san) — and the vectorized
+module must agree with the scalar build
 on everything a program can observe (return value, output, exit
 status; step counts legitimately shrink)."""
 
@@ -10,7 +11,9 @@ import pytest
 
 from test_fastpath_differential import (
     CONFIGS,
-    _make_interpreter,
+    FAST,
+    REFERENCE,
+    TIER2_FORCED,
     _outcome,
     run_both,
     run_both_sanitized,
@@ -44,18 +47,18 @@ class TestBenchsuiteVectorized:
         """All 17 workloads compiled with --vectorize: reference, fast,
         and forced tier 2 agree byte for byte (including steps)."""
         module = _vector_module(name)
-        reference = _outcome(module, engine="reference")
+        reference = _outcome(module)
         assert reference[0] == "ok"
-        assert _outcome(module, engine="fast") == reference
-        assert _outcome(module, engine="fast", tier2=True) == reference
+        assert _outcome(module, FAST) == reference
+        assert _outcome(module, TIER2_FORCED) == reference
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_workload_matches_scalar_build(self, name):
         """The vectorized build must be indistinguishable from the
         scalar one to the program itself: same return value, output,
         and exit status (steps may shrink — that is the payoff)."""
-        vector = _outcome(_vector_module(name), engine="reference")
-        scalar = _outcome(_scalar_module(name), engine="reference")
+        vector = _outcome(_vector_module(name))
+        scalar = _outcome(_scalar_module(name))
         assert vector[0] == scalar[0] == "ok"
         # (kind, return_value, output, steps, exit_status)
         assert vector[1] == scalar[1]
@@ -67,15 +70,14 @@ class TestBenchsuiteVectorized:
 class TestNumericRowsFullLadder:
     @pytest.mark.parametrize("name", NUMERIC_ROWS)
     def test_every_config(self, name):
-        """The BENCH_vector.json rows across the whole tier ladder."""
+        """The BENCH_vector.json rows under every configuration."""
         outcomes = {}
-        for label, engine, tier2 in CONFIGS:
+        for config in CONFIGS:
             module = _vector_module(name)
-            outcomes[label] = _outcome(module, engine=engine,
-                                       tier2=tier2)
-        for label in outcomes:
-            assert outcomes[label] == outcomes["reference"], label
-        assert outcomes["reference"][0] == "ok"
+            outcomes[config] = _outcome(module, config)
+        for config in outcomes:
+            assert outcomes[config] == outcomes[REFERENCE], config
+        assert outcomes[REFERENCE][0] == "ok"
 
 
 _VEC_HEADER = """

@@ -236,39 +236,6 @@ class TestSanitizedInterpretedRuns:
         assert sanitized.output == plain.output
         assert sanitized.steps == plain.steps
 
-    def test_sanitized_decode_cache_keyed_separately(self,
-                                                     heap_object_code):
-        llee = LLEE(make_target("x86"))
-        llee.run_interpreted(heap_object_code)
-        # First sanitized run must not reuse the plain decode cache:
-        # its closures lack site instrumentation.
-        cold = llee.run_interpreted(heap_object_code, sanitize=True)
-        assert not cold.cache_hit
-        warm = llee.run_interpreted(heap_object_code, sanitize=True)
-        assert warm.cache_hit
-        assert warm.return_value == cold.return_value
-
-    def test_tier2_threshold_keyed_separately(self, object_code):
-        from repro.execution.tier2 import DEFAULT_THRESHOLD
-
-        llee = LLEE(make_target("x86"))
-        llee.run_interpreted(object_code, tier2=True,
-                             tier2_threshold=10 ** 6)
-        # A new threshold must not reuse the Tier2Cache built for the
-        # old one: it compiles exactly what a fresh LLEE compiles.
-        forced = llee.run_interpreted(object_code, tier2=True,
-                                      tier2_threshold=0)
-        fresh = LLEE(make_target("x86")).run_interpreted(
-            object_code, tier2=True, tier2_threshold=0)
-        assert not forced.cache_hit
-        assert forced.tier2_functions_compiled \
-            == fresh.tier2_functions_compiled == 2
-        # Omitting the threshold means the default: one cache entry.
-        llee.run_interpreted(object_code, tier2=True)
-        again = llee.run_interpreted(object_code, tier2=True,
-                                     tier2_threshold=DEFAULT_THRESHOLD)
-        assert again.cache_hit
-
     def test_sanitized_run_surfaces_fault(self):
         from repro.asm import parse_module
         from repro.execution import ExecutionTrap

@@ -229,8 +229,8 @@ def _object_code():
 
 
 def _forced_run(module, cache):
-    interpreter = Interpreter(module, engine="fast", tier2=cache,
-                              tier2_threshold=0)
+    interpreter = Interpreter(module, engine="fast", tier2=True,
+                              tier2_threshold=0, tier2_cache=cache)
     result = interpreter.run("main", [])
     return (result.return_value, result.output, result.steps)
 
@@ -267,8 +267,9 @@ class TestOlderLayout:
     def test_sharded_cache_directory_starts_cold(self, tmp_path):
         """A root left in the older sharded layout — entries under
         ``<cache>/<2-hex shard>/``, an ``index.json`` and ``.lock``
-        files — reads as empty: the run translates from a cold start,
-        returns the right result, and the next run hits."""
+        files — reads as empty and counts no stored bytes: the run
+        translates from a cold start, returns the right result, and the
+        next run hits."""
         code = _object_code()
         expected = Interpreter(read_module(code)).run("main", [])
         seeded = InMemoryStorage()
@@ -284,7 +285,9 @@ class TestOlderLayout:
         (cache_dir / ".index.lock").write_bytes(b"")
         (cache_dir / "index.json").write_text(json.dumps(
             {"version": 1, "entries": {entry: [len(blob), 0.0]}}))
-        llee = LLEE(make_target("x86"), DiskStorage(str(tmp_path)))
+        storage = DiskStorage(str(tmp_path))
+        assert storage.cache_size("llee-native") == 0
+        llee = LLEE(make_target("x86"), storage)
         cold = llee.run_executable(code)
         assert not cold.cache_hit and cold.functions_jitted > 0
         assert (cold.return_value, cold.output) == (

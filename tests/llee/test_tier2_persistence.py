@@ -54,8 +54,8 @@ def _fresh_module(object_code):
 
 
 def _run_forced(module, cache):
-    interpreter = Interpreter(module, engine="fast", tier2=cache,
-                              tier2_threshold=0)
+    interpreter = Interpreter(module, engine="fast", tier2=True,
+                              tier2_threshold=0, tier2_cache=cache)
     result = interpreter.run("main", [])
     return (result.return_value, result.output, result.steps,
             result.exit_status)
@@ -366,9 +366,13 @@ class TestLLEEIntegration:
                                                    cold.steps)
 
     def test_sanitized_run_reports_no_tier2_activity(self, object_code):
+        # Tier 2 with llva-san is rejected, not silently run in tier 1;
+        # a sanitized run reports no tier-2 activity.
         llee = LLEE(make_target("x86"))
-        report = llee.run_interpreted(object_code, tier2=True,
-                                      tier2_threshold=0, sanitize=True)
+        with pytest.raises(ValueError, match="pins execution"):
+            llee.run_interpreted(object_code, tier2=True,
+                                 tier2_threshold=0, sanitize=True)
+        report = llee.run_interpreted(object_code, sanitize=True)
         assert report.sanitized
         assert report.tier2_steps == 0
         assert report.tier2_functions_compiled == 0

@@ -7,7 +7,6 @@ import json
 
 from repro import observe
 from repro.execution import Interpreter
-from repro.execution.tier2 import Tier2Cache
 from repro.minic import compile_source
 from repro.observe import FlightRecorder, StepProfiler, validate_event
 
@@ -36,11 +35,8 @@ def _module():
 def _run(engine, tier2=False, profiler=None):
     module = _module()
     with observe.capture(flight=True) as obs:
-        cache = False
-        if tier2:
-            cache = Tier2Cache(module, module.target_data, threshold=1)
-        interpreter = Interpreter(module, engine=engine, tier2=cache,
-                                  profiler=profiler)
+        interpreter = Interpreter(module, engine=engine, tier2=tier2,
+                                  tier2_threshold=1, profiler=profiler)
         result = interpreter.run("main")
     return result, obs, interpreter
 
