@@ -3,7 +3,9 @@
 Loading a module assigns every function a code address (so function
 pointers are ordinary pointer-sized integers, castable like any other
 pointer) and lays out every global variable, writing its initializer with
-the target's endianness and pointer size.
+the target's endianness and pointer size.  Zero-initialized globals
+occupy address space but are never written, as ``.bss`` occupies no
+file bytes in :meth:`~repro.targets.native.NativeModule.data_size`.
 """
 
 from __future__ import annotations
@@ -104,19 +106,13 @@ class ProgramImage:
             return _zero_for(constant.type)
         raise TypeError("not a scalar constant: {0!r}".format(constant))
 
-    def operand_address(self, symbol) -> int:
-        """Address of a Function or GlobalVariable operand."""
-        return self.address_of(symbol.name)
-
     def write_constant(self, address: int, type_: types.Type,
                        constant: Constant) -> None:
         """Write *constant* of *type_* into memory at *address*."""
         memory = self.memory
         target = memory.target
         if isinstance(constant, ConstantZero):
-            memory.write_bytes(address,
-                               b"\x00" * target.size_of(type_))
-            return
+            return  # global memory is handed out once, already zero
         if isinstance(constant, ConstantAggregate):
             if isinstance(type_, types.ArrayType):
                 stride = target.size_of(type_.element)

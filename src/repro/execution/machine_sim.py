@@ -267,9 +267,6 @@ class MachineSimulator:
                 for op, count in op_counts.items():
                     observe.counter("native.opcode", count, op=op)
 
-    def _cost(self, instr: MachineInstr) -> int:
-        return instr_cost(instr)
-
     # ------------------------------------------------------------------
     # Operand access
     # ------------------------------------------------------------------
@@ -434,10 +431,6 @@ class MachineSimulator:
         lhs = self._value_of(frame, instr.operands[1], value_type)
         rhs = self._value_of(frame, instr.operands[2], mem_type)
         if value_type.is_floating_point:
-            from repro.execution.interpreter import (
-                _float_arith,
-                _round_f32,
-            )
             result = _float_arith(op, lhs, rhs)
             if value_type is types.FLOAT:
                 result = _round_f32(result)

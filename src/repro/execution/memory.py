@@ -8,6 +8,10 @@ global memory, and all memory is explicitly allocated"):
 * heap growing upward from :data:`HEAP_BASE`,
 * stack growing downward from :data:`STACK_TOP`.
 
+Each region is an anonymous private mapping reserved at full size; the
+kernel supplies a zero page on first touch, so a run pays, in time and
+resident memory, only for the pages it touches.
+
 All accesses are bounds-checked; a reference outside an allocated region
 (including the unmapped null page) is a memory fault — the condition the
 paper's ``ExceptionsEnabled`` bit controls for ``load``/``store``.
@@ -20,8 +24,9 @@ two V-ABI configurations — which the differential tests exercise.
 from __future__ import annotations
 
 import bisect as _bisect
+import mmap as _mmap
 import struct as _struct
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.execution.events import ExecutionTrap, TrapKind
 from repro.ir import types
@@ -48,8 +53,13 @@ _GLOBAL_ARENA_LIMIT = 32 * 1024 * 1024
 _HEAP_CHUNK = 4 * 1024 * 1024
 
 
+def _reserve(size: int) -> _mmap.mmap:
+    """*size* zero bytes; private, so a forked child never shares them."""
+    return _mmap.mmap(-1, size, flags=_mmap.MAP_PRIVATE | _mmap.MAP_ANONYMOUS)
+
+
 class Memory:
-    """Flat byte-addressable memory built from three growable arenas
+    """Flat byte-addressable memory built from three reserved arenas
     (globals, heap, stack) plus explicitly mapped extra pages.
 
     Arenas keep every access O(1): the heap arena in particular grows in
@@ -66,9 +76,9 @@ class Memory:
                  stack_limit: int = DEFAULT_STACK_LIMIT):
         self.target = target
         self._global_cursor = GLOBAL_BASE
-        self._global_arena = bytearray(64 * 1024)
+        self._global_arena = _reserve(_GLOBAL_ARENA_LIMIT)
         self._heap_cursor = HEAP_BASE
-        self._heap_arena = bytearray(_HEAP_CHUNK)
+        self._heap_arena = _reserve(_HEAP_CHUNK)
         self._free_lists: Dict[int, List[int]] = {}
         self._alloc_sizes: Dict[int, int] = {}
         # Freed-but-not-reallocated blocks, kept unmapped: sorted start
@@ -78,7 +88,7 @@ class Memory:
         self._freed_sizes: Dict[int, int] = {}
         self.stack_pointer = STACK_TOP
         self.stack_limit = stack_limit
-        self._stack_arena = bytearray(stack_limit)
+        self._stack_arena = _reserve(stack_limit)
         self._stack_base = STACK_TOP - stack_limit
         # Extra regions (llva.pagetable.map): few, scanned linearly.
         self._regions: List[Tuple[int, bytearray]] = []
@@ -95,8 +105,7 @@ class Memory:
             raise ValueError("region size must be positive")
         self._regions.append((base, bytearray(size)))
 
-    def _find_region(self, address: int,
-                     size: int) -> Tuple[int, bytearray]:
+    def _find_region(self, address: int, size: int) -> Tuple[int, Any]:
         # Only addresses at or above the live stack pointer are mapped
         # stack; [_stack_base, stack_pointer) is unallocated headroom.
         if self.stack_pointer <= address \
@@ -217,16 +226,13 @@ class Memory:
     # -- globals ----------------------------------------------------------------
 
     def allocate_global(self, size: int, align: int = 8) -> int:
-        """Reserve global space (module loading)."""
+        """Reserve global space (module loading).  Addresses are never
+        handed out twice, so the space reads as zero."""
         size = max(size, 1)
         cursor = _align_up(self._global_cursor, align)
         end = cursor + size
-        if end - GLOBAL_BASE > len(self._global_arena):
-            if end - GLOBAL_BASE > _GLOBAL_ARENA_LIMIT:
-                raise MemoryError_("global arena exhausted", cursor)
-            grown = max(len(self._global_arena) * 2, end - GLOBAL_BASE)
-            self._global_arena.extend(
-                bytearray(grown - len(self._global_arena)))
+        if end - GLOBAL_BASE > _GLOBAL_ARENA_LIMIT:
+            raise MemoryError_("global arena exhausted", cursor)
         self._global_cursor = end
         return cursor
 
@@ -248,14 +254,22 @@ class Memory:
             address = self._heap_cursor
             end = address + size - HEAP_BASE
             if end > len(self._heap_arena):
-                grow = _align_up(end - len(self._heap_arena),
-                                 _HEAP_CHUNK)
-                self._heap_arena.extend(bytearray(grow))
+                self._grow_heap(end)
             self._heap_cursor += size
         self._alloc_sizes[address] = size
         self.heap_allocated += size
         self.heap_live += size
         return address
+
+    def _grow_heap(self, end: int) -> None:
+        """Make heap offsets ``[0, end)`` addressable: reserve an arena
+        of at least double the size and copy the used prefix into it."""
+        old = self._heap_arena
+        used = self._heap_cursor - HEAP_BASE
+        self._heap_arena = _reserve(
+            max(2 * len(old), _align_up(end, _HEAP_CHUNK)))
+        self._heap_arena[:used] = old[:used]
+        old.close()
 
     def free(self, address: int) -> None:
         """Release heap memory (runtime ``free``).

@@ -40,8 +40,6 @@ from repro import observe
 from repro.execution.memory import (
     DEFAULT_STACK_LIMIT,
     HEAP_BASE,
-    STACK_TOP,
-    _HEAP_CHUNK,
     Memory,
     MemoryError_,
     _align_up,
@@ -324,8 +322,7 @@ class SanitizedMemory(Memory):
         chunk_end = _align_up(payload + size + REDZONE, 16)
         end = chunk_end - HEAP_BASE
         if end > len(self._heap_arena):
-            grow = _align_up(end - len(self._heap_arena), _HEAP_CHUNK)
-            self._heap_arena.extend(bytearray(grow))
+            self._grow_heap(end)
         self._heap_cursor = chunk_end
         base = chunk_start - HEAP_BASE
         self._heap_arena[base:base + (payload - chunk_start)] = \

@@ -1,19 +1,31 @@
-"""Memory model tests: regions, typed access, endianness, allocator."""
+"""Memory model tests: regions, typed access, endianness, allocator,
+and the reserved (not committed) arenas every run starts from."""
+
+import gc
+import mmap
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bitcode import write_module
+from repro.execution.config import ExecConfig
 from repro.execution.events import ExecutionTrap, TrapKind
 from repro.execution.memory import (
     GLOBAL_BASE,
     HEAP_BASE,
     STACK_TOP,
+    _HEAP_CHUNK,
     Memory,
     MemoryError_,
 )
+from repro.execution.sanitizer import SanitizedMemory
 from repro.ir import types
 from repro.ir.types import TargetData
+from repro.llee import LLEE
+from repro.minic import compile_source
+from repro.targets import make_target
 
 
 def _memory(pointer_size=8, endianness="little", **kwargs) -> Memory:
@@ -149,6 +161,20 @@ class TestAllocator:
         memory.write_typed(blocks[-1], types.INT, 9)
         assert memory.read_typed(blocks[-1], types.INT) == 9
 
+    def test_heap_growth_keeps_earlier_blocks(self):
+        memory = _memory()
+        first = memory.malloc(64)
+        memory.write_typed(first + 8, types.LONG, -0x1234_5678_9ABC)
+        reused = memory.malloc(32)
+        memory.free(reused)
+        while memory._heap_cursor - HEAP_BASE <= _HEAP_CHUNK:
+            memory.malloc(1 << 20)
+        assert memory.read_typed(first + 8, types.LONG) \
+            == -0x1234_5678_9ABC
+        assert memory.read_bytes(first, 8) == b"\x00" * 8
+        assert not memory.is_mapped(reused)  # still freed
+        assert memory.malloc(32) == reused
+
     def test_freed_block_is_unmapped_until_reused(self):
         memory = _memory()
         a = memory.malloc(32)
@@ -238,3 +264,64 @@ class TestStack:
         assert not memory.is_mapped(probe)
         frame = memory.push_frame(256)
         assert memory.is_mapped(frame)  # now above the live pointer
+
+
+def _resident_bytes() -> int:
+    try:
+        with open("/proc/self/statm") as handle:
+            resident_pages = int(handle.read().split()[1])
+    except OSError:
+        pytest.skip("resident set size is not readable here")
+    return resident_pages * mmap.PAGESIZE
+
+
+class TestReservedArenas:
+    def test_arenas_are_reserved_not_committed(self):
+        # A Memory reserves 8 MiB of stack, 4 MiB of heap and 32 MiB of
+        # globals; only the pages a run touches may become resident.
+        target = TargetData(8, "little")
+        gc.collect()
+        before = _resident_bytes()
+        memories = [Memory(target) for _ in range(16)]
+        memories += [SanitizedMemory(target) for _ in range(4)]
+        for memory in memories:
+            memory.write_bytes(memory.allocate_global(8), b"g" * 8)
+            memory.write_bytes(memory.malloc(8), b"h" * 8)
+            memory.write_bytes(memory.push_frame(8), b"s" * 8)
+        grown = _resident_bytes() - before
+        assert grown < 16 << 20, "{0} Memory objects made {1} MiB " \
+            "resident".format(len(memories), grown >> 20)
+
+
+#: Reads a global nobody initialized: every run must see it zero.
+FRESH_GLOBAL = r"""
+int counts[4096];
+int main() {
+    counts[1000] = counts[1000] + 1;
+    return counts[1000];
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_global_code():
+    return write_module(compile_source(FRESH_GLOBAL, "fresh-global",
+                                       optimization_level=2))
+
+
+@pytest.mark.parametrize("config", ExecConfig.all(), ids=lambda c: (
+    "{0.engine}-tier2={0.tier2}@{0.tier2_threshold}-san={0.sanitize}"
+    .format(c)))
+def test_each_interpreted_run_starts_from_zero(config, fresh_global_code):
+    llee = LLEE(make_target("x86"))
+    for _ in range(2):
+        report = llee.run_interpreted(fresh_global_code, **asdict(config))
+        assert (report.exit_status, report.return_value) == (0, 1)
+
+
+@pytest.mark.parametrize("target", ["x86", "sparc"])
+def test_each_native_run_starts_from_zero(target, fresh_global_code):
+    llee = LLEE(make_target(target))
+    for _ in range(2):
+        report = llee.run_executable(fresh_global_code)
+        assert (report.exit_status, report.return_value) == (0, 1)

@@ -10,7 +10,7 @@ from repro.execution import (
     SanitizerFault,
 )
 from repro.execution.events import TrapKind
-from repro.execution.memory import HEAP_BASE, Memory
+from repro.execution.memory import HEAP_BASE, _HEAP_CHUNK, Memory
 from repro.execution.sanitizer import REDZONE, format_site
 from repro.ir.types import TargetData
 
@@ -150,6 +150,27 @@ class TestQuarantine:
                 memory.read_bytes(a, 1)
         assert memory.san.fault_count == 2
         assert memory.san.fault_kinds == {"heap-use-after-free": 2}
+
+
+class TestHeapGrowth:
+    def test_shadow_state_survives_growth(self):
+        memory = _memory()
+        live = memory.malloc(24)
+        memory.write_bytes(live, b"live" * 6)
+        freed = memory.malloc(16)
+        memory.free(freed)
+        while memory._heap_cursor - HEAP_BASE <= _HEAP_CHUNK:
+            memory.malloc(1 << 20)
+        assert memory.read_bytes(live, 24) == b"live" * 6
+        with pytest.raises(SanitizerFault) as info:
+            memory.read_bytes(freed, 1)
+        assert info.value.report.kind == "heap-use-after-free"
+        with pytest.raises(SanitizerFault) as info:
+            memory.write_bytes(live + 24, b"x")  # right redzone
+        assert info.value.report.kind == "heap-buffer-overflow"
+        with pytest.raises(SanitizerFault) as info:
+            memory.read_bytes(live - 1, 1)  # left redzone
+        assert info.value.report.kind == "heap-buffer-underflow"
 
 
 class TestStack:
