@@ -34,7 +34,11 @@ from repro.execution.events import (
 )
 from repro.execution.image import ProgramImage
 from repro.execution.memory import Memory, MemoryError_
-from repro.execution.runtime import RuntimeLibrary, is_runtime_name
+from repro.execution.runtime import (
+    RuntimeLibrary,
+    is_runtime_name,
+    weak_tick_source,
+)
 from repro.ir import instructions as insts
 from repro.ir import types
 from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
@@ -126,7 +130,8 @@ class Interpreter:
         else:
             self.memory = Memory(self.target)
         self.image = ProgramImage(module, self.memory)
-        self.runtime = RuntimeLibrary(self.memory, lambda: self.steps)
+        self.runtime = RuntimeLibrary(self.memory,
+                                      weak_tick_source(self, "steps"))
         self.steps = 0
         self.max_steps = max_steps
         self.privileged = privileged
@@ -145,31 +150,6 @@ class Interpreter:
         #: run() so hot paths (and tier-2 generated code) can guard on
         #: a plain attribute instead of a module call.
         self.flight = None
-        self._dispatch = {
-            "add": self._exec_arith, "sub": self._exec_arith,
-            "mul": self._exec_arith, "div": self._exec_arith,
-            "rem": self._exec_arith,
-            "and": self._exec_logical, "or": self._exec_logical,
-            "xor": self._exec_logical,
-            "shl": self._exec_shift, "shr": self._exec_shift,
-            "seteq": self._exec_compare, "setne": self._exec_compare,
-            "setlt": self._exec_compare, "setgt": self._exec_compare,
-            "setle": self._exec_compare, "setge": self._exec_compare,
-            "ret": self._exec_ret, "br": self._exec_br,
-            "mbr": self._exec_mbr, "invoke": self._exec_call,
-            "unwind": self._exec_unwind,
-            "load": self._exec_load, "store": self._exec_store,
-            "getelementptr": self._exec_gep, "alloca": self._exec_alloca,
-            "cast": self._exec_cast, "call": self._exec_call,
-            "phi": self._exec_phi_error,
-            "vadd": self._exec_vbinary, "vsub": self._exec_vbinary,
-            "vmul": self._exec_vbinary,
-            "vsplat": self._exec_vsplat,
-            "vreduce.add": self._exec_vreduce,
-            "vreduce.min": self._exec_vreduce,
-            "vreduce.max": self._exec_vreduce,
-            "vload": self._exec_vload, "vstore": self._exec_vstore,
-        }
 
     # ------------------------------------------------------------------
     # Public API
@@ -215,6 +195,7 @@ class Interpreter:
 
     def _run_loop(self) -> object:
         frames = self._frames
+        dispatch = self._dispatch
         # Hoisted so the disabled path pays one local-bool test per
         # step; opcode counts flush to the registry on loop exit.
         observing = observe.enabled()
@@ -239,7 +220,7 @@ class Interpreter:
                     raise StepLimitExceeded(
                         "exceeded {0} steps".format(self.max_steps))
                 try:
-                    outcome = self._dispatch[inst.opcode](frame, inst)
+                    outcome = dispatch[inst.opcode](self, frame, inst)
                 except MemoryError_ as fault:
                     outcome = self._handle_trap(frame, inst,
                                                 fault.trap_number,
@@ -845,6 +826,39 @@ class Interpreter:
         for listener in self.smc_listeners:
             listener(target_fn)
         return None
+
+    #: opcode -> executor, called as ``executor(interpreter, frame,
+    #: inst)``.  Class-level: a per-instance table of bound methods
+    #: would put every interpreter in a reference cycle.
+    _dispatch: Dict[str, Callable] = {}
+
+
+Interpreter._dispatch = {
+    "add": Interpreter._exec_arith, "sub": Interpreter._exec_arith,
+    "mul": Interpreter._exec_arith, "div": Interpreter._exec_arith,
+    "rem": Interpreter._exec_arith,
+    "and": Interpreter._exec_logical, "or": Interpreter._exec_logical,
+    "xor": Interpreter._exec_logical,
+    "shl": Interpreter._exec_shift, "shr": Interpreter._exec_shift,
+    "seteq": Interpreter._exec_compare, "setne": Interpreter._exec_compare,
+    "setlt": Interpreter._exec_compare, "setgt": Interpreter._exec_compare,
+    "setle": Interpreter._exec_compare, "setge": Interpreter._exec_compare,
+    "ret": Interpreter._exec_ret, "br": Interpreter._exec_br,
+    "mbr": Interpreter._exec_mbr, "invoke": Interpreter._exec_call,
+    "unwind": Interpreter._exec_unwind,
+    "load": Interpreter._exec_load, "store": Interpreter._exec_store,
+    "getelementptr": Interpreter._exec_gep,
+    "alloca": Interpreter._exec_alloca,
+    "cast": Interpreter._exec_cast, "call": Interpreter._exec_call,
+    "phi": Interpreter._exec_phi_error,
+    "vadd": Interpreter._exec_vbinary, "vsub": Interpreter._exec_vbinary,
+    "vmul": Interpreter._exec_vbinary,
+    "vsplat": Interpreter._exec_vsplat,
+    "vreduce.add": Interpreter._exec_vreduce,
+    "vreduce.min": Interpreter._exec_vreduce,
+    "vreduce.max": Interpreter._exec_vreduce,
+    "vload": Interpreter._exec_vload, "vstore": Interpreter._exec_vstore,
+}
 
 
 # Module-level sentinel: _run_loop keeps going while executors return this.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect as _bisect
 import mmap as _mmap
 import struct as _struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.execution.events import ExecutionTrap, TrapKind
 from repro.ir import types
@@ -40,6 +40,8 @@ DEFAULT_STACK_LIMIT = 8 * 1024 * 1024
 
 _FP_FORMAT = {(4, "little"): "<f", (4, "big"): ">f",
               (8, "little"): "<d", (8, "big"): ">d"}
+_SIGNED_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_UNSIGNED_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class MemoryError_(ExecutionTrap):
@@ -49,7 +51,10 @@ class MemoryError_(ExecutionTrap):
         super().__init__(TrapKind.MEMORY_FAULT, detail, address)
 
 
-_GLOBAL_ARENA_LIMIT = 32 * 1024 * 1024
+#: The globals end where the heap begins: ``_find_region`` tries the
+#: heap first, so a global reaching past ``HEAP_BASE`` would alias heap
+#: blocks.
+_GLOBAL_ARENA_LIMIT = HEAP_BASE - GLOBAL_BASE
 _HEAP_CHUNK = 4 * 1024 * 1024
 
 
@@ -202,6 +207,77 @@ class Memory:
             raise MemoryError_("cannot store type {0}".format(type_),
                                address)
         self.write_bytes(address, raw)
+
+    def _scalar_format(self, type_: Type) -> Optional[str]:
+        """The ``struct`` format :meth:`read_typed` and :meth:`write_typed`
+        agree with for *type_*, or None where they take another path."""
+        if self.san is not None:
+            return None  # SanitizedMemory checks every raw access
+        order = "<" if self.target.endianness == "little" else ">"
+        if type_.is_pointer:
+            code = _UNSIGNED_CODES.get(self.target.pointer_size)
+        elif type_.is_bool:
+            code = "?"
+        elif isinstance(type_, types.IntegerType):
+            codes = _SIGNED_CODES if type_.signed else _UNSIGNED_CODES
+            code = codes.get(type_.size)
+        elif type_.is_floating_point:
+            return _FP_FORMAT.get((type_.size, self.target.endianness))
+        else:
+            return None
+        return order + code if code else None
+
+    def reader(self, type_: Type) -> Callable[[int], Any]:
+        """``read_typed(address, type_)`` as a function of the address,
+        with the type's dispatch done once: the machine simulator's
+        decoded loads.  Stack addresses, the common case, skip the
+        region search."""
+        fmt = self._scalar_format(type_)
+        if fmt is None:
+            return lambda address: self.read_typed(address, type_)
+        unpack = _struct.Struct(fmt).unpack_from
+        size = _struct.calcsize(fmt)
+        find = self._find_region
+        stack, stack_base = self._stack_arena, self._stack_base
+
+        def read(address):
+            if self.stack_pointer <= address \
+                    and address + size <= STACK_TOP:
+                return unpack(stack, address - stack_base)[0]
+            base, data = find(address, size)
+            return unpack(data, address - base)[0]
+        return read
+
+    def writer(self, type_: Type) -> Callable[[int, Any], None]:
+        """``write_typed(address, type_, value)`` as a function of the
+        address and the value, with the type's dispatch done once.  A
+        value the format rejects, or an unmapped address, takes
+        :meth:`write_typed` itself, so conversions and faults happen
+        exactly as there."""
+        fmt = self._scalar_format(type_)
+        if fmt is None:
+            return lambda address, value: self.write_typed(
+                address, type_, value)
+        pack = _struct.Struct(fmt).pack_into
+        size = _struct.calcsize(fmt)
+        find = self._find_region
+        stack, stack_base = self._stack_arena, self._stack_base
+
+        def write(address, value):
+            if self.stack_pointer <= address \
+                    and address + size <= STACK_TOP:
+                data, offset = stack, address - stack_base
+            else:
+                try:
+                    base, data = find(address, size)
+                except MemoryError_:
+                    return self.write_typed(address, type_, value)
+                offset = address - base
+            try:
+                pack(data, offset, value)
+            except _struct.error:
+                self.write_typed(address, type_, value)
+        return write
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string of up to *limit* bytes.

@@ -12,6 +12,7 @@ type-safely via :func:`declare_runtime`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List
 
 from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
@@ -44,6 +45,15 @@ RUNTIME_SIGNATURES: Dict[str, types.FunctionType] = {
 
 def is_runtime_name(name: str) -> bool:
     return name in RUNTIME_SIGNATURES
+
+
+def weak_tick_source(engine, attribute: str) -> Callable[[], int]:
+    """A ``clock_ticks`` source reading ``engine.<attribute>`` that does
+    not keep *engine* alive: a lambda over the engine would put every
+    engine in a reference cycle with its runtime library, so a finished
+    run and its memory would live until the cyclic GC ran."""
+    engine = weakref.ref(engine)
+    return lambda: getattr(engine(), attribute)
 
 
 def declare_runtime(module: Module, name: str) -> Function:

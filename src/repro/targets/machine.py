@@ -146,7 +146,7 @@ Operand = Union[VirtualReg, PhysReg, Imm, Mem, LabelRef, SymRef]
 class MachineInstr:
     """One target instruction."""
 
-    __slots__ = ("mnemonic", "semantics", "operands", "attrs", "cost")
+    __slots__ = ("mnemonic", "semantics", "operands", "attrs")
 
     def __init__(self, mnemonic: str, semantics: str,
                  operands: Sequence[Operand] = (), **attrs):
@@ -156,11 +156,6 @@ class MachineInstr:
         #: Semantic attributes: op (alu kind), value_type, rel, signed,
         #: from_type/to_type (cvt), normal/unwind labels (call), ...
         self.attrs: Dict[str, object] = attrs
-        #: Memoized deterministic cycle cost; filled lazily by
-        #: ``machine_sim.instr_cost`` so the simulator loop does not
-        #: re-dispatch on the opcode every cycle.
-        #: Not serialized — recomputed after deserialization.
-        self.cost: Optional[int] = None
 
     def registers(self):
         """Yield (operand index, register) for register operands,

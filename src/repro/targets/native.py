@@ -222,6 +222,12 @@ def deserialize_native(data: bytes, target) -> NativeModule:
             "cached translation is for target {0!r}, not {1!r}"
             .format(payload.get("target"), target.name))
     native = NativeModule(target, payload.get("source", "module"))
+    # Operand records repeat: a module has about one distinct operand
+    # per ten.  Each distinct one loads as one shared object; nothing
+    # changes machine code once it is loaded (only translation rewrites
+    # operands).  Immediates are not shared: 1, 1.0 and true (and 0.0
+    # and -0.0) are equal keys but different values.
+    operands_by_record: Dict[tuple, object] = {}
     for record in payload["functions"]:
         machine = MachineFunction(record["name"], target)
         machine.frame_size = record["frame_size"]
@@ -230,8 +236,15 @@ def deserialize_native(data: bytes, target) -> NativeModule:
             block = machine.add_block(block_name)
             for mnemonic, semantics, operand_records, attrs in \
                     instr_records:
-                operands = [_operand_from_json(r, target)
-                            for r in operand_records]
+                operands = []
+                for operand_record in operand_records:
+                    key = tuple(operand_record)
+                    operand = operands_by_record.get(key)
+                    if operand is None:
+                        operand = _operand_from_json(operand_record, target)
+                        if key[0] != "i":
+                            operands_by_record[key] = operand
+                    operands.append(operand)
                 decoded_attrs = {}
                 for key, value in attrs.items():
                     if key in _TYPE_ATTRS:

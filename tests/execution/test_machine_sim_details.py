@@ -227,30 +227,55 @@ class TestFramesAndArguments:
 
 
 class TestInstrCostMemo:
-    def test_cost_memoized_on_instruction(self):
-        """instr_cost fills the per-instruction memo on first use and
-        serves it afterwards — no opcode re-dispatch per cycle."""
+    LOOP = """
+    int %main() {
+    entry:
+            br label %loop
+    loop:
+            %i = phi int [0, %entry], [%next, %loop]
+            %next = add int %i, 1
+            %done = setge int %next, 300
+            br bool %done, label %exit, label %loop
+    exit:
+            ret int %next
+    }
+    """
+
+    def test_cost_memoized_on_instruction(self, monkeypatch):
+        """The cycle cost is worked out once per decoded instruction and
+        kept in its ``(cost, op)`` pair — no opcode re-dispatch per
+        executed cycle."""
+        from repro.execution import machine_sim
         from repro.execution.machine_sim import instr_cost
         from repro.targets.machine import MachineInstr
 
         instr = MachineInstr("addl", Semantics.ALU, [])
-        first = instr_cost(instr)
-        assert first > 0
-        assert instr.cost == first
-        # The memo is authoritative: a pre-set cost is returned as-is.
-        instr.cost = 999
-        assert instr_cost(instr) == 999
+        assert instr_cost(instr) > 0
+        costed = []
+
+        def counting(instr):
+            costed.append(instr)
+            return instr_cost(instr)
+        monkeypatch.setattr(machine_sim, "instr_cost", counting)
+        for target_name in ("x86", "sparc"):
+            del costed[:]
+            simulator, value = _simulate(self.LOOP, target_name)
+            assert value == 300
+            assert len(costed) == len(set(map(id, costed)))
+            assert simulator.instructions_executed > 50 * len(costed)
 
     def test_fresh_instruction_has_no_cost(self):
+        """Instructions carry no cost: it lives in the decoded code, so
+        building or loading machine code never pays for it."""
         from repro.targets.machine import MachineInstr
 
-        assert MachineInstr("nop", Semantics.NOP).cost is None
+        assert not hasattr(MachineInstr("nop", Semantics.NOP), "cost")
 
 
 class TestFrameEntryHoisting:
-    """_MachineFrame hoists the machine-function attributes it needs
-    at frame entry; the step loop must never chase
-    ``frame.machine.<attr>`` per executed instruction."""
+    """The simulator reads the machine-function attributes it needs
+    once per function; the step loop must never chase
+    ``<machine function>.<attr>`` per executed instruction."""
 
     LOOP = """
     int %spin(int %n) {
@@ -335,3 +360,159 @@ class TestStaleTranslationDetection:
                                      resolver=jit.translate)
         value, _ = simulator.run("main")
         assert value == 2  # stale translation detected, retranslated
+
+
+def _translated(source: str, target_name: str):
+    module = parse_module(source)
+    verify_module(module)
+    return module, translate_module(module, make_target(target_name))
+
+
+TARGETS = ("x86", "sparc")
+
+
+class TestDecodedLoopContract:
+    """The decoded loop keeps the contract of the loop it replaced:
+    the figures pinned here were read from that loop."""
+
+    STRAIGHT = """
+    int %main() {
+    entry:
+            %a = mul int 6, 7
+            %b = add int %a, 1
+            %c = mul int %b, 3
+            %d = sub int %c, 2
+            %e = div int %d, 5
+            ret int %e
+    }
+    """
+
+    @pytest.mark.parametrize("target_name,budget,cycles,executed", [
+        ("x86", 29, 28, 12), ("x86", 19, 19, 8),
+        ("sparc", 19, 14, 10), ("sparc", 12, 12, 8),
+    ])
+    def test_budget_runs_out_inside_a_block(self, target_name, budget,
+                                            cycles, executed):
+        module, native = _translated(self.STRAIGHT, target_name)
+        assert len(native.functions["main"].blocks) == 1
+        simulator = MachineSimulator(native, module, max_cycles=budget)
+        with pytest.raises(ExecutionTrap) as info:
+            simulator.run("main")
+        assert info.value.detail == "cycle budget exhausted"
+        assert (simulator.cycles, simulator.instructions_executed) \
+            == (cycles, executed)
+
+    @pytest.mark.parametrize("target_name", TARGETS)
+    def test_masked_faults(self, target_name):
+        """``!ee(false)``: a faulting load yields zero and a faulting
+        store is dropped; neither traps."""
+        module, native = _translated("""
+        int %main() {
+        entry:
+                %p = cast ulong 64 to int*
+                %v = load int* %p !ee(false)
+                store int 5, int* %p !ee(false)
+                %r = add int %v, 7
+                ret int %r
+        }
+        """, target_name)
+        simulator = MachineSimulator(native, module)
+        assert simulator.run("main") == (7, 0)
+
+    @pytest.mark.parametrize("target_name", TARGETS)
+    def test_fell_off_the_end_of_a_block(self, target_name):
+        module, native = _translated("""
+        int %main() {
+        entry:
+                ret int 0
+        }
+        """, target_name)
+        last = native.functions["main"].blocks[-1]
+        last.instructions = [instr for instr in last.instructions
+                             if instr.semantics != Semantics.RET]
+        simulator = MachineSimulator(native, module)
+        with pytest.raises(ExecutionTrap) as info:
+            simulator.run("main")
+        assert info.value.detail == \
+            "fell off the end of block {0} in main".format(last.name)
+
+    @staticmethod
+    def _malformed(kind: str, target_name: str):
+        from repro.targets.machine import (LabelRef, MachineInstr, PhysReg,
+                                           SymRef)
+        from repro.ir import types
+
+        return {
+            "label": MachineInstr("jmp", Semantics.JMP,
+                                  [LabelRef("nowhere")]),
+            "semantics": MachineInstr("bogus", "bogus"),
+            "symbol": MachineInstr(
+                "movl", Semantics.MOV,
+                [PhysReg(make_target(target_name).return_reg),
+                 SymRef("missing")], value_type=types.INT),
+        }[kind]
+
+    FAULTS = {
+        "label": (ExecutionTrap, "jump to unknown label nowhere"),
+        "semantics": (ExecutionTrap, "unknown semantics 'bogus'"),
+        "symbol": (KeyError, "no symbol 'missing' in image"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    @pytest.mark.parametrize("target_name", TARGETS)
+    def test_malformed_instruction_faults_only_when_run(self, target_name,
+                                                        kind):
+        source = """
+        int %main() {
+        entry:
+                ret int 7
+        }
+        """
+        module, native = _translated(source, target_name)
+        # After the return: decoded with its block, never executed.
+        block = native.functions["main"].blocks[-1]
+        block.append(self._malformed(kind, target_name))
+        assert MachineSimulator(native, module).run("main") == (7, 0)
+        # First in the block: it runs, and faults as it always did.
+        block.instructions.insert(0, block.instructions.pop())
+        error, message = self.FAULTS[kind]
+        with pytest.raises(error) as info:
+            MachineSimulator(native, module).run("main")
+        assert message in str(info.value)
+
+    SMC = """
+    declare void %llva.smc.replace(sbyte*, sbyte*)
+    int %f() {
+    entry:
+            %old = cast int ()* %f to sbyte*
+            %new = cast int ()* %g to sbyte*
+            call void %llva.smc.replace(sbyte* %old, sbyte* %new)
+            ret int 1
+    }
+    int %g() {
+    entry:
+            ret int 2
+    }
+    int %main() {
+    entry:
+            %a = call int %f()
+            %b = call int %f()
+            %tens = mul int %a, 10
+            %r = add int %tens, %b
+            ret int %r
+    }
+    """
+
+    @pytest.mark.parametrize("target_name", TARGETS)
+    def test_smc_replace_during_a_run(self, target_name):
+        """The active frame finishes the code it started with (1); the
+        next call runs the new translation (2)."""
+        from repro.bitcode import write_module
+        from repro.llee import LLEE
+
+        assert Interpreter(parse_module(self.SMC)).run("main") \
+            .return_value == 12
+        code = write_module(parse_module(self.SMC))
+        report = LLEE(make_target(target_name)).run_executable(code)
+        assert report.return_value == 12
+        assert report.functions_jitted == 3  # main, f, f's new body

@@ -52,6 +52,26 @@ class TestRegions:
         assert memory.read_bytes(h, 1) == b"h"
         assert memory.read_bytes(s, 1) == b"s"
 
+    def test_global_arena_ends_at_the_heap(self):
+        # The heap is searched before the globals, so a global reaching
+        # past HEAP_BASE would alias heap blocks: reads of the global
+        # would see the heap's bytes and its own would stay zero.
+        memory = _memory()
+        with pytest.raises(MemoryError_):
+            memory.allocate_global(20 << 20)
+        start = memory.allocate_global(HEAP_BASE - GLOBAL_BASE)
+        assert start == GLOBAL_BASE
+        with pytest.raises(MemoryError_):
+            memory.allocate_global(1)
+        heap = memory.malloc(16)
+        assert heap >= HEAP_BASE
+        memory.write_bytes(HEAP_BASE - 4, b"GGGG")
+        memory.write_bytes(heap, b"HHHH")
+        assert memory.read_bytes(HEAP_BASE - 4, 4) == b"GGGG"
+        assert memory.read_bytes(heap, 4) == b"HHHH"
+        assert memory._global_arena[HEAP_BASE - GLOBAL_BASE - 4:] \
+            == b"GGGG"
+
     def test_straddling_region_end_faults(self):
         memory = _memory()
         address = memory.allocate_global(8)
@@ -277,8 +297,9 @@ def _resident_bytes() -> int:
 
 class TestReservedArenas:
     def test_arenas_are_reserved_not_committed(self):
-        # A Memory reserves 8 MiB of stack, 4 MiB of heap and 32 MiB of
-        # globals; only the pages a run touches may become resident.
+        # A Memory reserves 8 MiB of stack, 4 MiB of heap and the ~16 MiB
+        # of globals below HEAP_BASE; only the pages a run touches may
+        # become resident.
         target = TargetData(8, "little")
         gc.collect()
         before = _resident_bytes()
