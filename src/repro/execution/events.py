@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro import observe
+
 
 class TrapKind:
     """Architectural trap numbers for the V-ABI."""
@@ -82,3 +84,13 @@ class ExitRequest(Exception):
     def __init__(self, status: int):
         super().__init__("exit({0})".format(status))
         self.status = status
+
+
+def note_unhandled(engine: str, trap_number: int, detail: str) -> None:
+    """Record a trap that no handler takes: one ``trap.unhandled``
+    event, and the tail of the event ring on stderr (once per
+    tracer)."""
+    if observe.enabled():
+        observe.event("trap.unhandled", engine=engine, trap=trap_number,
+                      detail=detail)
+        observe.autodump("unhandled trap {0}".format(trap_number))

@@ -50,7 +50,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import observe
 from repro.execution.config import ExecConfig
-from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
+from repro.execution.events import (ExecutionTrap, ExitRequest, TrapKind,
+                                    note_unhandled)
 from repro.execution.interpreter import (
     ExecutionResult,
     Interpreter,
@@ -1910,42 +1911,41 @@ class FastInterpreter(Interpreter):
         function = self.module.get_function(function_name)
         result_value = None
         exit_status = 0
-        flight = self.flight = observe.flight()
-        if flight is not None:
-            flight.record("run.begin", engine="fast",
-                          entry=function_name)
         steps_before = self.steps
         runs_before = self.fused_runs
         fused_before = self.fused_instructions
         t2_steps_before = self.tier2_steps
         t2_calls_before = self.tier2_calls
+        stack_pointer = self.memory.stack_pointer
         self._push_call(function, list(args), call_inst=None)
         try:
             with observe.span("interp.run", entry=function_name,
-                              engine="fast"):
+                              engine="fast") as span:
                 try:
                     result_value = self._run_loop()
                 except ExitRequest as request:
                     exit_status = request.status
-                    self._frames.clear()
+                    self._abandon_run(stack_pointer)
+                except BaseException:
+                    self._abandon_run(stack_pointer)
+                    raise
+                finally:
+                    span.set(steps=self.steps - steps_before)
         finally:
             if self.profiler is not None:
                 self.profiler.flush(self.steps)
-        observe.counter("run.steps", self.steps - steps_before,
-                        engine="fast")
-        if observe.enabled():
-            observe.counter("fastpath.fused_runs",
-                            self.fused_runs - runs_before)
-            observe.counter("fastpath.fused_instructions",
-                            self.fused_instructions - fused_before)
-            if self.tier2 is not None:
-                observe.counter("tier2.steps",
-                                self.tier2_steps - t2_steps_before)
-                observe.counter("tier2.calls",
-                                self.tier2_calls - t2_calls_before)
-        if flight is not None:
-            flight.record("run.end", engine="fast",
-                          steps=self.steps - steps_before)
+            observe.counter("run.steps", self.steps - steps_before,
+                            engine="fast")
+            if observe.enabled():
+                observe.counter("fastpath.fused_runs",
+                                self.fused_runs - runs_before)
+                observe.counter("fastpath.fused_instructions",
+                                self.fused_instructions - fused_before)
+                if self.tier2 is not None:
+                    observe.counter("tier2.steps",
+                                    self.tier2_steps - t2_steps_before)
+                    observe.counter("tier2.calls",
+                                    self.tier2_calls - t2_calls_before)
         return ExecutionResult(
             return_value=result_value,
             steps=self.steps,
@@ -2090,26 +2090,19 @@ class FastInterpreter(Interpreter):
                       trap_number: int, info: int, detail: str = ""):
         observe.counter("run.traps", 1, engine="fast",
                         trap=str(trap_number))
-        flight = self.flight
         handler_address = self.trap_handlers.get(trap_number)
         if handler_address is None:
-            if flight is not None:
-                flight.record("trap.unhandled", engine="fast",
-                              trap=trap_number, detail=detail)
-                flight.autodump("unhandled trap %d" % trap_number)
+            note_unhandled("fast", trap_number, detail)
             raise ExecutionTrap(trap_number,
                                 detail or "no handler registered", info)
         handler = self.image.function_at(handler_address)
         if handler is None or handler.is_declaration:
-            if flight is not None:
-                flight.record("trap.unhandled", engine="fast",
-                              trap=trap_number,
-                              detail="handler not an LLVA function")
-                flight.autodump("unhandled trap %d" % trap_number)
+            note_unhandled("fast", trap_number,
+                           "handler not an LLVA function")
             raise ExecutionTrap(trap_number,
                                 "trap handler is not an LLVA function")
-        if flight is not None:
-            flight.record("trap.deliver", engine="fast",
+        if observe.enabled():
+            observe.event("trap.deliver", engine="fast",
                           trap=trap_number, handler=handler.name)
         # Snapshot the faulting frame's registers for llva.register.read
         # *before* zeroing the result (precise-exception rule).

@@ -31,6 +31,7 @@ from repro.execution.events import (
     ExitRequest,
     TrapKind,
     UnwindSignal,
+    note_unhandled,
 )
 from repro.execution.image import ProgramImage
 from repro.execution.memory import Memory, MemoryError_
@@ -146,10 +147,6 @@ class Interpreter:
         #: Optional StepProfiler (repro.observe.profiler) receiving
         #: frame-transition callbacks; None costs one test per call/ret.
         self.profiler = profiler
-        #: Active FlightRecorder, refreshed from repro.observe at each
-        #: run() so hot paths (and tier-2 generated code) can guard on
-        #: a plain attribute instead of a module call.
-        self.flight = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -161,33 +158,39 @@ class Interpreter:
         function = self.module.get_function(function_name)
         result_value: object = None
         exit_status = 0
-        flight = self.flight = observe.flight()
-        if flight is not None:
-            flight.record("run.begin", engine=self.engine,
-                          entry=function_name)
         steps_before = self.steps
+        stack_pointer = self.memory.stack_pointer
         self._push_call(function, list(args), call_inst=None)
         try:
-            with observe.span("interp.run", entry=function_name):
+            with observe.span("interp.run", entry=function_name,
+                              engine=self.engine) as span:
                 try:
                     result_value = self._run_loop()
                 except ExitRequest as request:
                     exit_status = request.status
-                    self._frames.clear()
+                    self._abandon_run(stack_pointer)
+                except BaseException:
+                    self._abandon_run(stack_pointer)
+                    raise
+                finally:
+                    span.set(steps=self.steps - steps_before)
         finally:
             if self.profiler is not None:
                 self.profiler.flush(self.steps)
-        observe.counter("run.steps", self.steps - steps_before,
-                        engine="interp")
-        if flight is not None:
-            flight.record("run.end", engine=self.engine,
-                          steps=self.steps - steps_before)
+            observe.counter("run.steps", self.steps - steps_before,
+                            engine="interp")
         return ExecutionResult(
             return_value=result_value,
             steps=self.steps,
             output=self.runtime.output_text(),
             exit_status=exit_status,
         )
+
+    def _abandon_run(self, stack_pointer: int) -> None:
+        """The run ended in an exception: drop its frames and give its
+        stack back, so that the next run() starts clean."""
+        self._frames.clear()
+        self.memory.pop_frame(stack_pointer)
 
     # ------------------------------------------------------------------
     # The main loop
@@ -294,26 +297,19 @@ class Interpreter:
                       trap_number: int, info: int, detail: str = ""):
         observe.counter("run.traps", 1, engine="interp",
                         trap=str(trap_number))
-        flight = self.flight
         handler_address = self.trap_handlers.get(trap_number)
         if handler_address is None:
-            if flight is not None:
-                flight.record("trap.unhandled", engine=self.engine,
-                              trap=trap_number, detail=detail)
-                flight.autodump("unhandled trap %d" % trap_number)
+            note_unhandled(self.engine, trap_number, detail)
             raise ExecutionTrap(trap_number,
                                 detail or "no handler registered", info)
         handler = self.image.function_at(handler_address)
         if handler is None or handler.is_declaration:
-            if flight is not None:
-                flight.record("trap.unhandled", engine=self.engine,
-                              trap=trap_number,
-                              detail="handler not an LLVA function")
-                flight.autodump("unhandled trap %d" % trap_number)
+            note_unhandled(self.engine, trap_number,
+                           "handler not an LLVA function")
             raise ExecutionTrap(trap_number,
                                 "trap handler is not an LLVA function")
-        if flight is not None:
-            flight.record("trap.deliver", engine=self.engine,
+        if observe.enabled():
+            observe.event("trap.deliver", engine=self.engine,
                           trap=trap_number, handler=handler.name)
         # Snapshot the interrupted frame's register file for
         # llva.register.read, using the "standard, program-independent

@@ -35,7 +35,8 @@ import operator
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import observe
-from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
+from repro.execution.events import (ExecutionTrap, ExitRequest, TrapKind,
+                                    note_unhandled)
 from repro.execution.image import ProgramImage
 from repro.execution.interpreter import (
     _float_arith,
@@ -189,6 +190,7 @@ class MachineSimulator:
         """Execute *function_name*; returns (return value, exit status)."""
         machine = self._machine_function(function_name)
         function = self.module.get_function(function_name)
+        stack_pointer = self.memory.stack_pointer
         # Entry sequence: push stack args / set arg registers, "call".
         arg_regs = self.target.arg_regs
         for value in reversed(list(args)[len(arg_regs):]):
@@ -205,19 +207,35 @@ class MachineSimulator:
                 self._run_loop()
             except ExitRequest as request:
                 exit_status = request.status
-                self._frames.clear()
-        if observe.enabled():
-            observe.counter("run.cycles",
-                            self.cycles - cycles_before,
-                            engine=self.target.name)
-            observe.counter(
-                "run.instructions",
-                self.instructions_executed - instructions_before,
-                engine=self.target.name)
+                self._abandon_run(stack_pointer)
+            except BaseException as error:
+                self._abandon_run(stack_pointer)
+                if isinstance(error, ExecutionTrap):
+                    observe.counter("run.traps", 1,
+                                    engine=self.target.name,
+                                    trap=str(error.trap_number))
+                    note_unhandled(self.target.name, error.trap_number,
+                                   error.detail)
+                raise
+            finally:
+                if observe.enabled():
+                    observe.counter("run.cycles",
+                                    self.cycles - cycles_before,
+                                    engine=self.target.name)
+                    observe.counter(
+                        "run.instructions",
+                        self.instructions_executed - instructions_before,
+                        engine=self.target.name)
         raw = self.registers.get(self.target.return_reg)
         return_type = function.return_type
         result = self._normalize_return(raw, return_type)
         return result, exit_status
+
+    def _abandon_run(self, stack_pointer: int) -> None:
+        """The run ended in an exception: drop its frames and give its
+        stack back, so that the next run() starts clean."""
+        self._frames.clear()
+        self.memory.pop_frame(stack_pointer)
 
     def output_text(self) -> str:
         return self.runtime.output_text()

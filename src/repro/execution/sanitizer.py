@@ -261,12 +261,11 @@ class ShadowSanitizer:
         self.fault_kinds[report.kind] = \
             self.fault_kinds.get(report.kind, 0) + 1
         observe.counter("san.faults", 1, kind=report.kind)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("san.fault", kind=report.kind,
+        if observe.enabled():
+            observe.event("san.fault", kind=report.kind,
                           access=report.access, address=report.address,
                           site=report.site, detail=report.extra)
-            flight.autodump("sanitizer fault: %s" % report.kind)
+            observe.autodump("sanitizer fault: {0}".format(report.kind))
         raise SanitizerFault(report)
 
     def record_for(self, payload: int) -> Optional[AllocationRecord]:

@@ -94,7 +94,7 @@ from repro.llee.storage import load_entry, store_entry
 
 #: Bump whenever generated code or the yield protocol changes shape;
 #: persisted translations from other versions are discarded.
-#: v3: trace-arm exits report to the flight recorder (gone in v7).
+#: v3: trace-arm exits record a lifecycle event (gone in v7).
 #: v4: the vector extension (vadd/vsub/vmul, vsplat, vreduce.*,
 #: vload/vstore) lowers to tuple-valued registers, and generated code
 #: carries the ``__vlanes`` observability hook.
@@ -1214,9 +1214,9 @@ class Tier2Cache:
             reason = "steps"
         else:
             reason = "invocations"
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.promote", function=function.name,
+        if observe.enabled():
+            observe.counter("tier2.promotions", 1, reason=reason)
+            observe.event("tier2.promote", function=function.name,
                           reason=reason, invocations=count,
                           step_credit=self._step_credit.get(key, 0))
         return self._compile(function)
@@ -1235,60 +1235,54 @@ class Tier2Cache:
         function to tier 1 when tier 2 cannot express it.  A validated
         persisted translation skips codegen (and, with same-build
         marshalled bytecode, ``compile()`` too)."""
-        started = time.perf_counter()
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("tier2.compile.begin", function=function.name)
-        warm = self._preloaded.get(function.name) \
-            if function.smc_version == 0 else None
-        codegen_seconds = 0.0
-        try:
-            if warm is not None:
-                # The blob's module hash matched at load and the body
-                # has not been SMC-mutated since, so the stored source
-                # is the one codegen would emit.
-                _hash, source, func_refs, num_slots, code = warm
-                unit = build_unit(function, self.module, source,
-                                  func_refs, num_slots, code=code)
-            else:
-                source, func_refs, num_slots = generate_source(
-                    function, self.target)
-                codegen_seconds = time.perf_counter() - started
-                unit = build_unit(function, self.module, source,
-                                  func_refs, num_slots)
-        except Exception as error:
-            # UnsupportedFunction, or a codegen defect: either way the
-            # tier-1 engine is always a correct fallback.
-            reason = str(error) if isinstance(error, UnsupportedFunction) \
-                else "tier-2 compile error: {0}".format(error)
+        with observe.span("tier2.compile", function=function.name) \
+                as span:
+            started = time.perf_counter()
+            warm = self._preloaded.get(function.name) \
+                if function.smc_version == 0 else None
+            codegen_seconds = 0.0
+            try:
+                if warm is not None:
+                    # The blob's module hash matched at load and the
+                    # body has not been SMC-mutated since, so the stored
+                    # source is the one codegen would emit.
+                    _hash, source, func_refs, num_slots, code = warm
+                    unit = build_unit(function, self.module, source,
+                                      func_refs, num_slots, code=code)
+                else:
+                    source, func_refs, num_slots = generate_source(
+                        function, self.target)
+                    codegen_seconds = time.perf_counter() - started
+                    unit = build_unit(function, self.module, source,
+                                      func_refs, num_slots)
+            except Exception as error:
+                # UnsupportedFunction, or a codegen defect: either way
+                # the tier-1 engine is always a correct fallback.
+                reason = str(error) \
+                    if isinstance(error, UnsupportedFunction) \
+                    else "tier-2 compile error: {0}".format(error)
+                elapsed = time.perf_counter() - started
+                self.pin(function, reason)
+                self.stats.compile_seconds += elapsed
+                span.set(kind="error", warm=False)
+                return None
             elapsed = time.perf_counter() - started
-            self.pin(function, reason)
+            self.stats.codegen_seconds += codegen_seconds
             self.stats.compile_seconds += elapsed
-            if flight is not None:
-                flight.record("tier2.compile.end",
-                              function=function.name, kind="error",
-                              seconds=round(elapsed, 9), warm=False)
-            return None
-        elapsed = time.perf_counter() - started
-        self.stats.codegen_seconds += codegen_seconds
-        self.stats.compile_seconds += elapsed
-        self.stats.functions_compiled += 1
-        if warm is not None:
-            self.stats.warm_compiles += 1
+            self.stats.functions_compiled += 1
+            if warm is not None:
+                self.stats.warm_compiles += 1
+                if observe.enabled():
+                    observe.counter("tier2.warm_compiles", 1)
+            else:
+                self._dirty = True
+            self._units[id(function)] = unit
             if observe.enabled():
-                observe.counter("tier2.warm_compiles", 1)
-        else:
-            self._dirty = True
-        self._units[id(function)] = unit
-        if observe.enabled():
-            observe.counter("tier2.functions_compiled", 1)
-            observe.histogram("tier2.compile_seconds", elapsed,
-                              function=function.name)
-        if flight is not None:
-            flight.record("tier2.compile.end", function=function.name,
-                          kind="dispatch", seconds=round(elapsed, 9),
-                          warm=warm is not None)
-        return unit
+                observe.counter("tier2.functions_compiled", 1)
+                observe.histogram("tier2.compile_seconds", elapsed,
+                                  function=function.name)
+                span.set(kind="dispatch", warm=warm is not None)
+            return unit
 
     # -- pinning / deopt / invalidation --------------------------------
 
@@ -1300,9 +1294,7 @@ class Tier2Cache:
             self.stats.pins += 1
             if observe.enabled():
                 observe.counter("tier2.pins", 1, reason=reason[:40])
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("tier2.pin", function=function.name,
+                observe.event("tier2.pin", function=function.name,
                               reason=reason[:120])
 
     def pinned_reason(self, function: Function) -> Optional[str]:
@@ -1316,13 +1308,12 @@ class Tier2Cache:
         if id(function) in self._units:
             self._units.pop(id(function), None)
             self.stats.deopts += 1
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("tier2.deopt", function=function.name,
-                              reason="trap delivered mid-execution")
-            self.pin(function, "deopt: trap delivered mid-execution")
+            reason = "trap delivered mid-execution"
             if observe.enabled():
-                observe.counter("tier2.deopts", 1)
+                observe.counter("tier2.deopts", 1, reason=reason)
+                observe.event("tier2.deopt", function=function.name,
+                              reason=reason)
+            self.pin(function, "deopt: " + reason)
 
     def invalidate(self, function: Function) -> None:
         """SMC invalidation — mirrors ``DecodeCache``: drop the unit,
@@ -1331,9 +1322,7 @@ class Tier2Cache:
             self.stats.invalidations += 1
             if observe.enabled():
                 observe.counter("tier2.invalidations", 1)
-            flight = observe.flight()
-            if flight is not None:
-                flight.record("smc.invalidate", layer="tier2",
+                observe.event("smc.invalidate", layer="tier2",
                               reason="smc-replace",
                               function=function.name)
         self._counts.pop(id(function), None)

@@ -46,19 +46,11 @@ class FunctionJIT:
     def translate(self, name: str) -> MachineFunction:
         """Translate one function now (the resolver callback)."""
         function = self.module.get_function(name)
-        flight = observe.flight()
-        if flight is not None:
-            flight.record("jit.translate.begin", function=name,
-                          target=self.target.name)
         with observe.span("jit.translate", function=name,
                           target=self.target.name) as span:
             started = time.perf_counter()
             machine = self.target.translate_function(function)
             elapsed = time.perf_counter() - started
-        if flight is not None:
-            flight.record("jit.translate.end", function=name,
-                          target=self.target.name,
-                          seconds=round(elapsed, 9))
         llva_instructions = function.cached_num_instructions()
         stats = self.stats
         stats.functions_translated += 1
@@ -116,11 +108,10 @@ class FunctionJIT:
         def listener(function: Function) -> None:
             if native.functions.pop(function.name, None) is not None:
                 self.stats.invalidations += 1
-                observe.counter("jit.invalidations", 1,
-                                target=self.target.name)
-                flight = observe.flight()
-                if flight is not None:
-                    flight.record("smc.invalidate", layer="native",
+                if observe.enabled():
+                    observe.counter("jit.invalidations", 1,
+                                    target=self.target.name)
+                    observe.event("smc.invalidate", layer="native",
                                   reason="smc-replace",
                                   function=function.name)
         return listener

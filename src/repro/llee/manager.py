@@ -35,8 +35,8 @@ from repro.execution.machine_sim import MachineSimulator
 from repro.llee.jit import FunctionJIT, JITStats
 from repro.llee.storage import (
     StorageAPI,
-    flight_cache,
     load_entry,
+    note_cache,
     store_entry,
 )
 from repro.targets.native import (
@@ -215,8 +215,8 @@ class LLEE:
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
-            flight_cache("hit" if cache_hit else "miss", "llee-interp",
-                         object_key, "interp")
+            note_cache("hit" if cache_hit else "miss", "llee-interp",
+                       object_key, "interp")
             interpreter = Interpreter(
                 module, config, privileged=privileged,
                 decode_cache=decode_cache, tier2_cache=tier2_cache)

@@ -24,7 +24,7 @@ timestamp, never a torn mix.
 write-back path of both persistent translation caches (``llee-native``
 and ``llee-tier2``): they decide what counts as a hit, a miss, a stale
 or an invalid entry, and they record every such decision as an
-``llee.cache.*`` counter and an ``llee.cache`` flight event.
+``llee.cache.*`` counter and an ``llee.cache`` trace event.
 """
 
 from __future__ import annotations
@@ -40,24 +40,20 @@ from typing import Callable, Dict, Optional, Tuple
 from repro import observe
 
 
-def _flight_io(op: str, cache: str, name: str,
-               data: Optional[bytes]) -> None:
-    """One ``llee.storage`` flight event per read/write — cheap (one
-    call + None test) and only on cold storage paths."""
-    flight = observe.flight()
-    if flight is not None:
-        flight.record("llee.storage", op=op, cache=cache, name=name,
+def _note_io(op: str, cache: str, name: str,
+             data: Optional[bytes]) -> None:
+    """One ``llee.storage`` event per read/write."""
+    if observe.enabled():
+        observe.event("llee.storage", op=op, cache=cache, name=name,
                       hit=data is not None,
                       bytes=len(data) if data is not None else 0)
 
 
-def flight_cache(event: str, cache: str, key, target: str,
-                 **fields) -> None:
-    """One ``llee.cache`` flight event (hit/miss/invalid/store) —
-    only emitted on cold cache-management paths."""
-    flight = observe.flight()
-    if flight is not None:
-        flight.record("llee.cache", cache=cache, event=event, key=key,
+def note_cache(event: str, cache: str, key, target: str,
+               **fields) -> None:
+    """One ``llee.cache`` event (hit/miss/invalid/store)."""
+    if observe.enabled():
+        observe.event("llee.cache", cache=cache, event=event, key=key,
                       target=target, **fields)
 
 
@@ -111,7 +107,7 @@ class InMemoryStorage(StorageAPI):
         self.reads += 1
         entry = self._caches.get(cache, {}).get(name)
         data = entry[0] if entry is not None else None
-        _flight_io("read", cache, name, data)
+        _note_io("read", cache, name, data)
         return data
 
     def write(self, cache: str, name: str, data: bytes,
@@ -121,7 +117,7 @@ class InMemoryStorage(StorageAPI):
         self._caches[cache][name] = (
             bytes(data), timestamp if timestamp is not None
             else time.time())
-        _flight_io("write", cache, name, data)
+        _note_io("write", cache, name, data)
 
     def timestamp(self, cache: str, name: str) -> Optional[float]:
         entry = self._caches.get(cache, {}).get(name)
@@ -173,7 +169,7 @@ class DiskStorage(StorageAPI):
                 data = handle.read()
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
             data = None
-        _flight_io("read", cache, name, data)
+        _note_io("read", cache, name, data)
         return data
 
     def write(self, cache: str, name: str, data: bytes,
@@ -192,7 +188,7 @@ class DiskStorage(StorageAPI):
         if timestamp is not None:
             os.utime(tmp, (timestamp, timestamp))
         os.replace(tmp, os.path.join(directory, entry))
-        _flight_io("write", cache, name, data)
+        _note_io("write", cache, name, data)
 
     def timestamp(self, cache: str, name: str) -> Optional[float]:
         try:
@@ -248,11 +244,11 @@ def load_entry(storage: Optional[StorageAPI], cache: str, key: str,
     if reason is not None:
         observe.counter("llee.cache.invalid", 1, target=target,
                         reason=reason)
-        flight_cache("invalid", cache, key, target, reason=reason)
+        note_cache("invalid", cache, key, target, reason=reason)
     hit = value is not None
     observe.counter("llee.cache.hit" if hit else "llee.cache.miss", 1,
                     target=target)
-    flight_cache("hit" if hit else "miss", cache, key, target)
+    note_cache("hit" if hit else "miss", cache, key, target)
     return value
 
 
@@ -267,5 +263,5 @@ def store_entry(storage: StorageAPI, cache: str, key: str, target: str,
     except Exception:
         return False
     observe.counter("llee.cache.store", 1, target=target)
-    flight_cache("store", cache, key, target)
+    note_cache("store", cache, key, target)
     return True

@@ -1,61 +1,62 @@
-"""``repro.observe`` — unified tracing + metrics + flight recording
-for the whole pipeline.
+"""``repro.observe`` — unified metrics, tracing and profiling for the
+whole pipeline.
 
 Every layer of the toolchain (MiniC front-end, pass manager, JIT,
 LLEE, interpreter, machine simulator, trace cache) reports through this
-module instead of keeping bespoke counters.  The design constraint is
+module instead of keeping bespoke counters.  There are three
+instruments: the metrics registry (how many?), the tracer (spans for
+what took how long, events for what happened when) and the step
+profiler (which function ran in which tier).  The design constraint is
 **zero overhead when disabled** — which is the default:
 
 * :func:`span` returns a shared no-op context manager;
-* :func:`counter` / :func:`gauge` / :func:`histogram` check one module
-  flag and return immediately;
-* :func:`flight` returns ``None`` unless a flight recorder was
-  requested; emit sites hoist it into a local (or onto interpreter
-  state) and skip entirely when it is ``None``;
+* :func:`counter` / :func:`gauge` / :func:`histogram` / :func:`event`
+  check one module flag and return immediately; emit sites guard
+  :func:`event` with :func:`enabled` so that no field dict is built
+  while off;
 * hot loops (per-instruction) must hoist :func:`enabled` into a local
   before the loop and skip collection entirely when it is False.
 
 Enable it for a run with :func:`configure` (or the CLI's ``--trace`` /
-``--metrics`` / ``--stats`` / ``--flight-record`` flags, or ``repro
-stats`` / ``repro profile``), read results from :func:`registry` /
-:func:`tracer` / :func:`flight`, and reset with :func:`disable`.
-:func:`capture` wraps that lifecycle for scoped use::
+``--metrics`` / ``--stats`` flags, or ``repro stats`` / ``repro
+profile``), read results from :func:`registry` / :func:`tracer`, and
+reset with :func:`disable`.  :func:`capture` wraps that lifecycle for
+scoped use::
 
     from repro import observe
 
-    with observe.capture(flight=True) as obs:
+    with observe.capture() as obs:
         run_pipeline()
     obs.registry.value("llee.cache.miss")
-    obs.tracer.write_chrome("trace.json")
-    obs.flight.events("tier2.")
+    obs.tracer.write("trace.jsonl")
+    [e for e in obs.tracer.events if e.name == "tier2.promote"]
 
-Naming conventions are documented in ``docs/OBSERVABILITY.md``.
+The vocabulary of span and event names is ``tracing.VOCABULARY``;
+naming conventions are documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.observe.flight import (DEFAULT_CAPACITY, EVENT_SCHEMA,
-                                  FlightRecorder, validate_event)
 from repro.observe.metrics import Histogram, MetricsRegistry
 from repro.observe.profiler import StepProfiler
-from repro.observe.tracing import NULL_SPAN, SpanRecord, Tracer
+from repro.observe.tracing import (NULL_SPAN, TRACE_FORMAT_VERSION,
+                                   VOCABULARY, EventRecord, SpanRecord,
+                                   Tracer, validate)
 
 __all__ = [
-    "EVENT_SCHEMA", "FlightRecorder", "Histogram", "MetricsRegistry",
-    "SpanRecord", "StepProfiler", "Tracer",
-    "capture", "configure", "counter", "disable", "enabled", "flight",
-    "gauge", "histogram", "registry", "span", "tracer",
-    "validate_event",
+    "EventRecord", "Histogram", "MetricsRegistry", "SpanRecord",
+    "StepProfiler", "TRACE_FORMAT_VERSION", "Tracer", "VOCABULARY",
+    "autodump", "capture", "configure", "counter", "disable", "enabled",
+    "event", "gauge", "histogram", "registry", "span", "tracer",
+    "validate",
 ]
 
 _enabled = False
 _registry = MetricsRegistry()
 _tracer = Tracer()
-_flight: Optional[FlightRecorder] = None
 
 
 def enabled() -> bool:
@@ -73,33 +74,21 @@ def tracer() -> Tracer:
     return _tracer
 
 
-def flight() -> Optional[FlightRecorder]:
-    """The active flight recorder, or ``None`` when off.  Emit sites
-    hoist this into a local and guard with ``if fl is not None``."""
-    return _flight
-
-
-def configure(reset: bool = True, flight: bool = False,
-              flight_capacity: int = DEFAULT_CAPACITY) -> None:
-    """Turn observability on, optionally clearing previous data and
-    attaching a flight recorder."""
-    global _enabled, _flight
+def configure(reset: bool = True) -> None:
+    """Turn observability on, optionally clearing previous data."""
+    global _enabled
     _enabled = True
     if reset:
         _registry.reset()
         _tracer.reset()
-        _flight = None
-    if flight and _flight is None:
-        _flight = FlightRecorder(capacity=flight_capacity)
 
 
 def disable(reset: bool = True) -> None:
-    global _enabled, _flight
+    global _enabled
     _enabled = False
     if reset:
         _registry.reset()
         _tracer.reset()
-        _flight = None
 
 
 @dataclass
@@ -108,28 +97,23 @@ class Capture:
 
     registry: MetricsRegistry
     tracer: Tracer
-    flight: Optional[FlightRecorder] = None
 
 
 @contextmanager
-def capture(flight: bool = False,
-            flight_capacity: int = DEFAULT_CAPACITY):
-    """Enable observability for a ``with`` block and hand back the
-    registry/tracer (plus a flight recorder when ``flight=True``);
-    restores the previous on/off state afterwards (data survives the
-    block — it belongs to the returned handle)."""
-    global _enabled, _registry, _tracer, _flight
-    previous = (_enabled, _registry, _tracer, _flight)
+def capture():
+    """Enable observability for a ``with`` block and hand back a fresh
+    registry and tracer; restores the previous on/off state afterwards
+    (data survives the block — it belongs to the returned handle)."""
+    global _enabled, _registry, _tracer
+    previous = (_enabled, _registry, _tracer)
     _registry = MetricsRegistry()
     _tracer = Tracer()
-    _flight = (FlightRecorder(capacity=flight_capacity)
-               if flight else None)
     _enabled = True
-    handle = Capture(_registry, _tracer, _flight)
+    handle = Capture(_registry, _tracer)
     try:
         yield handle
     finally:
-        _enabled, _registry, _tracer, _flight = previous
+        _enabled, _registry, _tracer = previous
 
 
 # -- instrumentation points (cheap when disabled) ---------------------------
@@ -140,6 +124,19 @@ def span(name: str, /, **attrs):
     if not _enabled:
         return NULL_SPAN
     return _tracer.span(name, **attrs)
+
+
+def event(name: str, /, **fields) -> None:
+    """One instant event in the tracer's ring."""
+    if _enabled:
+        _tracer.event(name, **fields)
+
+
+def autodump(reason: str) -> None:
+    """Write the tail of the event ring to stderr, once per tracer: the
+    evidence trail of a sanitizer fault or an unhandled trap."""
+    if _enabled:
+        _tracer.autodump(reason)
 
 
 def counter(name: str, amount: float = 1, **labels) -> None:

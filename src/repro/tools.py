@@ -18,16 +18,15 @@ Sources are auto-detected by suffix where it matters: ``.ll`` is
 assembly, ``.c``/``.mc`` is MiniC, anything else is treated as virtual
 object code.
 
-Observability: ``cc``/``opt``/``run``/``stats`` accept ``--trace FILE``
-(Chrome ``trace_event`` JSON, or JSONL with a ``.jsonl`` suffix) and
+Observability: ``cc``/``opt``/``run``/``stats``/``profile`` accept
+``--trace FILE`` (the spans and the JIT-lifecycle events as Chrome
+``trace_event`` JSON, or as JSONL with a ``.jsonl`` suffix) and
 ``--metrics FILE`` (the registry snapshot as JSON); ``repro stats``
 runs a program with full instrumentation and pretty-prints per-pass
 timings, expansion ratios, cache behaviour, opcode mix, and the
-hottest profiled blocks.  ``run``/``stats``/``profile`` accept
-``--flight-record FILE`` (the JIT-lifecycle flight recorder, dumped as
-JSONL), and ``repro profile`` attributes every interpreter step to a
-``(function, tier)`` pair — tier 1 or tier 2 — with optional
-speedscope export.  See ``docs/OBSERVABILITY.md``.
+hottest profiled blocks; ``repro profile`` attributes every
+interpreter step to a ``(function, tier)`` pair — tier 1 or tier 2 —
+with optional speedscope export.  See ``docs/OBSERVABILITY.md``.
 
 A file that cannot be read or written, or an input that is malformed,
 ends in one stderr line (``<command>: cannot read|write <path>:
@@ -40,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
@@ -606,37 +606,17 @@ def _cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _flight_compile_split(flight):
-    """(compile_seconds, warm_compiles, error_compiles) from the flight
-    recorder's ``tier2.compile.end`` events."""
-    seconds = 0.0
-    warm = errors = 0
-    if flight is not None:
-        for event in flight.events("tier2.compile.end"):
-            seconds += event.get("seconds", 0.0)
-            if event.get("warm"):
-                warm += 1
-            if event.get("kind") == "error":
-                errors += 1
-    return seconds, warm, errors
+def _reasons(name: str) -> dict:
+    """Reason -> count over one ``reason``-labelled counter."""
+    return {reason: int(count) for reason, count
+            in observe.registry().label_values(name, "reason")}
 
 
-def _flight_reasons(flight, type_: str) -> dict:
-    """Reason -> count over one flight event type."""
-    reasons: dict = {}
-    if flight is not None:
-        for event in flight.events(type_):
-            reason = event.get("reason", "?")
-            reasons[reason] = reasons.get(reason, 0) + 1
-    return reasons
-
-
-def _profile_payload(profiler, interpreter, result, flight,
-                     top: int) -> dict:
+def _profile_payload(profiler, interpreter, result, top: int) -> dict:
     """The ``repro profile`` report as one JSON-ready dict (also the
     substrate for the human-readable rendering)."""
     data = profiler.to_dict()
-    compile_seconds, warm, errors = _flight_compile_split(flight)
+    duration = data["duration_seconds"]
     stats = getattr(getattr(interpreter, "tier2", None), "stats", None)
     payload = {
         "command": "profile",
@@ -645,20 +625,15 @@ def _profile_payload(profiler, interpreter, result, flight,
         "tier1_steps": data["tier1_steps"],
         "tier2_steps": data["tier2_steps"],
         "engine_tier2_steps": getattr(interpreter, "tier2_steps", 0),
-        "duration_seconds": data["duration_seconds"],
+        "duration_seconds": duration,
         "tiers": data["tiers"],
         "functions": data["functions"][:top] if top else
         data["functions"],
-        "compile": {
-            "seconds": round(compile_seconds, 9),
-            "warm": warm,
-            "errors": errors,
-            "share": (compile_seconds / data["duration_seconds"]
-                      if data["duration_seconds"] else 0.0),
-        },
-        "deopt_reasons": _flight_reasons(flight, "tier2.deopt"),
-        "pin_reasons": _flight_reasons(flight, "tier2.pin"),
-        "promotion_reasons": _flight_reasons(flight, "tier2.promote"),
+        "deopt_reasons": _reasons("tier2.deopts"),
+        "pin_reasons": _reasons("tier2.pins"),
+        "promotion_reasons": _reasons("tier2.promotions"),
+        "events": dict(sorted(Counter(
+            event.name for event in observe.tracer().events).items())),
     }
     if stats is not None:
         payload["tier2"] = {
@@ -668,12 +643,12 @@ def _profile_payload(profiler, interpreter, result, flight,
             "pins": stats.pins,
             "invalidations": stats.invalidations,
             "compile_seconds": round(stats.compile_seconds, 9),
+            "compile_share": (stats.compile_seconds / duration
+                              if duration else 0.0),
         }
     vectorization = _vectorization_payload()
     if vectorization is not None:
         payload["vectorization"] = vectorization
-    if flight is not None:
-        payload["flight_events"] = flight.counts()
     return payload
 
 
@@ -736,6 +711,8 @@ def _render_profile_report(payload: dict, out) -> None:
             tier2["functions_compiled"], tier2["warm_compiles"]))
         out.write("  deopts={0} pins={1} invalidations={2}\n".format(
             tier2["deopts"], tier2["pins"], tier2["invalidations"]))
+        out.write("  compile_seconds={0:.4f} ({1:.1f}% of run)\n".format(
+            tier2["compile_seconds"], 100.0 * tier2["compile_share"]))
     vectorization = payload.get("vectorization")
     if vectorization:
         out.write("== vectorization ==\n")
@@ -750,10 +727,6 @@ def _render_profile_report(payload: dict, out) -> None:
         for reason in sorted(rejected, key=lambda r: -rejected[r]):
             out.write("  rejected {0:>5}  {1}\n".format(
                 rejected[reason], reason))
-    compile_info = payload["compile"]
-    out.write(
-        "  compile_seconds={0:.4f} ({1:.1f}% of run)\n".format(
-            compile_info["seconds"], 100.0 * compile_info["share"]))
     for title, key in (("promotion reasons", "promotion_reasons"),
                        ("deopt reasons", "deopt_reasons"),
                        ("pin reasons", "pin_reasons")):
@@ -791,8 +764,7 @@ def _cmd_profile(args) -> int:
     # under --json stdout carries only the document; the program's own
     # output moves to stderr
     (sys.stderr if args.json else sys.stdout).write(result.output)
-    payload = _profile_payload(profiler, interpreter, result,
-                               observe.flight(), args.top)
+    payload = _profile_payload(profiler, interpreter, result, args.top)
     if args.speedscope:
         with _file_errors(args.speedscope, "write"):
             profiler.write_speedscope(args.speedscope,
@@ -818,14 +790,6 @@ def _add_observe_flags(sub) -> None:
     sub.add_argument(
         "--metrics", metavar="FILE",
         help="write the metrics registry snapshot as JSON")
-
-
-def _add_flight_flag(sub) -> None:
-    sub.add_argument(
-        "--flight-record", metavar="FILE",
-        help="record the JIT lifecycle (promotions, compiles, pins, "
-             "deopts, traps, cache events) in a bounded ring buffer "
-             "and write it as JSONL")
 
 
 def _add_tier2_flags(sub) -> None:
@@ -915,7 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tier2_flags(run)
     run.add_argument("--stats", action="store_true")
     _add_observe_flags(run)
-    _add_flight_flag(run)
     run.add_argument("args", nargs="*")
     run.set_defaults(func=_cmd_run)
 
@@ -961,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the report as JSON instead of the "
                             "human-readable rendering")
     _add_observe_flags(stats)
-    _add_flight_flag(stats)
     stats.add_argument("args", nargs="*")
     stats.set_defaults(func=_cmd_stats)
 
@@ -993,7 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the tier timeline as a "
                               "speedscope.app JSON document")
     _add_observe_flags(profile)
-    _add_flight_flag(profile)
     profile.add_argument("args", nargs="*")
     profile.set_defaults(func=_cmd_profile)
 
@@ -1004,16 +965,7 @@ def _wants_observability(args) -> bool:
     return bool(getattr(args, "trace", None)
                 or getattr(args, "metrics", None)
                 or getattr(args, "stats", False)
-                or getattr(args, "flight_record", None)
                 or args.command in ("stats", "profile"))
-
-
-def _wants_flight(args) -> bool:
-    """The flight recorder costs one attribute test per emit site, so
-    it only flies when asked for: ``--flight-record`` or ``repro
-    profile`` (which reads compile/deopt events for its report)."""
-    return bool(getattr(args, "flight_record", None)
-                or args.command == "profile")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1021,7 +973,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     observing = _wants_observability(args)
     if observing:
-        observe.configure(flight=_wants_flight(args))
+        observe.configure()
     try:
         with observe.span("cli." + args.command):
             status = args.func(args)
@@ -1044,10 +996,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 metrics_path = getattr(args, "metrics", None)
                 if metrics_path:
                     observe.registry().write_json(metrics_path)
-                flight_path = getattr(args, "flight_record", None)
-                recorder = observe.flight()
-                if flight_path and recorder is not None:
-                    recorder.write_jsonl(flight_path)
             except OSError as error:
                 sys.stderr.write(
                     "{0}: cannot write observability export: {1}\n"

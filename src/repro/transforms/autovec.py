@@ -28,7 +28,7 @@ make that work:
   the scalar epilogue instead of misbehaving.
 
 Rejection reasons (surfaced as ``vec.loops_rejected{reason=...}`` and in
-``autovec.loop`` flight events; see docs/PERFORMANCE.md):
+``autovec.loop`` trace events; see docs/PERFORMANCE.md):
 
 =================  ======================================================
 ``not-counted``    no recognizable induction variable / trip count
@@ -116,26 +116,25 @@ class LoopAutovectorizer(FunctionPass):
     def run(self, function: Function) -> bool:
         loop_info = LoopInfo(function)
         changed = False
-        recorder = observe.flight()
+        observing = observe.enabled()
         for loop in loop_info.all_loops():
             if loop.children:
                 continue  # only innermost loops
             outcome = self._plan(loop)
             if isinstance(outcome, str):
                 observe.counter("vec.loops_rejected", 1, reason=outcome)
-                if recorder is not None:
-                    recorder.record("autovec.loop",
-                                    function=function.name,
-                                    header=loop.header.name,
-                                    vectorized=False, reason=outcome)
+                if observing:
+                    observe.event("autovec.loop", function=function.name,
+                                  header=loop.header.name,
+                                  vectorized=False, reason=outcome)
                 continue
             self._rewrite(function, outcome)
             observe.counter("vec.loops_vectorized", 1,
                             function=function.name)
-            if recorder is not None:
-                recorder.record("autovec.loop", function=function.name,
-                                header=loop.header.name, vectorized=True,
-                                lanes=self.lanes)
+            if observing:
+                observe.event("autovec.loop", function=function.name,
+                              header=loop.header.name, vectorized=True,
+                              lanes=self.lanes)
             changed = True
         return changed
 

@@ -122,8 +122,11 @@ class TestTraceExport:
         events = document["traceEvents"]
         by_name = {}
         for event in events:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 0
+            # Spans are complete events; the cache decisions are
+            # instant events.
+            assert event["ph"] == ("i" if event["name"] == "llee.cache"
+                                   else "X"), event
+            assert event.get("dur", 0) >= 0
             by_name.setdefault(event["name"], []).append(event)
         assert "jit.translate" in by_name
         assert "native.run" in by_name
@@ -140,11 +143,13 @@ class TestTraceExport:
     def test_jsonl_trace(self, prog_bc, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         _capture(["run", str(prog_bc), "--trace", str(trace)], capsys)
-        records = [json.loads(line)
-                   for line in trace.read_text().splitlines()]
+        header, *records = [json.loads(line)
+                            for line in trace.read_text().splitlines()]
+        assert header == {"trace": observe.TRACE_FORMAT_VERSION,
+                          "dropped": 0}
         assert any(r["name"] == "interp.run" for r in records)
         assert all({"span_id", "start", "end", "attrs"} <= set(r)
-                   for r in records)
+                   for r in records if r["kind"] == "span")
 
     def test_cc_trace_covers_frontend(self, tmp_path, capsys):
         source = tmp_path / "p.c"
@@ -258,7 +263,9 @@ class TestProfileCommand:
             document["steps"]
         assert sum(t["steps"] for t in document["tiers"].values()) \
             == document["steps"]
-        assert document["flight_events"]["run.begin"] == 1
+        assert document["events"]["tier2.promote"] == \
+            sum(document["promotion_reasons"].values()) == \
+            document["tier2"]["functions_compiled"]
 
     def test_no_tier2_profiles_pure_tier1(self, prog_bc, capsys):
         code, out, _err = _capture(
@@ -289,30 +296,42 @@ class TestProfileCommand:
 
 
 class TestFlightRecordExport:
+    """The JIT lifecycle is part of the ``--trace`` export; the
+    separate ring-buffer export and its flag are gone."""
+
     def test_run_writes_validated_jsonl(self, prog_bc, tmp_path,
                                         capsys):
-        from repro.observe import validate_event
-
-        flight = tmp_path / "flight.jsonl"
+        trace = tmp_path / "t.jsonl"
         code, _out, _err = _capture(
             ["run", str(prog_bc), "--tier2",
-             "--tier2-threshold", "2", "--flight-record", str(flight)],
+             "--tier2-threshold", "2", "--trace", str(trace)],
             capsys)
         assert code == 85
-        lines = [json.loads(line)
-                 for line in flight.read_text().splitlines()]
-        header, events = lines[0], lines[1:]
-        assert header["flight"] == 7
-        assert header["recorded"] == len(events) + header["dropped"]
-        for event in events:
-            assert validate_event(event) == [], event
-        types = {e["type"] for e in events}
-        assert {"run.begin", "run.end", "tier2.promote",
-                "tier2.compile.begin", "tier2.compile.end"} <= types
+        header, *records = [json.loads(line)
+                            for line in trace.read_text().splitlines()]
+        assert header == {"trace": observe.TRACE_FORMAT_VERSION,
+                          "dropped": 0}
+        for record in records:
+            assert observe.validate(record["kind"], record["name"],
+                                    record["attrs"]) == [], record
+        # A promotion is on the timeline before its compile span ends.
+        names = [(r["kind"], r["name"], r["attrs"].get("function"))
+                 for r in records]
+        promoted = [f for kind, name, f in names
+                    if name == "tier2.promote"]
+        assert promoted
+        for function in promoted:
+            assert names.index(("event", "tier2.promote", function)) < \
+                names.index(("span", "tier2.compile", function))
+        assert ("span", "interp.run", None) in names
 
-    def test_flight_off_by_default(self, prog_bc, capsys):
-        _capture(["run", str(prog_bc), "--stats"], capsys)
-        assert observe.flight() is None
+    def test_ring_buffer_flag_is_gone(self, capsys):
+        for command in ("run", "stats", "profile"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            usage = capsys.readouterr().out
+            assert "--trace" in usage and "flight" not in usage
 
 
 class _ClosedPipe(io.StringIO):

@@ -1,14 +1,11 @@
-"""Flight recorder + step profiler: unit behaviour, engine parity,
-and the exact-attribution contract (``repro profile`` totals must
-reconcile with the engines' own ``tier1_steps``/``tier2_steps``)."""
-
-import io
-import json
+"""Step profiler: unit behaviour, engine parity of the trace, and the
+exact-attribution contract (``repro profile`` totals must reconcile
+with the engines' own ``tier1_steps``/``tier2_steps``)."""
 
 from repro import observe
 from repro.execution import Interpreter
 from repro.minic import compile_source
-from repro.observe import FlightRecorder, StepProfiler, validate_event
+from repro.observe import StepProfiler, validate
 
 PROGRAM = """
 int work(int n) {
@@ -29,87 +26,16 @@ int main() {
 
 
 def _module():
-    return compile_source(PROGRAM, "flightprog.mc")
+    return compile_source(PROGRAM, "profprog.mc")
 
 
 def _run(engine, tier2=False, profiler=None):
     module = _module()
-    with observe.capture(flight=True) as obs:
+    with observe.capture() as obs:
         interpreter = Interpreter(module, engine=engine, tier2=tier2,
                                   tier2_threshold=1, profiler=profiler)
         result = interpreter.run("main")
     return result, obs, interpreter
-
-
-class TestFlightRecorder:
-    def test_ring_is_bounded_and_counts_drops(self):
-        recorder = FlightRecorder(capacity=4)
-        for n in range(10):
-            recorder.record("tier2.promote", function="f%d" % n,
-                            reason="invocations")
-        assert len(recorder.events()) == 4
-        assert recorder.recorded == 10
-        assert recorder.dropped == 6
-        # Oldest fell off: the survivors are the last four.
-        assert [e["function"] for e in recorder.events()] == \
-            ["f6", "f7", "f8", "f9"]
-        assert recorder.header()["dropped"] == 6
-
-    def test_events_filter_by_type_and_prefix(self):
-        recorder = FlightRecorder()
-        recorder.record("run.begin", engine="fast", entry="main")
-        recorder.record("tier2.promote", function="f",
-                        reason="invocations")
-        recorder.record("tier2.compile.begin", function="f")
-        assert len(recorder.events("tier2.")) == 2
-        assert len(recorder.events("tier2.promote")) == 1
-        assert recorder.counts() == {"run.begin": 1,
-                                     "tier2.compile.begin": 1,
-                                     "tier2.promote": 1}
-
-    def test_validate_event_rejects_malformed(self):
-        recorder = FlightRecorder()
-        good = recorder.record("tier2.deopt", function="f",
-                               reason="trap")
-        assert validate_event(good) == []
-        bad_type = recorder.record("tier9.warp", function="f")
-        assert any("unknown event type" in p
-                   for p in validate_event(bad_type))
-        missing = recorder.record("tier2.deopt", function="f")
-        assert any("missing fields" in p
-                   for p in validate_event(missing))
-        # Format v6 dropped the hosted native tier's events.
-        removed = recorder.record("tier3.promote", function="f",
-                                  step_credit=0)
-        assert any("unknown event type" in p
-                   for p in validate_event(removed))
-        assert len(recorder.validate()) == 3
-
-    def test_jsonl_round_trip(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.record("run.begin", engine="fast", entry="main")
-        recorder.record("run.end", engine="fast", steps=7)
-        path = tmp_path / "flight.jsonl"
-        recorder.write_jsonl(str(path))
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert lines[0]["flight"] == 7
-        assert lines[0]["recorded"] == 2
-        assert [e["type"] for e in lines[1:]] == ["run.begin",
-                                                  "run.end"]
-        # Sequence numbers and timestamps are monotonic.
-        assert lines[1]["seq"] < lines[2]["seq"]
-        assert lines[1]["ts"] <= lines[2]["ts"]
-
-    def test_autodump_fires_once(self):
-        recorder = FlightRecorder()
-        recorder.record("san.fault", kind="heap-overflow", detail="x")
-        first, second = io.StringIO(), io.StringIO()
-        recorder.autodump("sanitizer fault", stream=first)
-        recorder.autodump("sanitizer fault", stream=second)
-        assert "flight recorder (sanitizer fault)" in first.getvalue()
-        assert "san.fault" in first.getvalue()
-        assert second.getvalue() == ""
 
 
 class TestStepProfiler:
@@ -151,9 +77,9 @@ class TestStepProfiler:
 
 
 class TestEngineParity:
-    """Satellite: the same workload observed on every engine agrees on
-    results and on the shared metric vocabulary, and every flight
-    event any engine emits passes schema validation."""
+    """The same workload observed on every engine agrees on results and
+    on the shared metric vocabulary, and every span and event any
+    engine emits validates against the trace vocabulary."""
 
     def test_results_and_shared_metrics_agree(self):
         runs = {
@@ -172,31 +98,34 @@ class TestEngineParity:
                         if metric == "run.steps")
             assert total == steps[name], name
 
-    def test_flight_events_validate_on_every_engine(self):
+    def test_events_validate_on_every_engine(self):
         for kwargs in ({"engine": "reference"}, {"engine": "fast"},
                        {"engine": "fast", "tier2": True}):
-            _result, obs, _interp = _run(**kwargs)
-            assert obs.flight is not None
-            assert obs.flight.validate() == []
+            result, obs, _interp = _run(**kwargs)
+            records = obs.tracer.records + list(obs.tracer.events)
+            assert records
+            for record in records:
+                assert validate(record.kind, record.name,
+                                record.attrs) == [], record
+            (run,) = [r for r in obs.tracer.records
+                      if r.name == "interp.run"]
+            assert run.attrs["steps"] == result.steps
 
-    def test_jit_lifecycle_is_replayable_from_flight(self):
+    def test_jit_lifecycle_is_replayable_from_trace(self):
         _result, obs, interpreter = _run("fast", tier2=True)
-        counts = obs.flight.counts()
-        assert counts["run.begin"] == 1
-        assert counts["run.end"] == 1
         stats = interpreter.tier2.stats
-        assert counts["tier2.compile.begin"] == \
-            counts["tier2.compile.end"]
-        assert counts["tier2.compile.end"] >= \
-            stats.functions_compiled > 0
-        assert counts.get("tier2.promote", 0) >= 1
-        # Ordering: a function's promotion precedes its compile end.
-        events = obs.flight.events()
-        first_promote = next(i for i, e in enumerate(events)
-                             if e["type"] == "tier2.promote")
-        first_compiled = next(i for i, e in enumerate(events)
-                              if e["type"] == "tier2.compile.end")
-        assert first_promote < first_compiled
+        compiles = [r for r in obs.tracer.records
+                    if r.name == "tier2.compile"]
+        promotions = [e for e in obs.tracer.events
+                      if e.name == "tier2.promote"]
+        assert len(compiles) == stats.functions_compiled > 0
+        assert all(r.attrs["kind"] == "dispatch" for r in compiles)
+        # Each function's promotion comes before its compile ends.
+        assert [e.attrs["function"] for e in promotions] == \
+            [r.attrs["function"] for r in compiles]
+        for promotion, compile_ in zip(promotions, compiles):
+            assert promotion.ts <= compile_.start <= compile_.end
+            assert promotion.parent_id == compile_.parent_id
 
     def test_profiler_totals_match_engine_accounting(self):
         profiler = StepProfiler()

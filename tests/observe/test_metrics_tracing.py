@@ -1,13 +1,15 @@
-"""The repro.observe subsystem: metrics registry, span tracer, exports,
-and the zero-overhead-when-disabled contract."""
+"""The repro.observe subsystem: metrics registry, span tracer and its
+events, exports, and the zero-overhead-when-disabled contract."""
 
+import io
 import json
 
 import pytest
 
 from repro import observe
 from repro.observe.metrics import Histogram, MetricsRegistry
-from repro.observe.tracing import NULL_SPAN, Tracer
+from repro.observe.tracing import (EVENT_CAPACITY, NULL_SPAN,
+                                   TRACE_FORMAT_VERSION, Tracer, validate)
 
 
 class TestMetricsRegistry:
@@ -127,7 +129,101 @@ class TestTracer:
         assert "traceEvents" in json.loads(chrome.read_text())
         lines = [json.loads(line)
                  for line in jsonl.read_text().splitlines()]
-        assert lines[0]["name"] == "only"
+        assert lines[0] == {"trace": TRACE_FORMAT_VERSION, "dropped": 0}
+        assert lines[1]["name"] == "only"
+
+
+class TestTracerEvents:
+    def test_ring_is_bounded_and_counts_drops(self):
+        tracer = Tracer()
+        for n in range(EVENT_CAPACITY + 6):
+            tracer.event("tier2.promote", function="f%d" % n,
+                         reason="invocations")
+        assert len(tracer.events) == EVENT_CAPACITY
+        assert tracer.events_recorded == EVENT_CAPACITY + 6
+        assert tracer.events_dropped == 6
+        # Oldest fell off: the survivors are the newest.
+        assert tracer.events[0].attrs["function"] == "f6"
+        assert tracer.events[-1].attrs["function"] == \
+            "f%d" % (EVENT_CAPACITY + 5)
+        assert tracer.header()["dropped"] == 6
+
+    def test_event_names_and_parent_span(self):
+        tracer = Tracer()
+        tracer.event("tier2.promote", function="f", reason="steps")
+        with tracer.span("tier2.compile", function="f") as span:
+            tracer.event("tier2.pin", function="f", reason="opcode mbr")
+            span.set(kind="error", warm=False)
+        first, second = tracer.events
+        assert [first.name, second.name] == ["tier2.promote",
+                                             "tier2.pin"]
+        assert first.parent_id is None
+        assert second.parent_id == tracer.records[0].span_id
+        assert first.ts <= second.ts <= tracer.records[0].end
+
+    def test_validate_rejects_malformed(self):
+        assert validate("event", "tier2.deopt",
+                        {"function": "f", "reason": "trap"}) == []
+        assert validate("span", "tier2.compile",
+                        {"function": "f", "kind": "dispatch",
+                         "warm": False}) == []
+        assert "unknown event" in validate("event", "tier9.warp", {})[0]
+        assert "lacks ['reason']" in validate(
+            "event", "tier2.deopt", {"function": "f"})[0]
+        assert "is a span, not a event" in validate(
+            "event", "tier2.compile",
+            {"function": "f", "kind": "dispatch", "warm": False})[0]
+        assert validate("event", "tier2.deopt",
+                        {"function": "f", "reason": object()})
+        # Begin/end pairs became spans: their names are gone.
+        for removed in ("run.begin", "tier2.compile.end",
+                        "jit.translate.begin"):
+            assert validate("event", removed, {})
+
+    def test_jsonl_round_trip(self, tmp_path):
+        tracer = Tracer()
+        tracer.event("tier2.promote", function="f", reason="steps")
+        with tracer.span("interp.run", entry="main"):
+            tracer.event("trap.deliver", engine="fast", trap=2,
+                         handler="h")
+        tracer.event("tier2.deopt", function="f", reason="trap")
+        path = tmp_path / "trace.jsonl"
+        tracer.write(str(path))
+        lines = [json.loads(line)
+                 for line in path.read_text().splitlines()]
+        assert lines[0] == {"trace": TRACE_FORMAT_VERSION, "dropped": 0}
+        # Time order: a span at its end, an event at its timestamp.
+        assert [(r["kind"], r["name"]) for r in lines[1:]] == [
+            ("event", "tier2.promote"), ("event", "trap.deliver"),
+            ("span", "interp.run"), ("event", "tier2.deopt")]
+        assert lines[2]["parent_id"] == lines[3]["span_id"]
+        assert lines[2]["attrs"] == {"engine": "fast", "trap": 2,
+                                     "handler": "h"}
+
+    def test_chrome_trace_marks_events_as_instants(self):
+        tracer = Tracer()
+        with tracer.span("interp.run", entry="main"):
+            tracer.event("tier2.promote", function="f", reason="steps")
+        trace = tracer.to_chrome_trace()
+        phases = {e["name"]: e["ph"] for e in trace["traceEvents"]}
+        assert phases == {"interp.run": "X", "tier2.promote": "i"}
+        instant = trace["traceEvents"][1]
+        assert instant["args"]["parent_span"] == 1
+        assert trace["otherData"] == {"trace": TRACE_FORMAT_VERSION,
+                                      "dropped": 0}
+
+    def test_autodump_fires_once(self):
+        tracer = Tracer()
+        tracer.event("san.fault", kind="heap-overflow", detail="x")
+        first, second = io.StringIO(), io.StringIO()
+        tracer.autodump("sanitizer fault", stream=first)
+        tracer.autodump("sanitizer fault", stream=second)
+        assert "trace events (sanitizer fault)" in first.getvalue()
+        assert "san.fault" in first.getvalue()
+        assert second.getvalue() == ""
+        tracer.reset()
+        tracer.autodump("again", stream=second)
+        assert "trace events (again): last 0 of 0" in second.getvalue()
 
 
 class TestGlobalSwitchboard:
@@ -136,8 +232,10 @@ class TestGlobalSwitchboard:
         assert observe.span("x") is NULL_SPAN
         observe.counter("x")  # must not record
         observe.histogram("h", 1.0)
+        observe.event("tier2.promote", function="f", reason="steps")
         assert observe.registry().value("x") == 0
         assert observe.registry().histogram("h") is None
+        assert not observe.tracer().events
 
     def test_capture_scopes_enablement(self):
         assert not observe.enabled()

@@ -166,29 +166,32 @@ class TestRejectionTaxonomy:
 
 
 class TestObservability:
-    def test_counters_and_flight_events(self):
-        with observe.capture(flight=True) as cap:
+    def test_counters_and_events(self):
+        with observe.capture() as cap:
             compile_source(_CANONICAL, "vec",
                            optimization_level=2, vectorize=True)
         for function in ("fill", "total"):
             assert cap.registry.value("vec.loops_vectorized",
                                       function=function) == 1
-        events = cap.flight.events("autovec.loop")
+        events = [e for e in cap.tracer.events
+                  if e.name == "autovec.loop"]
         assert len(events) == 2
-        assert {e["function"] for e in events} == {"fill", "total"}
+        assert {e.attrs["function"] for e in events} == {"fill", "total"}
         for event in events:
-            assert observe.validate_event(event) == []
-            assert event["vectorized"] is True
-            assert event["lanes"] == VECTOR_LANES
+            assert observe.validate(event.kind, event.name,
+                                    event.attrs) == []
+            assert event.attrs["vectorized"] is True
+            assert event.attrs["lanes"] == VECTOR_LANES
 
-    def test_rejection_flight_event_carries_reason(self):
-        with observe.capture(flight=True) as cap:
+    def test_rejection_event_carries_reason(self):
+        with observe.capture() as cap:
             compile_source(_REJECTIONS["may-alias"], "rej",
                            optimization_level=2, vectorize=True)
-        events = cap.flight.events("autovec.loop")
+        events = [e for e in cap.tracer.events
+                  if e.name == "autovec.loop"]
         assert len(events) == 1
-        assert events[0]["vectorized"] is False
-        assert events[0]["reason"] == "may-alias"
+        assert events[0].attrs["vectorized"] is False
+        assert events[0].attrs["reason"] == "may-alias"
 
     def test_lane_counter_per_engine(self):
         module = compile_source(_CANONICAL, "vec",
