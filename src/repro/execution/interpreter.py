@@ -178,7 +178,7 @@ class Interpreter:
             if self.profiler is not None:
                 self.profiler.flush(self.steps)
             observe.counter("run.steps", self.steps - steps_before,
-                            engine="interp")
+                            engine="reference")
         return ExecutionResult(
             return_value=result_value,
             steps=self.steps,
@@ -295,7 +295,7 @@ class Interpreter:
 
     def _deliver_trap(self, frame: _Frame, inst: Optional[insts.Instruction],
                       trap_number: int, info: int, detail: str = ""):
-        observe.counter("run.traps", 1, engine="interp",
+        observe.counter("run.traps", 1, engine="reference",
                         trap=str(trap_number))
         handler_address = self.trap_handlers.get(trap_number)
         if handler_address is None:
@@ -672,14 +672,14 @@ class Interpreter:
             result = tuple(element.wrap(a - b) for a, b in zip(lhs, rhs))
         else:
             result = tuple(element.wrap(a * b) for a, b in zip(lhs, rhs))
-        observe.counter("vec.lanes", inst.type.lanes, engine="interp")
+        observe.counter("vec.lanes", inst.type.lanes, engine="reference")
         self._set(frame, inst, result)
         frame.index += 1
         return _NO_RESULT
 
     def _exec_vsplat(self, frame: _Frame, inst):
         scalar = self._value(frame, inst.scalar)
-        observe.counter("vec.lanes", inst.type.lanes, engine="interp")
+        observe.counter("vec.lanes", inst.type.lanes, engine="reference")
         self._set(frame, inst, (scalar,) * inst.type.lanes)
         frame.index += 1
         return _NO_RESULT
@@ -704,7 +704,7 @@ class Interpreter:
         else:
             for lane in lanes:
                 acc = lane if lane > acc else acc
-        observe.counter("vec.lanes", len(lanes), engine="interp")
+        observe.counter("vec.lanes", len(lanes), engine="reference")
         self._set(frame, inst, acc)
         frame.index += 1
         return _NO_RESULT
@@ -716,7 +716,7 @@ class Interpreter:
         read = self.memory.read_typed
         result = tuple(read(address + i * stride, element)
                        for i in range(inst.type.lanes))
-        observe.counter("vec.lanes", inst.type.lanes, engine="interp")
+        observe.counter("vec.lanes", inst.type.lanes, engine="reference")
         self._set(frame, inst, result)
         frame.index += 1
         return _NO_RESULT
@@ -729,7 +729,7 @@ class Interpreter:
         write = self.memory.write_typed
         for i, lane in enumerate(value):
             write(address + i * stride, element, lane)
-        observe.counter("vec.lanes", len(value), engine="interp")
+        observe.counter("vec.lanes", len(value), engine="reference")
         frame.index += 1
         return _NO_RESULT
 

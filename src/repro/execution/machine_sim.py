@@ -408,10 +408,11 @@ class MachineSimulator:
             target_fn.replace_body_from(donor_fn)
             # Invalidate the stale translation: future invocations get
             # retranslated (Section 3.4); active frames keep running
-            # their existing machine code.
-            self.native.functions.pop(target_fn.name, None)
+            # their existing machine code.  The listeners go first, so
+            # a JIT's listener still finds the translation it drops.
             for listener in self.smc_listeners:
                 listener(target_fn)
+            self.native.functions.pop(target_fn.name, None)
             return
         if name == "llva.sec.register":
             return

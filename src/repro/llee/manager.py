@@ -17,6 +17,12 @@ When asked to run a virtual executable, LLEE:
    which populates the cache without executing ("initiating 'execution'
    as above, but flagging it for translation and not actual
    execution").
+
+An LLEE loads each executable once: the module it read and the
+translation it ran stay resident for the next launch.  That launch
+still reads the cached vector, and reuses the decoded translation only
+for the same stored bytes (the same header line, a payload that still
+hashes to its digest); any other vector is decoded as before.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.llee.storage import (
 from repro.targets.native import (
     NativeModule,
     deserialize_native,
+    native_header,
     serialize_native,
 )
 
@@ -108,6 +115,10 @@ class LLEE:
         #: key -> (module, DecodeCache).  The interpreter analogue of
         #: the native translation cache — decode once, run many times.
         self._interp_cache: dict = {}
+        #: Executables loaded by :meth:`run_executable`: native cache
+        #: key -> (module, translation or None, the header line of the
+        #: stored vector that translation equals or None).
+        self._resident: dict = {}
 
     # -- the paper's Figure 3 flow -----------------------------------------
 
@@ -115,17 +126,40 @@ class LLEE:
                        args: Sequence[object] = (),
                        executable_timestamp: Optional[float] = None
                        ) -> RunReport:
-        """Load and execute a virtual executable."""
+        """Load and execute a virtual executable.
+
+        The module read from *object_code* stays resident on this LLEE,
+        and so does the translation a launch ran while it equals a
+        stored vector: the one it was loaded from or written back as.
+        Every launch still looks the vector up through the storage API;
+        a resident translation is reused only for a vector whose header
+        line is the one it was loaded from or written as and whose
+        payload still hashes to that digest, and any other vector
+        decodes afresh.  A launch that fires ``llva.smc.replace``
+        leaves nothing resident (it rewrote the module), so the next
+        one reads the pristine object code again.
+        """
         with observe.span("llee.run_executable",
                           target=self.target.name,
                           entry=entry) as run_span:
-            module = read_module(object_code)
             key = self._cache_key(object_code)
+            module, resident, resident_header = self._resident.pop(
+                key, (None, None, None))
+            if module is None:
+                module = read_module(object_code)
+            loaded_from = []
+
+            def decode(data: bytes) -> NativeModule:
+                header = native_header(data)
+                loaded_from.append(header)
+                if resident is not None and header == resident_header:
+                    return resident
+                return deserialize_native(data, self.target)
+
             with observe.span("llee.cache_lookup", key=key):
                 native = load_entry(
                     self.storage, _CACHE_NAME, key, self.target.name,
-                    lambda data: deserialize_native(data, self.target),
-                    executable_timestamp)
+                    decode, executable_timestamp)
             cache_hit = native is not None
             if native is None:
                 native = NativeModule(self.target, module.name)
@@ -133,21 +167,34 @@ class LLEE:
             simulator = MachineSimulator(native, module,
                                          resolver=jit.translate)
             self.last_simulator = simulator
+            smc_fired = []
             simulator.smc_listeners.append(jit.on_smc_replace(native))
-            run_started = time.perf_counter()
-            with observe.span("llee.execute", entry=entry):
-                value, status = simulator.run(entry, args)
-            run_seconds = time.perf_counter() - run_started \
-                - jit.stats.translate_seconds
-            run_span.set(cache_hit=cache_hit,
-                         functions_jitted=jit.stats.functions_translated)
-            if self.storage is not None \
-                    and jit.stats.functions_translated:
-                # Write back any code the JIT had to generate.
-                with observe.span("llee.cache_store", key=key):
-                    store_entry(self.storage, _CACHE_NAME, key,
-                                self.target.name,
-                                serialize_native(native))
+            simulator.smc_listeners.append(smc_fired.append)
+            written = None
+            try:
+                run_started = time.perf_counter()
+                with observe.span("llee.execute", entry=entry):
+                    value, status = simulator.run(entry, args)
+                run_seconds = time.perf_counter() - run_started \
+                    - jit.stats.translate_seconds
+                run_span.set(cache_hit=cache_hit,
+                             functions_jitted=jit.stats.functions_translated)
+                if self.storage is not None \
+                        and jit.stats.functions_translated:
+                    # Write back any code the JIT had to generate.
+                    with observe.span("llee.cache_store", key=key):
+                        written = self._store(key, native)
+            finally:
+                if not smc_fired:
+                    # The translation stays only while it equals a
+                    # stored vector: the one it was loaded from, or the
+                    # one the JIT's additions were written back as.
+                    if jit.stats.functions_translated:
+                        stored_as = written
+                    else:
+                        stored_as = loaded_from[-1] if cache_hit else None
+                    self._resident[key] = (
+                        module, native if stored_as else None, stored_as)
         return RunReport(
             return_value=value,
             output=simulator.output_text(),
@@ -226,14 +273,17 @@ class LLEE:
             compile_before = tier2_cache.stats.compile_seconds \
                 if tier2_cache is not None else 0.0
             started = time.perf_counter()
-            result = interpreter.run(entry, list(args))
-            run_seconds = time.perf_counter() - started
-            if fast:
-                if smc_fired:
+            try:
+                result = interpreter.run(entry, list(args))
+            finally:
+                if fast and smc_fired:
+                    # Also when the run then trapped: the module it
+                    # rewrote must not serve the next launch.
                     self._interp_cache.pop(key, None)
-                else:
-                    self._interp_cache[key] = (
-                        module, decode_cache, tier2_cache)
+            run_seconds = time.perf_counter() - started
+            if fast and not smc_fired:
+                self._interp_cache[key] = (
+                    module, decode_cache, tier2_cache)
             if tier2_cache is not None:
                 tier2_cache.flush_storage()
             decode_seconds = decode_cache.stats.decode_seconds \
@@ -284,15 +334,21 @@ class LLEE:
 
                 optimize(module, level=optimize_level)
             jit = FunctionJIT(module, self.target)
-            native = jit.translate_all()
-            store_entry(self.storage, _CACHE_NAME,
-                        self._cache_key(object_code), self.target.name,
-                        serialize_native(native))
+            self._store(self._cache_key(object_code), jit.translate_all())
             observe.counter("llee.offline_translations", 1,
                             target=self.target.name)
         return jit.stats
 
     # -- cache plumbing ---------------------------------------------------------
+
+    def _store(self, key: str, native: NativeModule) -> Optional[bytes]:
+        """Write *native* to the native cache; the header line it was
+        stored under, or None when the write failed."""
+        data = serialize_native(native)
+        if store_entry(self.storage, _CACHE_NAME, key, self.target.name,
+                       data):
+            return native_header(data)
+        return None
 
     def _cache_key(self, object_code: bytes) -> str:
         digest = hashlib.sha256(object_code).hexdigest()[:24]

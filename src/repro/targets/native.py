@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+import marshal
+from sys import intern
+from typing import Dict, Optional, Tuple
 
 from repro.ir import types
 from repro.ir.module import Module
 from repro.targets.machine import (
     Imm,
     LabelRef,
-    MachineBasicBlock,
     MachineFunction,
     MachineInstr,
     Mem,
     PhysReg,
-    Semantics,
     SymRef,
     TargetInfo,
 )
@@ -142,23 +141,6 @@ def _operand_to_json(operand, target: TargetInfo):
         "allocated before caching)".format(operand))
 
 
-def _operand_from_json(record, target: TargetInfo):
-    kind = record[0]
-    if kind == "r":
-        return PhysReg(record[1], bool(record[2]))
-    if kind == "i":
-        return Imm(record[1])
-    if kind == "m":
-        base = PhysReg(record[1]) if record[1] is not None else None
-        index = PhysReg(record[3]) if record[3] is not None else None
-        return Mem(base=base, offset=record[2], index=index,
-                   scale=record[4], symbol=record[5])
-    if kind == "l":
-        return LabelRef(record[1])
-    if kind == "s":
-        return SymRef(record[1])
-    raise ValueError("bad operand kind {0!r}".format(kind))
-
 _TYPE_ATTRS = ("value_type", "mem_value_type", "from_type", "to_type",
                "return_type")
 
@@ -205,53 +187,119 @@ def serialize_native(native: NativeModule) -> bytes:
     return header.encode("ascii") + body
 
 
-def deserialize_native(data: bytes, target) -> NativeModule:
-    """Decode a cached native module; raises ``ValueError`` when the
-    blob is not one :func:`serialize_native` wrote, its payload does not
-    match its checksum, or it was produced for a different target (the
-    validation step of Section 4.1's cache lookup)."""
+def _checked(data: bytes) -> Tuple[bytes, bytes]:
+    """The header line and payload of a native cache object whose
+    payload hashes to its header's digest; ``ValueError`` otherwise."""
     header, _, body = data.partition(b"\n")
     magic, _, digest = header.partition(b" ")
     if magic != NATIVE_MAGIC.encode("ascii"):
         raise ValueError("not a native cache object")
     if digest != hashlib.sha256(body).hexdigest().encode("ascii"):
         raise ValueError("native cache object fails its checksum")
+    return header, body
+
+
+def native_header(data: bytes) -> bytes:
+    """The header line of a native cache object (magic and payload
+    digest), once the payload is checked against it; raises
+    ``ValueError`` as :func:`deserialize_native` does.  Two objects
+    with one header line hold the same code."""
+    return _checked(data)[0]
+
+
+def deserialize_native(data: bytes, target) -> NativeModule:
+    """Decode a cached native module; raises ``ValueError`` when the
+    blob is not one :func:`serialize_native` wrote, its payload does not
+    match its checksum, or it was produced for a different target (the
+    validation step of Section 4.1's cache lookup)."""
+    _header, body = _checked(data)
     payload = json.loads(body.decode("utf-8"))
     if payload.get("target") != target.name:
         raise ValueError(
             "cached translation is for target {0!r}, not {1!r}"
             .format(payload.get("target"), target.name))
     native = NativeModule(target, payload.get("source", "module"))
-    # Operand records repeat: a module has about one distinct operand
-    # per ten.  Each distinct one loads as one shared object; nothing
-    # changes machine code once it is loaded (only translation rewrites
-    # operands).  Immediates are not shared: 1, 1.0 and true (and 0.0
-    # and -0.0) are equal keys but different values.
-    operands_by_record: Dict[tuple, object] = {}
+    loader = _Loader(target)
+    shared = loader.instrs.get
+    load = loader.instruction
+    dumps = marshal.dumps
     for record in payload["functions"]:
-        machine = MachineFunction(record["name"], target)
+        machine = MachineFunction(intern(record["name"]), target)
         machine.frame_size = record["frame_size"]
         machine.smc_version = record.get("smc_version", 0)
         for block_name, instr_records in record["blocks"]:
-            block = machine.add_block(block_name)
-            for mnemonic, semantics, operand_records, attrs in \
-                    instr_records:
-                operands = []
-                for operand_record in operand_records:
-                    key = tuple(operand_record)
-                    operand = operands_by_record.get(key)
-                    if operand is None:
-                        operand = _operand_from_json(operand_record, target)
-                        if key[0] != "i":
-                            operands_by_record[key] = operand
-                    operands.append(operand)
-                decoded_attrs = {}
-                for key, value in attrs.items():
-                    if key in _TYPE_ATTRS:
-                        decoded_attrs[key] = _type_from_tag(value, target)
-                    else:
-                        decoded_attrs[key] = value
-                block.append(MachineInstr(mnemonic, semantics, operands,
-                                          **decoded_attrs))
+            machine.add_block(intern(block_name)).instructions = [
+                shared(k := dumps(r, _KEY)) or load(r, k)
+                for r in instr_records]
         native.add_function(machine)
     return native
+
+
+#: The ``marshal`` version of the loader's keys.  Unlike ``==``, its
+#: encoding tells apart 1, 1.0 and true, 0.0 and -0.0, and attrs in
+#: another order; version 2 writes no back-references, so equal values
+#: encode alike.
+_KEY = 2
+
+
+class _Loader:
+    """Loads each distinct instruction record, operand record and attrs
+    dict of one module once, and interns the names in them.
+
+    A module has about two distinct instructions per five, one distinct
+    operand per ten and one distinct attrs dict per twenty, so loaded
+    code shares them; nothing changes machine code once it is loaded
+    (only translation rewrites operands and attrs, on fresh code)."""
+
+    def __init__(self, target: TargetInfo):
+        self.target = target
+        self.instrs: Dict[bytes, MachineInstr] = {}
+        self.operands: Dict[bytes, object] = {}
+        self.attrs: Dict[bytes, dict] = {}
+
+    def instruction(self, record, key: bytes) -> MachineInstr:
+        mnemonic, semantics, operand_records, attrs = record
+        operands = self.operands
+        loaded = []
+        for operand_record in operand_records:
+            operand_key = marshal.dumps(operand_record, _KEY)
+            operand = operands.get(operand_key)
+            if operand is None:
+                operand = operands[operand_key] = _operand(operand_record)
+            loaded.append(operand)
+        instr = MachineInstr(intern(mnemonic), intern(semantics), loaded)
+        attrs_key = marshal.dumps(attrs, _KEY)
+        shared = self.attrs.get(attrs_key)
+        if shared is None:
+            shared = self.attrs[attrs_key] = {
+                intern(name): _type_from_tag(value, self.target)
+                if name in _TYPE_ATTRS else _interned(value)
+                for name, value in attrs.items()}
+        instr.attrs = shared
+        self.instrs[key] = instr
+        return instr
+
+
+def _operand(record):
+    kind = record[0]
+    if kind == "r":
+        return PhysReg(intern(record[1]), bool(record[2]))
+    if kind == "i":
+        return Imm(record[1])
+    if kind == "m":
+        return Mem(base=_register(record[1]), offset=record[2],
+                   index=_register(record[3]), scale=record[4],
+                   symbol=_interned(record[5]))
+    if kind == "l":
+        return LabelRef(intern(record[1]))
+    if kind == "s":
+        return SymRef(intern(record[1]))
+    raise ValueError("bad operand kind {0!r}".format(kind))
+
+
+def _register(name: Optional[str]) -> Optional[PhysReg]:
+    return PhysReg(intern(name)) if name is not None else None
+
+
+def _interned(value):
+    return intern(value) if type(value) is str else value

@@ -81,7 +81,7 @@ class TestTrappedRunTotals:
         with observe.capture() as obs:
             with pytest.raises(ExecutionTrap) as info:
                 interpreter.run("main")
-        engine = "fast" if config.engine == "fast" else "interp"
+        engine = config.engine
         assert obs.registry.value("run.steps", engine=engine) \
             == interpreter.steps > 0
         assert obs.registry.value(

@@ -211,7 +211,7 @@ class TestStatsCommand:
         code, out, _err = _capture(
             ["stats", "--load", str(metrics)], capsys)
         assert code == 0
-        assert "run.steps{engine=interp}" in out
+        assert "run.steps{engine=reference}" in out
 
     def test_stats_requires_input(self, capsys):
         code, _out, err = _capture(["stats"], capsys)

@@ -7,6 +7,12 @@ cycles and executed instructions must equal the row in ``ROWS``.
 perfbench gates only the sum of the cycles (``native_cycles``), so two
 errors that cancel across rows would pass there; they fail here.
 
+The same builds pin what translation does to its input.  It splits
+critical edges in the LLVA module in place, and an LLEE keeps that
+module resident, so a later launch that must JIT translates an already
+translated module: that must give the same code byte for byte, and a
+second launch on one LLEE must report what a fresh LLEE does.
+
 To regenerate the table after a deliberate change to the cost model or
 to the code generators, run this file from the repository root and
 replace ``ROWS`` with what it prints::
@@ -19,10 +25,11 @@ import functools
 import pytest
 
 from repro.benchsuite import SUITE_ORDER, load_workload
-from repro.bitcode import write_module
+from repro.bitcode import read_module, write_module
 from repro.llee import LLEE
+from repro.llee.jit import FunctionJIT
 from repro.minic import compile_source
-from repro.targets import make_target
+from repro.targets import make_target, serialize_native
 
 SCALE = 0.01
 TARGETS = ("x86", "sparc")
@@ -152,6 +159,31 @@ def _row(name: str, target: str) -> tuple:
 @pytest.mark.parametrize("name,target", list(ROWS))
 def test_row_matches_pinned_cost(name, target):
     assert _row(name, target) == ROWS[name, target]
+
+
+@pytest.mark.parametrize("name,target", list(ROWS))
+def test_translating_a_translated_module_changes_nothing(name, target):
+    module = read_module(_bitcode(name))
+    first = serialize_native(
+        FunctionJIT(module, make_target(target)).translate_all())
+    again = serialize_native(
+        FunctionJIT(module, make_target(target)).translate_all())
+    assert again == first
+
+
+@pytest.mark.parametrize("name,target", list(ROWS))
+def test_relaunch_without_storage_matches_a_fresh_llee(name, target):
+    """The first launch is a fresh LLEE's; the second runs on the
+    module the first translated, and translates it again."""
+    llee = LLEE(make_target(target))
+    first, second = (llee.run_executable(_bitcode(name))
+                     for _ in range(2))
+    for report in (first, second):
+        assert (report.return_value, report.output, report.exit_status,
+                report.cycles, report.native_instructions_executed) \
+            == ROWS[name, target]
+        assert not report.cache_hit
+    assert second.functions_jitted == first.functions_jitted > 0
 
 
 def test_table_covers_the_suite_and_adds_up_to_the_gates():

@@ -259,39 +259,59 @@ class TestSanitizedInterpretedRuns:
         assert "heap-use-after-free" in info.value.detail
 
 
-class TestSMCInvalidation:
-    def test_jit_retranslates_after_smc(self):
-        source = """
-        declare void %llva.smc.replace(sbyte*, sbyte*)
-        int %f(int %x) {
-        entry:
-                %r = add int %x, 1
-                ret int %r
-        }
-        int %g(int %x) {
-        entry:
-                %r = mul int %x, 50
-                ret int %r
-        }
-        int %main() {
-        entry:
-                %before = call int %f(int 2)
-                %old = cast int (int)* %f to sbyte*
-                %new = cast int (int)* %g to sbyte*
-                call void %llva.smc.replace(sbyte* %old, sbyte* %new)
-                %after = call int %f(int 2)
-                %r = add int %before, %after
-                ret int %r
-        }
-        """
-        from repro.asm import parse_module
-        from repro.bitcode import write_module as encode
+#: ``main`` calls ``f``, replaces it by ``g`` and calls it again.
+SMC_SOURCE = """
+declare void %llva.smc.replace(sbyte*, sbyte*)
+int %f(int %x) {
+entry:
+        %r = add int %x, 1
+        ret int %r
+}
+int %g(int %x) {
+entry:
+        %r = mul int %x, 50
+        ret int %r
+}
+int %main() {
+entry:
+        %before = call int %f(int 2)
+        %old = cast int (int)* %f to sbyte*
+        %new = cast int (int)* %g to sbyte*
+        call void %llva.smc.replace(sbyte* %old, sbyte* %new)
+        %after = call int %f(int 2)
+        %r = add int %before, %after
+        ret int %r
+}
+"""
 
-        module = parse_module(source)
-        code = encode(module)
+
+class TestSMCInvalidation:
+    def _code(self):
+        from repro.asm import parse_module
+
+        return write_module(parse_module(SMC_SOURCE))
+
+    def test_jit_retranslates_after_smc(self):
         llee = LLEE(make_target("x86"), storage=None)
-        report = llee.run_executable(code)
+        report = llee.run_executable(self._code())
         assert report.return_value == 3 + 100
+
+    @pytest.mark.parametrize("target_name", ["x86", "sparc"])
+    def test_invalidation_is_counted(self, target_name):
+        """The JIT's listener runs before the simulator drops the stale
+        translation, so it finds it and counts it."""
+        from repro import observe
+
+        with observe.capture() as obs:
+            report = LLEE(make_target(target_name)).run_executable(
+                self._code())
+        assert report.return_value == 3 + 100
+        assert obs.registry.value("jit.invalidations",
+                                  target=target_name) == 1
+        events = [e for e in obs.tracer.events
+                  if e.name == "smc.invalidate"
+                  and e.attrs["layer"] == "native"]
+        assert [e.attrs["function"] for e in events] == ["f"]
 
 
 class TestProfiling:

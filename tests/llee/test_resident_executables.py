@@ -1,0 +1,279 @@
+"""Resident executables: a long-lived LLEE reports what fresh ones do.
+
+``LLEE.run_executable`` keeps the module it read, and the translation it
+ran while that equals the stored vector, for the next launch of the same
+executable.  None of that may change what a launch reports.  Each
+scenario below plays its steps twice, each time over its own storage:
+once on one LLEE, and once on a fresh LLEE per launch.  Every launch
+must report the same result, output, cycles, ``cache_hit`` and
+``functions_jitted`` (or the same trap), and count the same
+``llee.cache.*`` events.
+"""
+
+import time
+
+import pytest
+
+from repro import observe
+from repro.asm import parse_module
+from repro.bitcode import write_module
+from repro.execution import ExecutionTrap
+from repro.llee import LLEE, InMemoryStorage, manager
+from repro.minic import compile_source
+from repro.targets import make_target
+
+TARGETS = ("x86", "sparc")
+CACHE = "llee-native"
+
+#: ``main(n)`` reaches ``cube`` only for n > 5, and traps for n == 6
+#: once ``cube`` has run.
+PROGRAM = r"""
+int square(int x) { return x * x; }
+int cube(int x) { return x * x * x; }
+int main(int n) {
+    int r;
+    if (n > 5) r = cube(n); else r = square(n);
+    print_int(100 / (n - 6));
+    print_newline();
+    return r;
+}
+"""
+
+#: ``main(n)`` replaces ``f`` by ``g`` before calling it when n != 0,
+#: and traps for n == 2 once it has.
+SMC_PROGRAM = """
+declare void %llva.smc.replace(sbyte*, sbyte*)
+int %f(int %x) {
+entry:
+        %r = add int %x, 1
+        ret int %r
+}
+int %g(int %x) {
+entry:
+        %r = mul int %x, 50
+        ret int %r
+}
+int %main(int %n) {
+entry:
+        %swap = setne int %n, 0
+        br bool %swap, label %replace, label %call
+replace:
+        %old = cast int (int)* %f to sbyte*
+        %new = cast int (int)* %g to sbyte*
+        call void %llva.smc.replace(sbyte* %old, sbyte* %new)
+        %d = sub int %n, 2
+        %q = div int 7, %d
+        br label %call
+call:
+        %r = call int %f(int 2)
+        ret int %r
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def code():
+    return write_module(compile_source(PROGRAM, "resident"))
+
+
+@pytest.fixture(scope="module")
+def smc_code():
+    return write_module(parse_module(SMC_PROGRAM))
+
+
+class _Storage(InMemoryStorage):
+    """In-memory storage whose writes can be made to fail."""
+
+    broken = False
+
+    def write(self, cache, name, data, timestamp=None):
+        if self.broken:
+            raise IOError("read-only cache")
+        super().write(cache, name, data, timestamp)
+
+
+# -- steps: each is called as step(llee, storage, code) ----------------------
+
+def launch(n, **kwargs):
+    def step(llee, storage, code):
+        with observe.capture() as obs:
+            try:
+                report = llee.run_executable(code, args=[n], **kwargs)
+            except ExecutionTrap as trap:
+                seen = ("trap", trap.trap_number, str(trap))
+            else:
+                seen = (report.return_value, report.output,
+                        report.exit_status, report.cycles,
+                        report.cache_hit, report.functions_jitted)
+        return seen, obs.registry.counters("llee.cache.")
+    return step
+
+
+def offline_translate_o2(llee, storage, code):
+    """Another LLEE replaces the vector by an install-time -O2 one."""
+    LLEE(make_target(llee.target.name), storage).offline_translate(
+        code, optimize_level=2)
+
+
+def edit_under_header(llee, storage, code):
+    """A well-formed edit of the payload; the header line stays."""
+    data = storage.read(CACHE, llee._cache_key(code))
+    header, _, body = data.partition(b"\n")
+    edited = body.replace(b'"smc_version":0', b'"smc_version":1', 1)
+    assert edited != body
+    storage.write(CACHE, llee._cache_key(code), header + b"\n" + edited)
+
+
+def corrupt(llee, storage, code):
+    data = storage.read(CACHE, llee._cache_key(code))
+    storage.write(CACHE, llee._cache_key(code),
+                  b"\x00garbage\xff" + data[:40])
+
+
+def break_writes(llee, storage, code):
+    storage.broken = True
+
+
+def mend_writes(llee, storage, code):
+    storage.broken = False
+
+
+def play(steps, target_name, code, one_llee, storage=True):
+    """What each step of *steps* saw, on one LLEE or a fresh one per
+    step."""
+    storage = _Storage() if storage else None
+    llee = LLEE(make_target(target_name), storage)
+    seen = []
+    for step in steps:
+        if not one_llee:
+            llee = LLEE(make_target(target_name), storage)
+        seen.append(step(llee, storage, code))
+    return seen
+
+
+def assert_same_launches(steps, target_name, code, storage=True):
+    resident = play(steps, target_name, code, True, storage)
+    fresh = play(steps, target_name, code, False, storage)
+    assert resident == fresh
+    return fresh
+
+
+# -- scenarios --------------------------------------------------------------
+
+@pytest.mark.parametrize("target_name", TARGETS)
+class TestResidentMatchesFresh:
+    def test_repeat_launches_and_a_new_function(self, target_name, code):
+        seen = assert_same_launches(
+            [launch(2), launch(2), launch(7), launch(7), launch(2)],
+            target_name, code)
+        # Only the cold launch and the one reaching ``cube`` translate.
+        assert [s[0][-1] for s in seen] == [2, 0, 1, 0, 0]
+
+    def test_vector_replaced_by_offline_translation(self, target_name,
+                                                    code):
+        seen = assert_same_launches(
+            [launch(2), launch(2), offline_translate_o2, launch(2),
+             launch(7)], target_name, code)
+        # The -O2 translation runs in other cycles than the online one.
+        assert seen[3][0][3] != seen[1][0][3]
+
+    def test_vector_edited_under_its_header(self, target_name, code):
+        seen = assert_same_launches(
+            [launch(2), launch(2), edit_under_header, launch(2),
+             launch(2)], target_name, code)
+        assert seen[3][0][4] is False  # the checksum rejects the edit
+
+    def test_vector_corrupted(self, target_name, code):
+        seen = assert_same_launches(
+            [launch(2), launch(2), corrupt, launch(2), launch(2)],
+            target_name, code)
+        assert seen[3][0][4] is False
+
+    def test_newer_executable(self, target_name, code):
+        newer = time.time() + 3600
+        seen = assert_same_launches(
+            [launch(2), launch(2, executable_timestamp=newer),
+             launch(2, executable_timestamp=newer), launch(2)],
+            target_name, code)
+        assert [s[0][4] for s in seen] == [False, False, False, True]
+
+    def test_smc_launch_then_a_plain_one(self, target_name, smc_code):
+        seen = assert_same_launches(
+            [launch(0), launch(1), launch(0), launch(0), launch(2),
+             launch(0)], target_name, smc_code)
+        assert [s[0][0] for s in seen] == [3, 100, 3, 3, "trap", 3]
+
+    def test_trapping_launches(self, target_name, code):
+        seen = assert_same_launches(
+            [launch(6), launch(6), launch(2)], target_name, code)
+        assert [s[0][0] for s in seen[:2]] == ["trap", "trap"]
+        # A trapped launch writes nothing back, so the code it
+        # translated (``cube``) is not kept either.
+        seen = assert_same_launches(
+            [launch(2), launch(6), launch(6), launch(7), launch(2)],
+            target_name, code)
+        assert seen[1][0][0] == "trap"
+        assert seen[3][0][4:] == (True, 1)
+
+    def test_failed_write_back(self, target_name, code):
+        """A launch that translates ``cube`` but cannot store it keeps
+        no translation: the stored vector still lacks ``cube``."""
+        seen = assert_same_launches(
+            [launch(2), break_writes, launch(7), mend_writes, launch(7),
+             launch(7)], target_name, code)
+        assert [s[0][-1] for s in seen if s] == [2, 1, 1, 0]
+
+    def test_no_storage(self, target_name, code):
+        seen = assert_same_launches(
+            [launch(2), launch(2), launch(7)], target_name, code,
+            storage=False)
+        assert all(not s[0][4] and s[0][5] > 0 for s in seen)
+
+
+# -- what residency saves -----------------------------------------------------
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Counts of the bitcode reads and native decodes LLEE makes."""
+    counts = {"read_module": 0, "deserialize_native": 0}
+    for name in counts:
+        original = getattr(manager, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(manager, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("target_name", TARGETS)
+def test_relaunch_reads_and_decodes_nothing(target_name, code, loads):
+    storage = InMemoryStorage()
+    llee = LLEE(make_target(target_name), storage)
+    for _ in range(3):
+        llee.run_executable(code, args=[2])
+    assert loads == {"read_module": 1, "deserialize_native": 0}
+    assert storage.reads == 3  # the vector is still looked up
+    other = LLEE(make_target(target_name), storage)
+    for _ in range(2):
+        assert other.run_executable(code, args=[2]).cache_hit
+    assert loads == {"read_module": 2, "deserialize_native": 1}
+
+
+def test_smc_launch_leaves_nothing_resident(smc_code, loads):
+    llee = LLEE(make_target("x86"), InMemoryStorage())
+    llee.run_executable(smc_code, args=[1])
+    assert llee.run_executable(smc_code, args=[0]).return_value == 3
+    assert loads["read_module"] == 2
+
+
+def test_interpreted_smc_launch_that_traps_leaves_nothing_cached(
+        smc_code):
+    """``run_interpreted`` keeps its decoded module under the same
+    rule, also when the launch that rewrote it then trapped."""
+    llee = LLEE(make_target("x86"))
+    assert llee.run_interpreted(smc_code, args=[0]).return_value == 3
+    with pytest.raises(ExecutionTrap):
+        llee.run_interpreted(smc_code, args=[2])
+    again = llee.run_interpreted(smc_code, args=[0])
+    assert (again.return_value, again.cache_hit) == (3, False)

@@ -319,7 +319,7 @@ class TestPipelineIntegration:
             result = Interpreter(module).run()
         assert result.return_value == 3628800
         assert obs.registry.value("run.steps",
-                                  engine="interp") == result.steps
+                                  engine="reference") == result.steps
         opcodes = dict(obs.registry.label_values("interp.opcode",
                                                  "opcode"))
         assert opcodes.get("call", 0) >= 10

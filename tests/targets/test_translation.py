@@ -356,6 +356,62 @@ class TestNativeSerialization:
         with pytest.raises(ValueError):
             deserialize_native(data, make_target("sparc"))
 
+    #: (function, the immediate it returns, its move's ``ee`` attr):
+    #: values that compare equal but are not the same value.
+    IMMEDIATES = (
+        ("one_int", 1, 1),
+        ("one_float", 1.0, True),
+        ("one_bool", True, 1.0),
+        ("zero", 0.0, 0),
+        ("negative_zero", -0.0, False),
+        ("nan", float("nan"), -0.0),
+        ("zero_again", 0.0, 0.0),
+    )
+
+    @pytest.mark.parametrize("target_name", TARGETS)
+    def test_loader_keeps_equal_values_apart(self, target_name):
+        """The loader shares each distinct record once per module, so
+        it must not take 1.0 or true for 1, or -0.0 for 0.0."""
+        import math
+
+        from repro.ir import types
+        from repro.targets import (NativeModule, deserialize_native,
+                                   serialize_native)
+        from repro.targets.machine import (Imm, MachineFunction,
+                                           MachineInstr, PhysReg)
+
+        target = make_target(target_name)
+        native = NativeModule(target, "immediates")
+        for name, value, ee in self.IMMEDIATES:
+            machine = MachineFunction(name, target)
+            block = machine.add_block("entry")
+            block.append(MachineInstr(
+                "mov", Semantics.MOV,
+                [PhysReg(target.return_reg), Imm(value)],
+                value_type=types.DOUBLE, ee=ee))
+            block.append(MachineInstr("ret", Semantics.RET))
+            native.add_function(machine)
+        data = serialize_native(native)
+        restored = deserialize_native(data, target)
+        assert serialize_native(restored) == data
+        module = parse_module("\n".join(
+            "double %{0}() {{\nentry:\n ret double 0.0\n}}".format(name)
+            for name, _value, _ee in self.IMMEDIATES))
+        returned = {name: MachineSimulator(restored, module).run(name)[0]
+                    for name, _value, _ee in self.IMMEDIATES}
+        assert type(returned["one_int"]) is int
+        assert type(returned["one_float"]) is float
+        assert returned["one_bool"] is True
+        assert returned["one_int"] == returned["one_float"] == 1
+        assert math.copysign(1.0, returned["zero"]) == 1.0
+        assert math.copysign(1.0, returned["negative_zero"]) == -1.0
+        assert math.copysign(1.0, returned["zero_again"]) == 1.0
+        assert math.isnan(returned["nan"])
+        attrs = [f.blocks[0].instructions[0].attrs["ee"]
+                 for f in restored.functions.values()]
+        assert [(type(a), repr(a)) for a in attrs] \
+            == [(type(ee), repr(ee)) for _n, _v, ee in self.IMMEDIATES]
+
 
 class TestJITLaziness:
     def test_untranslated_functions_resolve_on_demand(self):

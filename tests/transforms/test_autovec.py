@@ -198,6 +198,6 @@ class TestObservability:
                                 optimization_level=2, vectorize=True)
         with observe.capture() as cap:
             Interpreter(module, engine="reference").run("main")
-        lanes = cap.registry.value("vec.lanes", engine="interp")
+        lanes = cap.registry.value("vec.lanes", engine="reference")
         assert lanes > 0
         assert lanes % VECTOR_LANES == 0
