@@ -6,6 +6,8 @@ pointer) and lays out every global variable, writing its initializer with
 the target's endianness and pointer size.  Zero-initialized globals
 occupy address space but are never written, as ``.bss`` occupies no
 file bytes in :meth:`~repro.targets.native.NativeModule.data_size`.
+:meth:`ProgramImage.reload` lays the globals out again in memory that
+was reset, at the same addresses.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ class ProgramImage:
                 self.write_constant(
                     self.global_addresses[variable.name],
                     variable.value_type, variable.initializer)
+
+    def reload(self) -> None:
+        """Write the initializers again into the image's memory after a
+        :meth:`~repro.execution.memory.Memory.reset`.  The module's
+        globals are the same, so every one gets the address it had."""
+        self.global_addresses.clear()
+        self._layout_globals()
 
     def register_function(self, function: Function) -> int:
         """Self-extending code (Section 3.4): give a function added to

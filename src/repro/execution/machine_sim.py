@@ -18,12 +18,16 @@ generators:
   them;
 * ``RET`` restores the caller's ``sp`` and resumes after the call.
 
-Machine code runs decoded.  The first time a frame enters a block, the
-simulator decodes the block once into ``(cost, op)`` pairs: each op has
-its operands, attrs, typed memory accessor and branch target's block
-index resolved, and the loop only charges ``cost`` and calls
-``op(simulator, frame)``.  Decoding never raises: an unknown label,
-semantics or symbol faults when its instruction executes.
+Machine code runs decoded, and each block is decoded once per loaded
+executable: into ops, when a frame first enters it.  An op is a tuple
+``(cost, run, *operands)`` with the instruction's operands, attrs,
+typed memory accessor and branch target's block index resolved, and
+the loop only charges ``cost`` and calls ``run(simulator, frame, op)``.
+:meth:`MachineSimulator.reset` starts a new run on the same simulator
+with its decoded code, which is how an LLEE relaunches a resident
+executable without decoding it again.  Decoding never raises: an
+unknown label, semantics or symbol faults when its instruction
+executes.
 
 Untranslated callees trigger the ``resolver`` callback — this is the
 hook LLEE's function-at-a-time JIT hangs off (Section 4.1).
@@ -120,8 +124,8 @@ class _Registers(dict):
 
 class _Function:
     """A machine function as one simulator runs it: its blocks, their
-    decoded code (each block decoded on its first entry) and the block
-    index of every label."""
+    decoded code (each block decoded on its first entry, and kept for
+    the simulator's life) and the block index of every label."""
 
     __slots__ = ("name", "blocks", "code", "labels", "frame_size")
 
@@ -165,21 +169,41 @@ class MachineSimulator:
         self.module = module
         self.target = native.target
         self.td = self.target.target_data
+        self.max_cycles = max_cycles
         self.memory = Memory(self.td)
         self.image = ProgramImage(module, self.memory)
+        self.registers: Dict[str, object] = _Registers()
+        self._frames: List[_MachineFrame] = []
+        self._functions: Dict[MachineFunction, _Function] = {}
+        self._decoder = _Decoder(self.memory, self.registers, self.image,
+                                 self.td)
+        self._start(resolver)
+
+    def reset(self, resolver: Optional[Callable[[str],
+                                                MachineFunction]] = None
+              ) -> None:
+        """Start over as a new simulator of the same native module and
+        LLVA module would, keeping the code decoded so far: memory reads
+        as zero again with the globals laid out anew, the registers,
+        frames and counters are cleared, and the runtime library, the
+        resolver and the SMC listeners are new.  The decoded ops hold
+        the memory, the register file and the image, which stay the same
+        objects."""
+        self.memory.reset()
+        self.image.reload()
+        self.registers.clear()
+        self._frames.clear()
+        self._start(resolver)
+
+    def _start(self, resolver) -> None:
+        """The run state a new simulator and a reset one start with."""
         self.runtime = RuntimeLibrary(self.memory,
                                       weak_tick_source(self, "cycles"))
         self.resolver = resolver
         self.cycles = 0
         self.instructions_executed = 0
-        self.max_cycles = max_cycles
-        self.registers: Dict[str, object] = _Registers()
         self.smc_listeners: List[Callable] = []
         self.storage_api_address = 0
-        self._frames: List[_MachineFrame] = []
-        self._functions: Dict[MachineFunction, _Function] = {}
-        self._decoder = _Decoder(self.memory, self.registers, self.image,
-                                 self.td)
 
     # ------------------------------------------------------------------
     # Public API
@@ -281,11 +305,13 @@ class MachineSimulator:
 
     def _run_loop(self) -> None:
         # Hoisted so the disabled path pays one local-bool test per
-        # instruction; op counts flush to the registry on loop exit.
+        # instruction; op and decode counts flush to the registry on
+        # loop exit.
         observing = observe.enabled()
-        op_counts: Dict[object, int] = {}
+        op_counts: Dict[int, int] = {}
         frames = self._frames
         decode = self._decoder.block
+        decoded = 0
         limit = self.max_cycles
         if limit is None:
             limit = _NO_BUDGET
@@ -299,20 +325,21 @@ class MachineSimulator:
                 code = frame.code[frame.block_index]
                 if code is None:
                     code = decode(frame.function, frame.block_index)
+                    decoded += 1
                 start = frame.instr_index
-                for cost, op in code[start:] if start else code:
-                    cycles += cost
+                for op in code[start:] if start else code:
+                    cycles += op[0]
                     if cycles > limit:
                         # A budget of N cycles means N cycles may be
                         # *spent*: the instruction that would exceed it
                         # is neither charged nor executed.
-                        cycles -= cost
+                        cycles -= op[0]
                         raise ExecutionTrap(TrapKind.SOFTWARE_TRAP,
                                             "cycle budget exhausted")
                     executed += 1
                     if observing:
-                        op_counts[op] = op_counts.get(op, 0) + 1
-                    moved = op(self, frame)
+                        op_counts[id(op)] = op_counts.get(id(op), 0) + 1
+                    moved = op[1](self, frame, op)
                     if moved:
                         break
                 else:
@@ -339,17 +366,18 @@ class MachineSimulator:
             self.instructions_executed += executed
             if observing:
                 self._count_opcodes(op_counts)
+                observe.counter("native.blocks_decoded", decoded,
+                                target=self.target.name)
 
-    def _count_opcodes(self, op_counts: Dict[object, int]) -> None:
-        """Flush per-op execution counts as ``native.opcode`` counters,
-        one per semantics."""
+    def _count_opcodes(self, op_counts: Dict[int, int]) -> None:
+        """Flush per-op execution counts, keyed by the op's id, as
+        ``native.opcode`` counters, one per semantics."""
         semantics_of = {}
         for function in self._functions.values():
             for code, block in zip(function.code, function.blocks):
                 if code is not None:
-                    for (_cost, op), instr in zip(code,
-                                                  block.instructions):
-                        semantics_of[op] = instr.semantics
+                    for op, instr in zip(code, block.instructions):
+                        semantics_of[id(op)] = instr.semantics
         totals: Dict[str, int] = {}
         for op, count in op_counts.items():
             semantics = semantics_of[op]
@@ -451,21 +479,33 @@ class MachineSimulator:
 # ----------------------------------------------------------------------
 
 class _Decoder:
-    """Turns machine blocks into ``(cost, op)`` pairs for one simulator.
+    """Turns machine blocks into ops for one simulator.
 
-    ``op(simulator, frame)`` executes one instruction and returns a true
-    value when it moved control: True for a taken branch, a return or an
-    unwind, and ``(callee, unwind label)`` for a call, which the loop
-    makes once the call's cost is charged.  The loop keeps the position
-    inside a block, so ops that fall through touch no frame state.  Ops
-    close over the simulator's memory, registers and image, never over
-    the simulator itself.
+    An op is a tuple ``(cost, run, *operands)``: the loop charges
+    ``cost`` and calls ``run(simulator, frame, op)``, which executes one
+    instruction and returns a true value when it moved control: True
+    for a taken branch, a return or an unwind, and ``(callee, unwind
+    label)`` for a call, which the loop makes once the call's cost is
+    charged.  The loop keeps the position inside a block, so ops that
+    fall through touch no frame state.  An op's operands are what it
+    reads when it runs: register names, offsets, constants, typed memory
+    accessors and operand functions of the frame, resolved when it is
+    decoded.  They include the simulator's memory, registers and image,
+    never the simulator itself, so an op serves every run of the
+    simulator.
 
-    A block is decoded the first time a frame enters it, and many run
-    only a few times, so decoding must cost about one execution of the
-    instruction: the common shapes (a general register, a frame slot
-    ``[fp + offset]``) are recognised inline rather than through helper
-    calls.
+    A block is decoded once per loaded executable, when a frame first
+    enters it, and many run only a few times, so decoding must cost
+    about one execution of the instruction: the common shapes (a general
+    register, a frame slot ``[fp + offset]``) are recognised inline
+    rather than through helper calls.  Decoded code stays as long as
+    the executable does, so it is kept small: an op is one tuple rather
+    than a function object per instruction, operand functions bind what
+    they read as default arguments (a closure cell would be one more
+    object per name), and equal instructions share one op.  The loader
+    makes equal instruction records one object, and every instruction
+    but a branch or a call (which depend on their function or position)
+    decodes to the same op wherever it appears.
     """
 
     def __init__(self, memory: Memory, registers: Dict[str, object],
@@ -479,20 +519,31 @@ class _Decoder:
         #: (op, type, ee) or (from type, to type) -> the ALU or CVT
         #: function every instruction of that kind shares.
         self._computes: Dict[tuple, Callable] = {}
+        #: Instruction record -> its op, for the semantics whose op
+        #: depends on nothing but the record.
+        self._ops: Dict[MachineInstr, tuple] = {}
 
     def block(self, function: _Function, index: int) -> list:
         """Decode block *index* of *function* and keep it there."""
         code = []
+        ops = self._ops
         for position, instr in enumerate(
                 function.blocks[index].instructions):
-            try:
-                decode = _DECODERS.get(instr.semantics, _Decoder._unknown)
-                op = decode(self, instr, function, position)
-            except Exception as error:
-                # Malformed: not swallowed, raised when the instruction
-                # executes, so code the program never runs stops nothing.
-                op = _raising(error.with_traceback(None))
-            code.append((instr_cost(instr), op))
+            op = ops.get(instr)
+            if op is None:
+                semantics = instr.semantics
+                cost = instr_cost(instr)
+                try:
+                    decode = _DECODERS.get(semantics, _Decoder._unknown)
+                    op = (cost,) + decode(self, instr, function, position)
+                except Exception as error:
+                    # Malformed: not swallowed, raised when the
+                    # instruction executes, so code the program never
+                    # runs stops nothing.
+                    op = (cost, _raise, error.with_traceback(None))
+                if semantics not in _PER_SITE:
+                    ops[instr] = op
+            code.append(op)
         function.code[index] = code
         return code
 
@@ -524,20 +575,19 @@ class _Decoder:
             if operand.symbol is None and operand.index is None \
                     and operand.base is not None \
                     and operand.base.name == "fp":
-                offset = operand.offset
-                return lambda frame: read(frame.fp + offset)
-            address = self.address(operand)
-            return lambda frame: read(address(frame))
+                return lambda frame, read=read, offset=operand.offset: \
+                    read(frame.fp + offset)
+            return lambda frame, read=read, address=self.address(operand): \
+                read(address(frame))
         return _trap("bad operand {0!r}".format(operand))
 
     def _register(self, name: str):
         if name == "sp":
-            memory = self.memory
-            return lambda frame: memory.stack_pointer
+            return lambda frame, memory=self.memory: memory.stack_pointer
         if name == "fp":
             return _frame_pointer
-        registers = self.registers
-        return lambda frame: registers[name]
+        return lambda frame, registers=self.registers, name=name: \
+            registers[name]
 
     def _symbol(self, name: str):
         image = self.image
@@ -546,98 +596,80 @@ class _Decoder:
         except KeyError:
             # Looked up again when it runs: a missing symbol faults
             # only if executed.
-            return lambda frame: image.address_of(name)
+            return lambda frame, image=image, name=name: \
+                image.address_of(name)
 
     def address(self, mem: Mem):
         """A function of the frame computing *mem*'s address."""
         offset = mem.offset
         symbol, base, index = mem.symbol, mem.base, mem.index
         if symbol == INCOMING_ARGS:
-            return lambda frame: \
+            return lambda frame, offset=offset: \
                 frame.fp + frame.function.frame_size + offset
         if symbol is None and index is None and base is not None:
             if base.name == "fp":
-                return lambda frame: frame.fp + offset
+                return lambda frame, offset=offset: frame.fp + offset
             if isinstance(base, PhysReg) and base.name != "sp":
-                registers, name = self.registers, base.name
-                return lambda frame: int(registers[name]) + offset
+                return lambda frame, registers=self.registers, \
+                    name=base.name, offset=offset: \
+                    int(registers[name]) + offset
         start = _ZERO if symbol is None else self._symbol(symbol)
         base = _ZERO if base is None else self._register(base.name)
         index = _ZERO if index is None else self._register(index.name)
-        scale = mem.scale
-        return lambda frame: start(frame) + int(base(frame)) \
-            + int(index(frame)) * scale + offset
+        return lambda frame, start=start, base=base, index=index, \
+            scale=mem.scale, offset=offset: start(frame) \
+            + int(base(frame)) + int(index(frame)) * scale + offset
 
     def setter(self, operand):
         """A function of the frame and a value writing register
         *operand*; ``sp`` is the memory's stack pointer."""
         name = operand.name
         if name == "sp":
-            memory = self.memory
-
-            def set_stack_pointer(frame, value):
+            def set_stack_pointer(frame, value, memory=self.memory):
                 memory.stack_pointer = int(value)
             return set_stack_pointer
-        registers = self.registers
 
-        def set_register(frame, value):
+        def set_register(frame, value, registers=self.registers,
+                         name=name):
             registers[name] = value
         return set_register
 
-    def _assign(self, dst, get):
+    def _assign(self, dst, get) -> tuple:
         """The op writing ``get(frame)`` to register *dst*."""
-        name = dst.name
-        if name == "sp":
-            set_ = self.setter(dst)
-            return lambda sim, frame: set_(frame, get(frame))
-        registers = self.registers
+        if dst.name == "sp":
+            return _assign_sp, self.memory, get
+        return _assign, self.registers, dst.name, get
 
-        def assign(sim, frame):
-            registers[name] = get(frame)
-        return assign
-
-    def _binary(self, dst, lhs, rhs, lhs_type, rhs_type, compute):
+    def _binary(self, dst, lhs, rhs, lhs_type, rhs_type, compute) -> tuple:
         """The op writing ``compute(lhs, rhs)`` to register *dst*."""
         name = dst.name
         if isinstance(lhs, PhysReg) and lhs.name not in _SP_FP \
                 and name != "sp":
-            registers, left = self.registers, lhs.name
             if isinstance(rhs, PhysReg) and rhs.name not in _SP_FP:
-                right = rhs.name
-
-                def binary_rr(sim, frame):
-                    registers[name] = compute(registers[left],
-                                              registers[right])
-                return binary_rr
+                return (_binary_rr, self.registers, name, compute,
+                        lhs.name, rhs.name)
             if isinstance(rhs, Imm):
-                constant = rhs.value
-
-                def binary_ri(sim, frame):
-                    registers[name] = compute(registers[left], constant)
-                return binary_ri
-            get = self.getter(rhs, rhs_type)
-
-            def binary_rx(sim, frame):
-                registers[name] = compute(registers[left], get(frame))
-            return binary_rx
-        get_lhs = self.getter(lhs, lhs_type)
-        get_rhs = self.getter(rhs, rhs_type)
+                return (_binary_ri, self.registers, name, compute,
+                        lhs.name, rhs.value)
+            return (_binary_rx, self.registers, name, compute, lhs.name,
+                    self.getter(rhs, rhs_type))
         return self._assign(
-            dst, lambda frame: compute(get_lhs(frame), get_rhs(frame)))
+            dst, lambda frame, get_lhs=self.getter(lhs, lhs_type),
+            get_rhs=self.getter(rhs, rhs_type), compute=compute:
+            compute(get_lhs(frame), get_rhs(frame)))
 
     # -- one decoder per semantics ----------------------------------------
-    # Each takes (decoder, instr, function, position) and returns an op.
+    # Each takes (decoder, instr, function, position) and returns the op
+    # without its cost: (run, *operands).
 
     def _mov(self, instr, function, position):
         dst, src = instr.operands[0], instr.operands[1]
         name = dst.name
-        if name != "sp" and isinstance(src, PhysReg) \
-                and src.name not in _SP_FP:
-            registers, source = self.registers, src.name
-
-            def mov_r(sim, frame):
-                registers[name] = registers[source]
-            return mov_r
+        if name != "sp":
+            if isinstance(src, PhysReg) and src.name not in _SP_FP:
+                return _mov_r, self.registers, name, src.name
+            if isinstance(src, Imm):
+                return _mov_i, self.registers, name, src.value
         attrs = instr.attrs
         value_type = attrs.get("mem_value_type") or attrs.get("value_type")
         return self._assign(dst, self.getter(src, value_type))
@@ -651,28 +683,10 @@ class _Decoder:
         name = dst.name
         if name != "sp" and mem.symbol is None and mem.index is None \
                 and mem.base is not None and mem.base.name == "fp":
-            registers, offset = self.registers, mem.offset
-
-            def load_fp(sim, frame):
-                try:
-                    registers[name] = read(frame.fp + offset)
-                except MemoryError_:
-                    if checked:
-                        raise
-                    registers[name] = _zero_of(value_type)
-            return load_fp
-        address, set_ = self.address(mem), self.setter(dst)
-
-        def load(sim, frame):
-            where = address(frame)
-            try:
-                value = read(where)
-            except MemoryError_:
-                if checked:
-                    raise
-                value = _zero_of(value_type)
-            set_(frame, value)
-        return load
+            return (_load_fp, self.registers, name, read, mem.offset,
+                    checked, value_type)
+        return (_load, self.address(mem), read, self.setter(dst), checked,
+                value_type)
 
     def _store(self, instr, function, position):
         src, mem = instr.operands[0], instr.operands[1]
@@ -683,27 +697,10 @@ class _Decoder:
         if isinstance(src, PhysReg) and src.name not in _SP_FP \
                 and mem.symbol is None and mem.index is None \
                 and mem.base is not None and mem.base.name == "fp":
-            registers, name, offset = self.registers, src.name, mem.offset
-
-            def store_fp(sim, frame):
-                try:
-                    write(frame.fp + offset, registers[name])
-                except MemoryError_:
-                    if checked:
-                        raise
-            return store_fp
-        get = self.getter(src, value_type)
-        address = self.address(mem)
-
-        def store(sim, frame):
-            value = get(frame)
-            where = address(frame)
-            try:
-                write(where, value)
-            except MemoryError_:
-                if checked:
-                    raise
-        return store
+            return (_store_fp, self.registers, src.name, write, mem.offset,
+                    checked)
+        return (_store, self.getter(src, value_type), self.address(mem),
+                write, checked)
 
     def _lea(self, instr, function, position):
         return self._assign(instr.operands[0],
@@ -740,143 +737,72 @@ class _Decoder:
             convert = self._computes[key] = _converter(from_type, to_type,
                                                        self.td)
         dst, src = instr.operands[0], instr.operands[1]
-        name = dst.name
-        if name != "sp" and isinstance(src, PhysReg) \
+        if dst.name != "sp" and isinstance(src, PhysReg) \
                 and src.name not in _SP_FP:
-            registers, source = self.registers, src.name
-
-            def cvt_r(sim, frame):
-                registers[name] = convert(registers[source])
-            return cvt_r
-        get = self.getter(src, from_type)
-        return self._assign(dst, lambda frame: convert(get(frame)))
+            return _cvt_r, self.registers, dst.name, convert, src.name
+        return self._assign(
+            dst, lambda frame, get=self.getter(src, from_type),
+            convert=convert: convert(get(frame)))
 
     def _jmp(self, instr, function, position):
         label = instr.operands[0].name
         target = function.labels.get(label)
         if target is None:
-            return _trap("jump to unknown label {0}".format(label))
-
-        def jmp(sim, frame):
-            frame.block_index = target
-            frame.instr_index = 0
-            return True
-        return jmp
+            return _software_trap, "jump to unknown label {0}".format(label)
+        return _jmp, target
 
     def _jcc(self, instr, function, position):
         condition, label = instr.operands[0], instr.operands[1].name
         target = function.labels.get(label)
         if target is not None and isinstance(condition, PhysReg) \
                 and condition.name not in _SP_FP:
-            registers, name = self.registers, condition.name
-
-            def jcc_r(sim, frame):
-                if registers[name]:
-                    frame.block_index = target
-                    frame.instr_index = 0
-                    return True
-            return jcc_r
-        get = self.getter(condition, types.BOOL)
-
-        def jcc(sim, frame):
-            if get(frame):
-                if target is None:
-                    raise ExecutionTrap(
-                        TrapKind.SOFTWARE_TRAP,
-                        "jump to unknown label {0}".format(label))
-                frame.block_index = target
-                frame.instr_index = 0
-                return True
-        return jcc
+            return _jcc_r, self.registers, condition.name, target
+        return _jcc, self.getter(condition, types.BOOL), target, label
 
     def _call(self, instr, function, position):
         callee = instr.operands[0]
         unwind_label = instr.attrs.get("unwind")
         resume = position + 1
         if isinstance(callee, SymRef):
-            transfer = (callee.name, unwind_label)
-
-            def call(sim, frame):
-                frame.instr_index = resume
-                return transfer
-            return call
-        get = self.getter(callee)
-        image = self.image
-
-        def call_indirect(sim, frame):
-            address = int(get(frame))
-            target = image.function_at(address)
-            if target is None:
-                raise ExecutionTrap(
-                    TrapKind.MEMORY_FAULT,
-                    "indirect call to 0x{0:x}".format(address), address)
-            frame.instr_index = resume
-            return target.name, unwind_label
-        return call_indirect
+            return _call, resume, (callee.name, unwind_label)
+        return (_call_indirect, resume, unwind_label, self.getter(callee),
+                self.image)
 
     def _ret(self, instr, function, position):
-        return _ret
+        return _ret,
 
     def _unwind(self, instr, function, position):
-        return _unwind
+        return _unwind,
 
     def _nop(self, instr, function, position):
-        return _nop
+        return _nop,
 
     def _push(self, instr, function, position):
         operand = instr.operands[0]
         if instr.mnemonic == "save":
-            registers, name = self.registers, operand.name
-
-            def save(sim, frame):
-                frame.saved_regs.append((name, registers[name]))
-            return save
+            return _save, self.registers, operand.name
         value_type = instr.attrs.get("value_type") or types.ULONG
-        get = self.getter(operand, value_type)
-
-        def push(sim, frame):
-            sim._push_value(get(frame), value_type)
-        return push
+        return _push, self.getter(operand, value_type), value_type
 
     def _pop(self, instr, function, position):
-        registers = self.registers
         if instr.mnemonic == "restore":
-            def restore(sim, frame):
-                if frame.saved_regs:
-                    name, value = frame.saved_regs.pop()
-                    registers[name] = value
-            return restore
-        memory = self.memory
-        read = self.reader(types.ULONG)
-        set_ = self.setter(instr.operands[0])
-
-        def pop(sim, frame):
-            sp = memory.stack_pointer
-            value = read(sp)
-            memory.stack_pointer = sp + 8
-            set_(frame, value)
-        return pop
+            return _restore, self.registers
+        return (_pop, self.memory, self.reader(types.ULONG),
+                self.setter(instr.operands[0]))
 
     def _adjsp(self, instr, function, position):
         get = self.getter(instr.operands[0], types.ULONG)
-        memory = self.memory
         if instr.attrs.get("negate"):
-            def adjsp_down(sim, frame):
-                memory.stack_pointer -= int(get(frame))
-            return adjsp_down
-
-        def adjsp_up(sim, frame):
-            memory.stack_pointer += int(get(frame))
-        return adjsp_up
+            return _adjsp_down, self.memory, get
+        return _adjsp_up, self.memory, get
 
     # -- the vector extension ---------------------------------------------
 
     def _lane_setter(self, operand, slot_type: types.Type):
         if isinstance(operand, Mem):
             # A spilled lane bound to its frame slot by the allocator.
-            write = self.writer(slot_type)
-            address = self.address(operand)
-            return lambda frame, value: write(address(frame), value)
+            return lambda frame, value, write=self.writer(slot_type), \
+                address=self.address(operand): write(address(frame), value)
         return self.setter(operand)
 
     def _vload(self, instr, function, position):
@@ -890,20 +816,7 @@ class _Decoder:
         lanes = [self._lane_setter(operand, slot_type)
                  for operand in instr.operands[:-1]]
         offsets = [i * esize for i in range(len(lanes))]
-
-        def vload(sim, frame):
-            base = address(frame)
-            try:
-                values = [read(base + offset) for offset in offsets]
-            except MemoryError_:
-                if checked:
-                    raise
-                # Atomic over lanes: a masked fault discards the whole
-                # vector and yields all-zero lanes.
-                values = [_zero_of(element)] * len(lanes)
-            for set_lane, value in zip(lanes, values):
-                set_lane(frame, value)
-        return vload
+        return _vload, address, read, lanes, offsets, checked, element
 
     def _vstore(self, instr, function, position):
         attrs = instr.attrs
@@ -915,22 +828,11 @@ class _Decoder:
         slot_type = spill_slot_type(element)
         lanes = [(i * esize, self.getter(operand, slot_type))
                  for i, operand in enumerate(instr.operands[:-1])]
-
-        def vstore(sim, frame):
-            base = address(frame)
-            try:
-                for offset, get in lanes:
-                    write(base + offset, get(frame))
-            except MemoryError_:
-                if checked:
-                    raise
-                # Masked fault: lanes before the faulting one stay
-                # written, the faulting lane and everything after are
-                # dropped — byte-identical to the interpreters.
-        return vstore
+        return _vstore, address, write, lanes, checked
 
     def _unknown(self, instr, function, position):
-        return _trap("unknown semantics {0!r}".format(instr.semantics))
+        return (_software_trap,
+                "unknown semantics {0!r}".format(instr.semantics))
 
 
 _DECODERS = {
@@ -955,9 +857,141 @@ _DECODERS = {
 }
 
 
-# -- ops and operand functions shared by every instruction of a kind -------
+# -- what ops run: run(simulator, frame, op), op = (cost, run, *operands) ---
 
-def _ret(sim: MachineSimulator, frame: _MachineFrame) -> bool:
+def _mov_r(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, registers, name, source = op
+    registers[name] = registers[source]
+
+
+def _mov_i(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, registers, name, value = op
+    registers[name] = value
+
+
+def _assign(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, registers, name, get = op
+    registers[name] = get(frame)
+
+
+def _assign_sp(sim: MachineSimulator, frame: _MachineFrame,
+               op: tuple) -> None:
+    _, _, memory, get = op
+    memory.stack_pointer = int(get(frame))
+
+
+def _binary_rr(sim: MachineSimulator, frame: _MachineFrame,
+               op: tuple) -> None:
+    _, _, registers, name, compute, left, right = op
+    registers[name] = compute(registers[left], registers[right])
+
+
+def _binary_ri(sim: MachineSimulator, frame: _MachineFrame,
+               op: tuple) -> None:
+    _, _, registers, name, compute, left, constant = op
+    registers[name] = compute(registers[left], constant)
+
+
+def _binary_rx(sim: MachineSimulator, frame: _MachineFrame,
+               op: tuple) -> None:
+    _, _, registers, name, compute, left, get = op
+    registers[name] = compute(registers[left], get(frame))
+
+
+def _cvt_r(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, registers, name, convert, source = op
+    registers[name] = convert(registers[source])
+
+
+def _load_fp(sim: MachineSimulator, frame: _MachineFrame,
+             op: tuple) -> None:
+    _, _, registers, name, read, offset, checked, value_type = op
+    try:
+        registers[name] = read(frame.fp + offset)
+    except MemoryError_:
+        if checked:
+            raise
+        registers[name] = _zero_of(value_type)
+
+
+def _load(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, address, read, set_, checked, value_type = op
+    where = address(frame)
+    try:
+        value = read(where)
+    except MemoryError_:
+        if checked:
+            raise
+        value = _zero_of(value_type)
+    set_(frame, value)
+
+
+def _store_fp(sim: MachineSimulator, frame: _MachineFrame,
+              op: tuple) -> None:
+    _, _, registers, name, write, offset, checked = op
+    try:
+        write(frame.fp + offset, registers[name])
+    except MemoryError_:
+        if checked:
+            raise
+
+
+def _store(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, get, address, write, checked = op
+    value = get(frame)
+    where = address(frame)
+    try:
+        write(where, value)
+    except MemoryError_:
+        if checked:
+            raise
+
+
+def _jmp(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> bool:
+    frame.block_index = op[2]
+    frame.instr_index = 0
+    return True
+
+
+def _jcc_r(sim: MachineSimulator, frame: _MachineFrame, op: tuple):
+    _, _, registers, name, target = op
+    if registers[name]:
+        frame.block_index = target
+        frame.instr_index = 0
+        return True
+
+
+def _jcc(sim: MachineSimulator, frame: _MachineFrame, op: tuple):
+    _, _, get, target, label = op
+    if get(frame):
+        if target is None:
+            raise ExecutionTrap(TrapKind.SOFTWARE_TRAP,
+                                "jump to unknown label {0}".format(label))
+        frame.block_index = target
+        frame.instr_index = 0
+        return True
+
+
+def _call(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> tuple:
+    _, _, resume, transfer = op
+    frame.instr_index = resume
+    return transfer
+
+
+def _call_indirect(sim: MachineSimulator, frame: _MachineFrame,
+                   op: tuple) -> tuple:
+    _, _, resume, unwind_label, get, image = op
+    address = int(get(frame))
+    target = image.function_at(address)
+    if target is None:
+        raise ExecutionTrap(
+            TrapKind.MEMORY_FAULT,
+            "indirect call to 0x{0:x}".format(address), address)
+    frame.instr_index = resume
+    return target.name, unwind_label
+
+
+def _ret(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> bool:
     # The caller's CALL already set its resume point, so the caller
     # simply resumes; an invoke's trailing JMP to the normal destination
     # executes next.
@@ -965,7 +999,7 @@ def _ret(sim: MachineSimulator, frame: _MachineFrame) -> bool:
     return True
 
 
-def _unwind(sim: MachineSimulator, frame: _MachineFrame) -> bool:
+def _unwind(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> bool:
     frames = sim._frames
     while frames:
         top = frames[-1]
@@ -986,9 +1020,90 @@ def _unwind(sim: MachineSimulator, frame: _MachineFrame) -> bool:
                         "unwind with no active invoke")
 
 
-def _nop(sim: MachineSimulator, frame: _MachineFrame) -> None:
+def _nop(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
     return None
 
+
+def _save(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, registers, name = op
+    frame.saved_regs.append((name, registers[name]))
+
+
+def _restore(sim: MachineSimulator, frame: _MachineFrame,
+             op: tuple) -> None:
+    if frame.saved_regs:
+        name, value = frame.saved_regs.pop()
+        op[2][name] = value
+
+
+def _push(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, get, value_type = op
+    sim._push_value(get(frame), value_type)
+
+
+def _pop(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, memory, read, set_ = op
+    sp = memory.stack_pointer
+    value = read(sp)
+    memory.stack_pointer = sp + 8
+    set_(frame, value)
+
+
+def _adjsp_down(sim: MachineSimulator, frame: _MachineFrame,
+                op: tuple) -> None:
+    _, _, memory, get = op
+    memory.stack_pointer -= int(get(frame))
+
+
+def _adjsp_up(sim: MachineSimulator, frame: _MachineFrame,
+              op: tuple) -> None:
+    _, _, memory, get = op
+    memory.stack_pointer += int(get(frame))
+
+
+def _vload(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, address, read, lanes, offsets, checked, element = op
+    base = address(frame)
+    try:
+        values = [read(base + offset) for offset in offsets]
+    except MemoryError_:
+        if checked:
+            raise
+        # Atomic over lanes: a masked fault discards the whole vector
+        # and yields all-zero lanes.
+        values = [_zero_of(element)] * len(lanes)
+    for set_lane, value in zip(lanes, values):
+        set_lane(frame, value)
+
+
+def _vstore(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    _, _, address, write, lanes, checked = op
+    base = address(frame)
+    try:
+        for offset, get in lanes:
+            write(base + offset, get(frame))
+    except MemoryError_:
+        if checked:
+            raise
+        # Masked fault: lanes before the faulting one stay written, the
+        # faulting lane and everything after are dropped —
+        # byte-identical to the interpreters.
+
+
+def _software_trap(sim: MachineSimulator, frame: _MachineFrame,
+                   op: tuple) -> None:
+    raise ExecutionTrap(TrapKind.SOFTWARE_TRAP, op[2])
+
+
+def _raise(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
+    """The op of an instruction whose decoding failed: it raises that
+    error when it executes, so a malformed instruction on a path the
+    program never takes does not stop the run.  The error is raised
+    afresh each time, so it keeps no traceback of earlier runs."""
+    raise op[2].with_traceback(None)
+
+
+# -- operand functions shared by every operand of a kind --------------------
 
 def _frame_pointer(frame: _MachineFrame) -> int:
     return frame.fp
@@ -999,27 +1114,22 @@ def _ZERO(frame: _MachineFrame) -> int:
 
 
 def _constant(value):
-    return lambda frame: value
+    return lambda frame, value=value: value
 
 
 def _trap(detail: str):
-    """An op (or operand function) raising a software trap."""
-    def fault(*_):
+    """An operand function raising a software trap."""
+    def fault(frame):
         raise ExecutionTrap(TrapKind.SOFTWARE_TRAP, detail)
-    return fault
-
-
-def _raising(error: Exception):
-    """The op of an instruction whose decoding failed: it raises that
-    error when it executes, so a malformed instruction on a path the
-    program never takes does not stop the run."""
-    def fault(*_):
-        raise error
     return fault
 
 
 #: Registers read from the frame or the memory, not the register file.
 _SP_FP = ("sp", "fp")
+
+#: Semantics whose op depends on the block's function (a branch's
+#: target) or on the position in the block (a call's resume point).
+_PER_SITE = (Semantics.JMP, Semantics.JCC, Semantics.CALL)
 
 
 _RELATIONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,

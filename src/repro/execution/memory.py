@@ -10,7 +10,8 @@ global memory, and all memory is explicitly allocated"):
 
 Each region is an anonymous private mapping reserved at full size; the
 kernel supplies a zero page on first touch, so a run pays, in time and
-resident memory, only for the pages it touches.
+resident memory, only for the pages it touches.  :meth:`Memory.reset`
+gives those pages back, so the same arenas serve the next run.
 
 All accesses are bounds-checked; a reference outside an allocated region
 (including the unmapped null page) is a memory fault — the condition the
@@ -80,10 +81,29 @@ class Memory:
     def __init__(self, target: TargetData,
                  stack_limit: int = DEFAULT_STACK_LIMIT):
         self.target = target
-        self._global_cursor = GLOBAL_BASE
+        self.stack_limit = stack_limit
         self._global_arena = _reserve(_GLOBAL_ARENA_LIMIT)
-        self._heap_cursor = HEAP_BASE
         self._heap_arena = _reserve(_HEAP_CHUNK)
+        self._stack_arena = _reserve(stack_limit)
+        self._stack_base = STACK_TOP - stack_limit
+        self._clear()
+
+    def reset(self) -> None:
+        """Make every address read as a new memory's would: the arenas
+        read as zero again, and nothing is allocated or mapped.  The
+        arena objects stay, so a :meth:`reader` or :meth:`writer` made
+        before still works.  On Linux, ``MADV_DONTNEED`` zero-fills a
+        private anonymous mapping and frees its pages, so the reset
+        costs nothing for pages that were never touched."""
+        for arena in (self._global_arena, self._heap_arena,
+                      self._stack_arena):
+            arena.madvise(_mmap.MADV_DONTNEED)
+        self._clear()
+
+    def _clear(self) -> None:
+        """The allocation state of a memory that holds nothing."""
+        self._global_cursor = GLOBAL_BASE
+        self._heap_cursor = HEAP_BASE
         self._free_lists: Dict[int, List[int]] = {}
         self._alloc_sizes: Dict[int, int] = {}
         # Freed-but-not-reallocated blocks, kept unmapped: sorted start
@@ -92,9 +112,6 @@ class Memory:
         self._freed_starts: List[int] = []
         self._freed_sizes: Dict[int, int] = {}
         self.stack_pointer = STACK_TOP
-        self.stack_limit = stack_limit
-        self._stack_arena = _reserve(stack_limit)
-        self._stack_base = STACK_TOP - stack_limit
         # Extra regions (llva.pagetable.map): few, scanned linearly.
         self._regions: List[Tuple[int, bytearray]] = []
         #: Cumulative heap bytes ever allocated (monotonic).

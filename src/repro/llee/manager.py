@@ -18,11 +18,14 @@ When asked to run a virtual executable, LLEE:
    as above, but flagging it for translation and not actual
    execution").
 
-An LLEE loads each executable once: the module it read and the
-translation it ran stay resident for the next launch.  That launch
-still reads the cached vector, and reuses the decoded translation only
-for the same stored bytes (the same header line, a payload that still
-hashes to its digest); any other vector is decoded as before.
+An LLEE loads each executable once: the module it read, the translation
+it ran and the machine that ran it stay resident for the next launch.
+That launch still reads the cached vector, and reuses the translation
+only for the same stored bytes (the same header line, a payload that
+still hashes to its digest); any other vector is decoded as before.  A
+launch that reuses the translation also reuses its machine, reset to a
+fresh one's state, so it decodes no machine code either: the cached
+translation runs directly.
 """
 
 from __future__ import annotations
@@ -98,7 +101,13 @@ class InterpretedRunReport:
 
 
 class LLEE:
-    """The execution manager for one target processor."""
+    """The execution manager for one target processor.
+
+    ``last_simulator`` is the engine of the most recent native launch.
+    A resident executable keeps its engine, so the next launch of the
+    same executable resets it; a caller that inspects a finished run
+    does so before that launch.
+    """
 
     def __init__(self, target, storage: Optional[StorageAPI] = None):
         self.target = target
@@ -117,7 +126,8 @@ class LLEE:
         self._interp_cache: dict = {}
         #: Executables loaded by :meth:`run_executable`: native cache
         #: key -> (module, translation or None, the header line of the
-        #: stored vector that translation equals or None).
+        #: stored vector that translation equals or None, the simulator
+        #: that ran the translation or None).
         self._resident: dict = {}
 
     # -- the paper's Figure 3 flow -----------------------------------------
@@ -135,16 +145,19 @@ class LLEE:
         a resident translation is reused only for a vector whose header
         line is the one it was loaded from or written as and whose
         payload still hashes to that digest, and any other vector
-        decodes afresh.  A launch that fires ``llva.smc.replace``
-        leaves nothing resident (it rewrote the module), so the next
-        one reads the pristine object code again.
+        decodes afresh.  The simulator that ran a resident translation
+        stays with it, and a launch that reuses the translation resets
+        that simulator instead of building one, keeping its decoded
+        code.  A launch that fires ``llva.smc.replace`` leaves nothing
+        resident (it rewrote the module), so the next one reads the
+        pristine object code again.
         """
         with observe.span("llee.run_executable",
                           target=self.target.name,
                           entry=entry) as run_span:
             key = self._cache_key(object_code)
-            module, resident, resident_header = self._resident.pop(
-                key, (None, None, None))
+            module, resident, resident_header, simulator = \
+                self._resident.pop(key, (None, None, None, None))
             if module is None:
                 module = read_module(object_code)
             loaded_from = []
@@ -164,8 +177,11 @@ class LLEE:
             if native is None:
                 native = NativeModule(self.target, module.name)
             jit = FunctionJIT(module, self.target)
-            simulator = MachineSimulator(native, module,
-                                         resolver=jit.translate)
+            if native is resident:
+                simulator.reset(resolver=jit.translate)
+            else:
+                simulator = MachineSimulator(native, module,
+                                             resolver=jit.translate)
             self.last_simulator = simulator
             smc_fired = []
             simulator.smc_listeners.append(jit.on_smc_replace(native))
@@ -186,15 +202,19 @@ class LLEE:
                         written = self._store(key, native)
             finally:
                 if not smc_fired:
-                    # The translation stays only while it equals a
-                    # stored vector: the one it was loaded from, or the
-                    # one the JIT's additions were written back as.
+                    # The translation, and the machine that ran it,
+                    # stay only while it equals a stored vector: the one
+                    # it was loaded from, or the one the JIT's additions
+                    # were written back as.
                     if jit.stats.functions_translated:
                         stored_as = written
                     else:
                         stored_as = loaded_from[-1] if cache_hit else None
-                    self._resident[key] = (
-                        module, native if stored_as else None, stored_as)
+                    if stored_as:
+                        self._resident[key] = (module, native, stored_as,
+                                               simulator)
+                    else:
+                        self._resident[key] = (module, None, None, None)
         return RunReport(
             return_value=value,
             output=simulator.output_text(),

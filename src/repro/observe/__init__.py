@@ -37,6 +37,7 @@ naming conventions are documented in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ __all__ = [
 _enabled = False
 _registry = MetricsRegistry()
 _tracer = Tracer()
+#: The ``gc.collect`` span of the collection in progress, if any.
+_collection = None
 
 
 def enabled() -> bool:
@@ -78,6 +81,7 @@ def configure(reset: bool = True) -> None:
     """Turn observability on, optionally clearing previous data."""
     global _enabled
     _enabled = True
+    _watch_collections()
     if reset:
         _registry.reset()
         _tracer.reset()
@@ -86,9 +90,34 @@ def configure(reset: bool = True) -> None:
 def disable(reset: bool = True) -> None:
     global _enabled
     _enabled = False
+    _watch_collections()
     if reset:
         _registry.reset()
         _tracer.reset()
+
+
+def _watch_collections() -> None:
+    """Hook the cyclic garbage collector while observability is on, and
+    only then."""
+    hooked = _record_collection in gc.callbacks
+    if _enabled and not hooked:
+        gc.callbacks.append(_record_collection)
+    elif hooked and not _enabled:
+        gc.callbacks.remove(_record_collection)
+
+
+def _record_collection(phase: str, info: dict) -> None:
+    """A ``gc.callbacks`` hook: each collection becomes a ``gc.collect``
+    span inside the span that was open when it began, so a trace shows
+    which layer paid for it."""
+    global _collection
+    if phase == "start":
+        _collection = _tracer.span("gc.collect",
+                                   generation=info["generation"])
+    elif _collection is not None:
+        _collection.set(collected=info["collected"])
+        _collection.__exit__(None, None, None)
+        _collection = None
 
 
 @dataclass
@@ -109,11 +138,13 @@ def capture():
     _registry = MetricsRegistry()
     _tracer = Tracer()
     _enabled = True
+    _watch_collections()
     handle = Capture(_registry, _tracer)
     try:
         yield handle
     finally:
         _enabled, _registry, _tracer = previous
+        _watch_collections()
 
 
 # -- instrumentation points (cheap when disabled) ---------------------------

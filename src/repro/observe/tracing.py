@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 #: Bumped whenever :data:`VOCABULARY` or the shape of an export changes.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 #: Events kept in the ring: the whole JIT lifecycle of a benchsuite run
 #: (a few hundred events) with room to spare.
@@ -91,6 +91,8 @@ VOCABULARY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "trap.unhandled": (EVENT, ("engine", "trap")),
     "smc.invalidate": (EVENT, ("layer", "reason", "function")),
     "san.fault": (EVENT, ("kind", "detail")),
+    # the host
+    "gc.collect": (SPAN, ("generation", "collected")),
 }
 
 
@@ -222,14 +224,18 @@ class Tracer:
         self._dumped = False
 
     def span(self, name: str, /, **attrs) -> _SpanContext:
+        # The id is taken before anything is allocated: an allocation
+        # can start a collection, whose ``gc.collect`` span takes the
+        # next id.
+        span_id = self._next_id
+        self._next_id += 1
         record = SpanRecord(
-            span_id=self._next_id,
+            span_id=span_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
             name=name,
             start=self._clock(),
             attrs=dict(attrs),
         )
-        self._next_id += 1
         self._stack.append(record)
         return _SpanContext(self, record)
 

@@ -319,8 +319,7 @@ def _cmd_run(args) -> int:
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:
-                label = "tier2" if config.tier2 else (
-                    "fast" if config.engine == "fast" else "interp")
+                label = "tier2" if config.tier2 else config.engine
                 sys.stderr.write(_format_stats_line(label, value))
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))

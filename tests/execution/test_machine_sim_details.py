@@ -243,8 +243,8 @@ class TestInstrCostMemo:
 
     def test_cost_memoized_on_instruction(self, monkeypatch):
         """The cycle cost is worked out once per decoded instruction and
-        kept in its ``(cost, op)`` pair — no opcode re-dispatch per
-        executed cycle."""
+        kept in its op, ``(cost, run, *operands)`` — no opcode
+        re-dispatch per executed cycle."""
         from repro.execution import machine_sim
         from repro.execution.machine_sim import instr_cost
         from repro.targets.machine import MachineInstr

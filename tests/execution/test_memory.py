@@ -23,7 +23,7 @@ from repro.execution.memory import (
 from repro.execution.sanitizer import SanitizedMemory
 from repro.ir import types
 from repro.ir.types import TargetData
-from repro.llee import LLEE
+from repro.llee import LLEE, DiskStorage
 from repro.minic import compile_source
 from repro.targets import make_target
 
@@ -346,3 +346,65 @@ def test_each_native_run_starts_from_zero(target, fresh_global_code):
     for _ in range(2):
         report = llee.run_executable(fresh_global_code)
         assert (report.exit_status, report.return_value) == (0, 1)
+
+
+#: What a relaunch must not inherit from the launch before: an
+#: initialised global, a zero global, a heap word and the heap's first
+#: address, a stack slot read before it is written, and (for n > 0) the
+#: registers ``spread`` writes.
+RELAUNCH = r"""
+int seeded = 41;
+int zeroed[4096];
+int spread(int a, int b, int c) {
+    int d;
+    int e;
+    d = a * b + c;
+    e = (a + c) * (b - c);
+    return d * e + a * (d - e);
+}
+int main(int n) {
+    int* cell;
+    int slots[4];
+    int stale;
+    cell = (int*) malloc(sizeof(int));
+    stale = slots[2];
+    slots[2] = stale + 1;
+    seeded = seeded + 1;
+    zeroed[1000] = zeroed[1000] + 1;
+    *cell = *cell + 1;
+    if (n > 0) stale = stale + spread(n, n + 1, n + 2);
+    print_int(seeded); print_newline();
+    print_int(zeroed[1000]); print_newline();
+    print_int(*cell); print_newline();
+    print_int((int) cell); print_newline();
+    print_int(stale); print_newline();
+    return seeded + zeroed[1000] + *cell;
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["x86", "sparc"])
+def test_each_native_relaunch_starts_from_zero(target, tmp_path):
+    """Over a storage, an LLEE keeps the machine that ran a translation
+    and resets it for the next launch: memory, globals and registers
+    must then be a fresh LLEE's."""
+    code = write_module(compile_source(RELAUNCH, "relaunch",
+                                       optimization_level=2))
+    storage = DiskStorage(str(tmp_path))
+    llee = LLEE(make_target(target), storage)
+    machines = []
+    for n in (1, 0, 1, 0):
+        report = llee.run_executable(code, args=[n])
+        fresh = LLEE(make_target(target), storage)
+        expected = fresh.run_executable(code, args=[n])
+        assert (report.return_value, report.output, report.exit_status,
+                report.cycles) == (expected.return_value, expected.output,
+                                   expected.exit_status, expected.cycles)
+        assert dict(llee.last_simulator.registers) \
+            == dict(fresh.last_simulator.registers)
+        machines.append(llee.last_simulator)
+    assert report.output == "42\n1\n1\n16777216\n0\n"
+    # The first launch translated and stored the vector; the others ran
+    # the resident translation on that launch's machine.
+    assert all(machine is machines[0] for machine in machines)
+

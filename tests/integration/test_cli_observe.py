@@ -93,7 +93,7 @@ class TestUnifiedStats:
         _code, _out, jit_err = _capture(
             ["run", str(prog_bc), "--target", "x86", "--stats"],
             capsys)
-        assert interp_err.startswith("[interp] result=85 ")
+        assert interp_err.startswith("[reference] result=85 ")
         assert jit_err.startswith("[x86] result=85 ")
         # One shape: space-separated key=value registry metrics.
         for line in (interp_err, jit_err):

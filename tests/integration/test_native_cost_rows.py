@@ -24,9 +24,10 @@ import functools
 
 import pytest
 
+from repro import observe
 from repro.benchsuite import SUITE_ORDER, load_workload
 from repro.bitcode import read_module, write_module
-from repro.llee import LLEE
+from repro.llee import LLEE, InMemoryStorage
 from repro.llee.jit import FunctionJIT
 from repro.minic import compile_source
 from repro.targets import make_target, serialize_native
@@ -184,6 +185,26 @@ def test_relaunch_without_storage_matches_a_fresh_llee(name, target):
             == ROWS[name, target]
         assert not report.cache_hit
     assert second.functions_jitted == first.functions_jitted > 0
+
+
+@pytest.mark.parametrize("name,target", list(ROWS))
+def test_relaunch_with_storage_matches_a_fresh_llee(name, target):
+    """The first launch translates and stores the vector; the next two
+    run the resident translation on the first launch's machine, reset,
+    and decode no block again."""
+    llee = LLEE(make_target(target), InMemoryStorage())
+    reports, decoded = [], []
+    for _ in range(3):
+        with observe.capture() as obs:
+            reports.append(llee.run_executable(_bitcode(name)))
+        decoded.append(obs.registry.value("native.blocks_decoded",
+                                          target=target))
+    for report in reports:
+        assert (report.return_value, report.output, report.exit_status,
+                report.cycles, report.native_instructions_executed) \
+            == ROWS[name, target]
+    assert [report.cache_hit for report in reports] == [False, True, True]
+    assert decoded[0] > 0 and decoded[1:] == [0, 0]
 
 
 def test_table_covers_the_suite_and_adds_up_to_the_gates():

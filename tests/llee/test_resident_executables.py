@@ -10,7 +10,9 @@ must report the same result, output, cycles, ``cache_hit`` and
 ``llee.cache.*`` events.
 """
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -265,6 +267,38 @@ def test_smc_launch_leaves_nothing_resident(smc_code, loads):
     llee.run_executable(smc_code, args=[1])
     assert llee.run_executable(smc_code, args=[0]).return_value == 3
     assert loads["read_module"] == 2
+
+
+@pytest.mark.parametrize("target_name", TARGETS)
+@pytest.mark.parametrize("drop", ["smc", "replaced", "failed_write_back"])
+def test_a_dropped_translation_frees_its_machine(target_name, drop, code,
+                                                 smc_code):
+    """The machine that ran a resident translation lives and dies with
+    it: once a launch has dropped the translation and ``last_simulator``
+    has moved on, nothing holds the machine."""
+    storage = _Storage()
+    llee = LLEE(make_target(target_name), storage)
+    program, n = (smc_code, 0) if drop == "smc" else (code, 2)
+    llee.run_executable(program, args=[n])
+    machine = llee.last_simulator
+    llee.run_executable(program, args=[n])
+    assert llee.last_simulator is machine  # reset, not rebuilt
+    machine = weakref.ref(machine)
+    if drop == "replaced":
+        offline_translate_o2(llee, storage, program)
+        llee.run_executable(program, args=[n])
+    else:
+        if drop == "smc":
+            llee.run_executable(program, args=[1])
+        else:
+            break_writes(llee, storage, program)
+            llee.run_executable(program, args=[7])  # translates ``cube``
+            mend_writes(llee, storage, program)
+        # Another executable's launch moves ``last_simulator`` on.
+        other = code if drop == "smc" else smc_code
+        llee.run_executable(other, args=[0])
+    gc.collect()
+    assert machine() is None
 
 
 def test_interpreted_smc_launch_that_traps_leaves_nothing_cached(

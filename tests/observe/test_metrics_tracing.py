@@ -1,6 +1,7 @@
 """The repro.observe subsystem: metrics registry, span tracer and its
 events, exports, and the zero-overhead-when-disabled contract."""
 
+import gc
 import io
 import json
 
@@ -229,6 +230,7 @@ class TestTracerEvents:
 class TestGlobalSwitchboard:
     def test_disabled_by_default_everything_is_noop(self):
         assert not observe.enabled()
+        assert observe._record_collection not in gc.callbacks
         assert observe.span("x") is NULL_SPAN
         observe.counter("x")  # must not record
         observe.histogram("h", 1.0)
@@ -236,6 +238,24 @@ class TestGlobalSwitchboard:
         assert observe.registry().value("x") == 0
         assert observe.registry().histogram("h") is None
         assert not observe.tracer().events
+
+    def test_collections_are_spans_while_observing(self):
+        observe.configure()
+        try:
+            assert observe._record_collection in gc.callbacks
+            with observe.capture() as obs:
+                with observe.span("outer"):
+                    gc.collect()
+            assert observe._record_collection in gc.callbacks
+        finally:
+            observe.disable()
+        assert observe._record_collection not in gc.callbacks
+        outer, = [r for r in obs.tracer.records if r.name == "outer"]
+        assert any(r.name == "gc.collect" and r.attrs["generation"] == 2
+                   and r.attrs["collected"] >= 0
+                   and r.parent_id == outer.span_id
+                   and outer.start <= r.start <= r.end <= outer.end
+                   for r in obs.tracer.records)
 
     def test_capture_scopes_enablement(self):
         assert not observe.enabled()

@@ -4,14 +4,15 @@ Fixed scenarios run under ``observe.capture()``: every
 ``ExecConfig.all()`` entry, both targets, an ``-O2`` build with
 vectorization, cold and warm LLEE launches on ``DiskStorage``, a
 corrupt cache blob, offline and profile-guided translation,
-``llva.smc.replace``, a handled trap with a tier-2 deopt and a
-sanitizer fault.  The observing subcommands run with ``--trace``.
+``llva.smc.replace``, a handled trap with a tier-2 deopt, a
+sanitizer fault and a cyclic-GC collection.  The observing subcommands run with ``--trace``.
 Every span and event they record must validate against
 ``tracing.VOCABULARY``, and every name in the vocabulary must be
 recorded at least once, so that a name nothing emits any more cannot
 stay in the table.
 """
 
+import gc
 import json
 
 import pytest
@@ -162,6 +163,9 @@ def _captured_scenarios(tmp_path):
         with pytest.raises(ExecutionTrap):
             Interpreter(_parsed(USE_AFTER_FREE),
                         ExecConfig(sanitize=True)).run("main")
+    yield obs
+    with observe.capture() as obs:
+        gc.collect()
     yield obs
 
 
