@@ -1866,10 +1866,11 @@ class FastInterpreter(Interpreter):
                  decode_cache: Optional[DecodeCache] = None,
                  tier2_cache=None,
                  profiler=None,
+                 layout=None,
                  **settings):
         super().__init__(module, config, target=target,
                          privileged=privileged, max_steps=max_steps,
-                         profiler=profiler, **settings)
+                         profiler=profiler, layout=layout, **settings)
         config = self.config
         self.tier2 = None
         if config.tier2:

@@ -6,14 +6,20 @@ pointer) and lays out every global variable, writing its initializer with
 the target's endianness and pointer size.  Zero-initialized globals
 occupy address space but are never written, as ``.bss`` occupies no
 file bytes in :meth:`~repro.targets.native.NativeModule.data_size`.
-:meth:`ProgramImage.reload` lays the globals out again in memory that
-was reset, at the same addresses.
+
+An image takes its :class:`ImageLayout` right after that first layout,
+before any instruction runs: the symbol addresses, the end of the
+global arena and the bytes of each initialized global.  An image built
+from a layout, and :meth:`ProgramImage.reload` in memory that was
+reset, apply it: one ``write_bytes`` per initialized global instead of
+a walk over every initializer constant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro import observe
 from repro.execution.memory import FUNCTION_BASE, Memory
 from repro.ir import types, values
 from repro.ir.module import Function, GlobalVariable, Module
@@ -31,17 +37,49 @@ from repro.ir.values import (
 _FUNCTION_STRIDE = 16
 
 
-class ProgramImage:
-    """A loaded module: symbol addresses plus initialized memory."""
+class ImageLayout(NamedTuple):
+    """A module's image as plain data, taken before any instruction ran.
+    Zero-initialized globals need no bytes: new or reset memory already
+    reads zero."""
 
-    def __init__(self, module: Module, memory: Memory):
+    function_addresses: Dict[str, int]
+    functions_by_address: Dict[int, Function]
+    global_addresses: Dict[str, int]
+    #: The end of the global arena.
+    global_end: int
+    #: ``(address, bytes)`` of each global whose initializer is not
+    #: ``zeroinitializer``.
+    initialized: Tuple[Tuple[int, bytes], ...]
+
+
+class ProgramImage:
+    """A loaded module: symbol addresses plus initialized memory.
+
+    Without *layout* the image lays the module out by walking it, then
+    takes its :attr:`layout`; with one (taken by an image of the same
+    module and target) it applies that instead.  Either way the image
+    owns its address maps, because :meth:`register_function` adds to
+    them."""
+
+    def __init__(self, module: Module, memory: Memory,
+                 layout: Optional[ImageLayout] = None):
         self.module = module
         self.memory = memory
-        self.function_addresses: Dict[str, int] = {}
-        self.functions_by_address: Dict[int, Function] = {}
-        self.global_addresses: Dict[str, int] = {}
-        self._layout_functions()
-        self._layout_globals()
+        if layout is None:
+            self.function_addresses: Dict[str, int] = {}
+            self.functions_by_address: Dict[int, Function] = {}
+            self.global_addresses: Dict[str, int] = {}
+            self._layout_functions()
+            written = self._layout_globals()
+            layout = ImageLayout(
+                dict(self.function_addresses),
+                dict(self.functions_by_address),
+                dict(self.global_addresses), memory.global_end,
+                tuple((address, memory.read_bytes(address, size))
+                      for _, address, size in written))
+        else:
+            self._apply(layout)
+        self.layout = layout
 
     # -- layout ----------------------------------------------------------------
 
@@ -52,8 +90,12 @@ class ProgramImage:
             self.functions_by_address[next_address] = function
             next_address += _FUNCTION_STRIDE
 
-    def _layout_globals(self) -> None:
+    def _layout_globals(self) -> List[Tuple[GlobalVariable, int, int]]:
+        """Give every global its address and write the initializers that
+        are not ``zeroinitializer``; the ``(global, address, size)`` of
+        each global written."""
         target = self.memory.target
+        written = []
         # Allocate all addresses first so initializers may refer to any
         # global (mutual references between globals are legal).
         for variable in self.module.globals.values():
@@ -61,18 +103,32 @@ class ProgramImage:
             align = target.align_of(variable.value_type)
             address = self.memory.allocate_global(size, align)
             self.global_addresses[variable.name] = address
-        for variable in self.module.globals.values():
-            if variable.initializer is not None:
-                self.write_constant(
-                    self.global_addresses[variable.name],
-                    variable.value_type, variable.initializer)
+            initializer = variable.initializer
+            if initializer is not None \
+                    and not isinstance(initializer, ConstantZero):
+                written.append((variable, address, size))
+        for variable, address, _ in written:
+            self.write_constant(address, variable.value_type,
+                                variable.initializer)
+        if written and observe.enabled():
+            observe.counter("image.initializers_written", len(written))
+        return written
+
+    def _apply(self, layout: ImageLayout) -> None:
+        self.function_addresses = dict(layout.function_addresses)
+        self.functions_by_address = dict(layout.functions_by_address)
+        self.global_addresses = dict(layout.global_addresses)
+        memory = self.memory
+        memory.map_globals(layout.global_end)
+        for address, data in layout.initialized:
+            memory.write_bytes(address, data)
 
     def reload(self) -> None:
-        """Write the initializers again into the image's memory after a
-        :meth:`~repro.execution.memory.Memory.reset`.  The module's
-        globals are the same, so every one gets the address it had."""
-        self.global_addresses.clear()
-        self._layout_globals()
+        """Apply the image's :attr:`layout` again to its memory after a
+        :meth:`~repro.execution.memory.Memory.reset`: the addresses,
+        and the initialized globals' bytes, of the first load.  A
+        function registered since is gone."""
+        self._apply(self.layout)
 
     def register_function(self, function: Function) -> int:
         """Self-extending code (Section 3.4): give a function added to

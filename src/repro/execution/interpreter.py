@@ -99,7 +99,9 @@ class Interpreter:
     :class:`ExecConfig` fields and replace config's, so
     ``Interpreter(module, engine="fast")`` is ``Interpreter(module,
     ExecConfig(engine="fast"))``.  The fast engine alone reads
-    *decode_cache* and *tier2_cache*.
+    *decode_cache* and *tier2_cache*.  A *layout* that an earlier
+    engine's image took of the same module is applied instead of laying
+    the module out again (see :class:`~repro.execution.image.ProgramImage`).
     """
 
     engine = "reference"
@@ -119,6 +121,7 @@ class Interpreter:
                  decode_cache=None,
                  tier2_cache=None,
                  profiler=None,
+                 layout=None,
                  **settings):
         if settings:
             config = replace(config, **settings)
@@ -130,7 +133,7 @@ class Interpreter:
             self.memory = SanitizedMemory(self.target)
         else:
             self.memory = Memory(self.target)
-        self.image = ProgramImage(module, self.memory)
+        self.image = ProgramImage(module, self.memory, layout)
         self.runtime = RuntimeLibrary(self.memory,
                                       weak_tick_source(self, "steps"))
         self.steps = 0

@@ -184,11 +184,11 @@ class MachineSimulator:
               ) -> None:
         """Start over as a new simulator of the same native module and
         LLVA module would, keeping the code decoded so far: memory reads
-        as zero again with the globals laid out anew, the registers,
-        frames and counters are cleared, and the runtime library, the
-        resolver and the SMC listeners are new.  The decoded ops hold
-        the memory, the register file and the image, which stay the same
-        objects."""
+        as zero again, the image applies the layout of its first load
+        (:meth:`ProgramImage.reload`), the registers, frames and
+        counters are cleared, and the runtime library, the resolver and
+        the SMC listeners are new.  The decoded ops hold the memory, the
+        register file and the image, which stay the same objects."""
         self.memory.reset()
         self.image.reload()
         self.registers.clear()

@@ -302,7 +302,31 @@ class Memory:
         A NUL landing exactly at position *limit* still terminates the
         string; the fault for a genuinely unterminated string reports
         the cursor that overran, not the start address.
+
+        In the stack, heap and global arenas the NUL is looked for with
+        one ``find``, bounded by the arena's mapped end.  Where a
+        byte-by-byte read could fault first, the read goes byte by
+        byte, so every fault keeps its address and detail: under
+        llva-san, once the heap has freed blocks, and when no NUL lies
+        in the mapped arena.  Pages mapped at run time go byte by byte
+        too.
         """
+        if self.san is None and not self._freed_starts:
+            base, data = self._find_region(address, 1)
+            if data is self._stack_arena:
+                end = STACK_TOP
+            elif data is self._heap_arena:
+                end = self._heap_cursor
+            elif data is self._global_arena:
+                end = self._global_cursor
+            else:
+                end = None
+            if end is not None:
+                start = address - base
+                nul = data.find(b"\0", start,
+                                min(end - base, start + limit + 1))
+                if nul >= 0:
+                    return bytes(data[start:nul])
         out = bytearray()
         cursor = address
         while True:
@@ -328,6 +352,17 @@ class Memory:
             raise MemoryError_("global arena exhausted", cursor)
         self._global_cursor = end
         return cursor
+
+    @property
+    def global_end(self) -> int:
+        """The end of the global space handed out so far."""
+        return self._global_cursor
+
+    def map_globals(self, end: int) -> None:
+        """Hand out the global space below *end* at once, as the
+        :meth:`allocate_global` calls of a layout that ended there did
+        (a program image applying its layout to new or reset memory)."""
+        self._global_cursor = end
 
     # -- heap --------------------------------------------------------------------
 

@@ -25,7 +25,10 @@ only for the same stored bytes (the same header line, a payload that
 still hashes to its digest); any other vector is decoded as before.  A
 launch that reuses the translation also reuses its machine, reset to a
 fresh one's state, so it decodes no machine code either: the cached
-translation runs directly.
+translation runs directly.  Its data image is relocated the same way:
+the machine's image applies the layout it took at the first load, and an
+interpreted launch applies the one its decoded module keeps, instead of
+walking every global initializer again.
 """
 
 from __future__ import annotations
@@ -120,9 +123,10 @@ class LLEE:
         #: :func:`repro.llee.profile.read_profile`) can inspect the
         #: finished run's memory image.
         self.last_simulator: Optional[MachineSimulator] = None
-        #: Decoded-module reuse for :meth:`run_interpreted`: object-code
-        #: key -> (module, DecodeCache).  The interpreter analogue of
-        #: the native translation cache — decode once, run many times.
+        #: Decoded-module reuse for :meth:`run_interpreted`: (config,
+        #: object-code key) -> (module, DecodeCache, Tier2Cache or None,
+        #: ImageLayout).  The interpreter analogue of the native
+        #: translation cache — decode and lay out once, run many times.
         self._interp_cache: dict = {}
         #: Executables loaded by :meth:`run_executable`: native cache
         #: key -> (module, translation or None, the header line of the
@@ -240,11 +244,13 @@ class LLEE:
 
         On the fast engine the decoded module is cached across
         invocations, keyed on the config and the object code — the
-        pre-decode cost is paid once.  A run that triggers
-        ``llva.smc.replace`` drops the cached module (its in-memory
-        body has been mutated), so the next invocation re-reads the
-        pristine object code, matching the fresh-module semantics of
-        :meth:`run_executable`.
+        pre-decode cost is paid once.  So is the layout of the data
+        image: the first launch's image takes it before any instruction
+        runs, and each later launch applies it to its new memory.  A run
+        that triggers ``llva.smc.replace`` drops the cached module (its
+        in-memory body has been mutated), so the next invocation
+        re-reads the pristine object code, matching the fresh-module
+        semantics of :meth:`run_executable`.
 
         With tier 2 on, the Tier2Cache is kept alongside the decode
         cache (hot functions stay compiled across invocations), and —
@@ -264,6 +270,7 @@ class LLEE:
             cached = self._interp_cache.get(key) if fast else None
             cache_hit = cached is not None
             if cached is None:
+                layout = None
                 module = read_module(object_code)
                 decode_cache = DecodeCache(module.target_data,
                                            config.sanitize)
@@ -278,7 +285,7 @@ class LLEE:
                             self.storage, object_key,
                             executable_timestamp=executable_timestamp)
             else:
-                module, decode_cache, tier2_cache = cached
+                module, decode_cache, tier2_cache, layout = cached
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
@@ -286,7 +293,8 @@ class LLEE:
                        object_key, "interp")
             interpreter = Interpreter(
                 module, config, privileged=privileged,
-                decode_cache=decode_cache, tier2_cache=tier2_cache)
+                decode_cache=decode_cache, tier2_cache=tier2_cache,
+                layout=layout)
             smc_fired = []
             interpreter.smc_listeners.append(smc_fired.append)
             decode_before = decode_cache.stats.decode_seconds
@@ -303,7 +311,8 @@ class LLEE:
             run_seconds = time.perf_counter() - started
             if fast and not smc_fired:
                 self._interp_cache[key] = (
-                    module, decode_cache, tier2_cache)
+                    module, decode_cache, tier2_cache,
+                    interpreter.image.layout)
             if tier2_cache is not None:
                 tier2_cache.flush_storage()
             decode_seconds = decode_cache.stats.decode_seconds \

@@ -364,6 +364,28 @@ class TestSanitizerDifferential:
         assert "allocated at %main:entry:#0 (call)" in detail
         assert "freed at %main:entry:#1 (call)" in detail
 
+    def test_print_str_of_freed_string(self):
+        # print_str reads the string byte by byte under llva-san, so the
+        # first byte read reports the freed block.
+        outcome = run_both_sanitized(self.HEAP_DECLS + """
+        declare void %print_str(sbyte*)
+        int %main() {
+        entry:
+                %p = call sbyte* %malloc(uint 8)
+                store sbyte 72, sbyte* %p
+                %q = getelementptr sbyte* %p, long 1
+                store sbyte 0, sbyte* %q
+                call void %free(sbyte* %p)
+                call void %print_str(sbyte* %p)
+                ret int 0
+        }
+        """)
+        assert outcome[0] == "trap"
+        detail = outcome[2]
+        assert detail.startswith("heap-use-after-free: read of 1 byte")
+        assert "offset 0 into 8-byte block" in detail
+        assert "freed at %main:entry:#4 (call)" in detail
+
     def test_heap_buffer_overflow(self):
         outcome = run_both_sanitized(self.HEAP_DECLS + """
         int %main() {

@@ -147,6 +147,51 @@ class TestTypedAccess:
         assert info.value.address == address + 8
         assert "unterminated" in info.value.detail
 
+    def test_cstring_unterminated_in_last_heap_block(self):
+        # The arena is mapped past the heap cursor, but the heap is not:
+        # the read faults at the cursor.
+        memory = _memory()
+        address = memory.malloc(16)
+        memory.write_bytes(address, b"A" * 16)
+        with pytest.raises(MemoryError_) as info:
+            memory.read_cstring(address)
+        assert info.value.address == memory._heap_cursor == address + 16
+        assert "outside mapped memory" in info.value.detail
+
+    def test_cstring_unterminated_at_end_of_globals(self):
+        memory = _memory()
+        address = memory.allocate_global(16)
+        memory.write_bytes(address, b"A" * 16)
+        with pytest.raises(MemoryError_) as info:
+            memory.read_cstring(address)
+        assert info.value.address == memory._global_cursor \
+            == address + 16
+        assert "outside mapped memory" in info.value.detail
+
+    def test_cstring_runs_into_freed_heap_block(self):
+        memory = _memory()
+        address = memory.malloc(16)
+        freed = memory.malloc(16)
+        memory.write_bytes(freed, b"\x00")
+        memory.write_bytes(address, b"A" * 16)
+        memory.free(freed)
+        with pytest.raises(MemoryError_) as info:
+            memory.read_cstring(address)
+        assert info.value.address == freed
+        assert "inside freed heap block" in info.value.detail
+        memory.write_bytes(address + 15, b"\x00")
+        assert memory.read_cstring(address) == b"A" * 15
+
+    @pytest.mark.parametrize("where", ["stack", "heap", "global"])
+    def test_cstring_in_each_arena(self, where):
+        memory = _memory()
+        address = {"stack": lambda: memory.push_frame(32),
+                   "heap": lambda: memory.malloc(32),
+                   "global": lambda: memory.allocate_global(32)}[where]()
+        memory.write_bytes(address, b"arena\x00tail")
+        assert memory.read_cstring(address) == b"arena"
+        assert memory.read_cstring(address + 6) == b"tail"
+
 
 class TestAllocator:
     def test_malloc_returns_distinct_zeroed_chunks(self):
@@ -381,6 +426,32 @@ int main(int n) {
     return seeded + zeroed[1000] + *cell;
 }
 """
+
+
+@pytest.fixture(scope="module")
+def relaunch_code():
+    return write_module(compile_source(RELAUNCH, "relaunch",
+                                       optimization_level=2))
+
+
+@pytest.mark.parametrize("config", ExecConfig.all(), ids=lambda c: (
+    "{0.engine}-tier2={0.tier2}@{0.tier2_threshold}-san={0.sanitize}"
+    .format(c)))
+def test_each_interpreted_relaunch_starts_from_zero(config, relaunch_code):
+    """An LLEE keeps an interpreted executable's decoded module and the
+    layout of its data image, and applies that layout to each launch's
+    new memory: every launch must report what a fresh LLEE's does."""
+    llee = LLEE(make_target("x86"))
+    for n in (1, 0, 1, 0):
+        report = llee.run_interpreted(relaunch_code, args=[n],
+                                      **asdict(config))
+        expected = LLEE(make_target("x86")).run_interpreted(
+            relaunch_code, args=[n], **asdict(config))
+        assert (report.return_value, report.output, report.steps,
+                report.exit_status) == (expected.return_value,
+                                        expected.output, expected.steps,
+                                        expected.exit_status)
+    assert report.output.startswith("42\n1\n1\n")
 
 
 @pytest.mark.parametrize("target", ["x86", "sparc"])

@@ -8,18 +8,26 @@ once on one LLEE, and once on a fresh LLEE per launch.  Every launch
 must report the same result, output, cycles, ``cache_hit`` and
 ``functions_jitted`` (or the same trap), and count the same
 ``llee.cache.*`` events.
+
+The data image is kept the same way on both launch paths: a relaunch
+applies the layout its image took at the first load, so the last
+section checks that it rewrites every initialized global, walks no
+initializer and keeps no address a launch registered.
 """
 
 import gc
 import time
 import weakref
+from dataclasses import asdict
 
 import pytest
 
 from repro import observe
 from repro.asm import parse_module
 from repro.bitcode import write_module
-from repro.execution import ExecutionTrap
+from repro.execution import ExecutionTrap, Interpreter
+from repro.execution.config import ExecConfig
+from repro.ir import IRBuilder, types
 from repro.llee import LLEE, InMemoryStorage, manager
 from repro.minic import compile_source
 from repro.targets import make_target
@@ -311,3 +319,163 @@ def test_interpreted_smc_launch_that_traps_leaves_nothing_cached(
         llee.run_interpreted(smc_code, args=[2])
     again = llee.run_interpreted(smc_code, args=[0])
     assert (again.return_value, again.cache_hit) == (3, False)
+
+
+# -- the data image ------------------------------------------------------------
+
+#: Initialized globals of every kind a layout holds: a pointer to
+#: another global, a function pointer, a struct and a string (in
+#: assembly, because MiniC has no address initializers).  Each launch
+#: prints them and then overwrites them, so a relaunch that did not
+#: write an initialized global back prints something else.
+GLOBALS_PROGRAM = r"""
+%struct.Cell = type { int, long }
+%count = global int 7
+%count_ptr = global int* %count
+%op = global int (int)* %twice
+%cell = global %struct.Cell { int 3, long 9 }
+%greeting = global [6 x sbyte] c"hello\00"
+
+declare void %print_int(int)
+declare void %print_long(long)
+declare void %print_str(sbyte*)
+declare void %print_newline()
+
+int %twice(int %x) {
+entry:
+        %r = mul int %x, 2
+        ret int %r
+}
+
+int %thrice(int %x) {
+entry:
+        %r = mul int %x, 3
+        ret int %r
+}
+
+int %main(int %n) {
+entry:
+        %p = load int** %count_ptr
+        %c = load int* %p
+        %c1 = add int %c, %n
+        store int %c1, int* %p
+        call void %print_int(int %c1)
+        call void %print_newline()
+        %first = getelementptr %struct.Cell* %cell, long 0, ubyte 0
+        store int* %first, int** %count_ptr
+        %f = load int (int)** %op
+        %r = call int %f(int 5)
+        call void %print_int(int %r)
+        call void %print_newline()
+        store int (int)* %thrice, int (int)** %op
+        %second = getelementptr %struct.Cell* %cell, long 0, ubyte 1
+        %l = load long* %second
+        %l1 = add long %l, 100
+        store long %l1, long* %second
+        call void %print_long(long %l1)
+        call void %print_newline()
+        %s = getelementptr [6 x sbyte]* %greeting, long 0, long 0
+        call void %print_str(sbyte* %s)
+        call void %print_newline()
+        store sbyte 74, sbyte* %s
+        ret int %c1
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def globals_code():
+    return write_module(parse_module(GLOBALS_PROGRAM))
+
+
+def interpreted(n, config):
+    def step(llee, storage, code):
+        report = llee.run_interpreted(code, args=[n], **asdict(config))
+        return (report.return_value, report.output, report.steps,
+                report.exit_status)
+    return step
+
+
+@pytest.mark.parametrize("config", ExecConfig.all(), ids=lambda c: (
+    "{0.engine}-tier2={0.tier2}@{0.tier2_threshold}-san={0.sanitize}"
+    .format(c)))
+def test_interpreted_relaunch_rewrites_initialized_globals(config,
+                                                          globals_code):
+    seen = assert_same_launches(
+        [interpreted(n, config) for n in (1, 0, 1)], "x86", globals_code,
+        storage=False)
+    assert [s[:2] for s in seen] == [
+        (8, "8\n10\n109\nhello\n"), (7, "7\n10\n109\nhello\n"),
+        (8, "8\n10\n109\nhello\n")]
+
+
+@pytest.mark.parametrize("target_name", TARGETS)
+def test_native_relaunch_rewrites_initialized_globals(target_name,
+                                                      globals_code):
+    seen = assert_same_launches(
+        [launch(1), launch(0), launch(1)], target_name, globals_code)
+    assert [s[0][:2] for s in seen] == [
+        (8, "8\n10\n109\nhello\n"), (7, "7\n10\n109\nhello\n"),
+        (8, "8\n10\n109\nhello\n")]
+
+
+PATHS = ("interpreted",) + TARGETS
+
+
+def launcher(path):
+    """An LLEE and its launch method: the fast engine for
+    ``interpreted``, else the target's native path over a storage."""
+    if path == "interpreted":
+        llee = LLEE(make_target("x86"))
+        return llee, llee.run_interpreted
+    llee = LLEE(make_target(path), InMemoryStorage())
+    return llee, llee.run_executable
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_relaunch_walks_no_initializer(path, globals_code):
+    """The first launch lays the image out by walking the five
+    initializers; a relaunch applies that layout and walks none."""
+    _, run = launcher(path)
+    written = []
+    for _ in range(3):
+        with observe.capture() as obs:
+            run(globals_code, args=[1])
+        written.append(obs.registry.value("image.initializers_written"))
+    assert written == [5, 0, 0]
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """The interpreters ``run_interpreted`` builds, in order."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(Interpreter(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(manager, "Interpreter", build)
+    return built
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_registered_function_is_gone_at_the_next_launch(path, code,
+                                                          engines):
+    """Each launch's image owns its address maps: an address that
+    ``register_function`` (self-extending code) gave out in one launch,
+    on the image that walked the module or on one that applied its
+    layout, has no function in the next launch."""
+    llee, run = launcher(path)
+    for launch_index in range(3):
+        run(code, args=[2])
+        image = engines[-1].image if path == "interpreted" \
+            else llee.last_simulator.image
+        if launch_index:
+            assert image.function_at(address) is None
+            with pytest.raises(KeyError):
+                image.address_of(name)
+        name = "generated{0}".format(launch_index)
+        function = image.module.create_function(
+            name, types.function_of(types.INT, [types.INT]), ["x"])
+        IRBuilder(function.add_block("entry")).ret(function.args[0])
+        address = image.register_function(function)
+        assert image.function_at(address) is function
