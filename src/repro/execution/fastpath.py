@@ -18,7 +18,10 @@ once, into an array of specialized Python closures:
   ops (arith/logical/shift/compare/load/store/gep/cast/alloca) are
   folded into a single fused closure, cutting dispatch overhead;
 * **inline offset cache** — constant-index ``getelementptr`` folds to a
-  single precomputed byte offset at decode time.
+  single precomputed byte offset at decode time;
+* **typed memory access** — a scalar ``load`` or ``store`` is one
+  :meth:`~repro.execution.memory.Memory.load` or ``store`` call with a
+  codec chosen at decode time.
 
 Decoded functions are cached per :class:`DecodeCache` keyed on the
 function identity and its ``smc_version``, mirroring ``jit.py``'s
@@ -63,7 +66,12 @@ from repro.execution.interpreter import (
     _zero_of,
     cast_value,
 )
-from repro.execution.memory import MemoryError_, _FP_FORMAT
+from repro.execution.memory import (
+    MemoryError_,
+    _FP_FORMAT,
+    scalar_codec,
+    store_codec,
+)
 from repro.execution.runtime import is_runtime_name
 from repro.execution.sanitizer import format_site
 from repro.ir import instructions as insts
@@ -1114,102 +1122,99 @@ class _Decoder:
     def _compile_load(self, inst, index: int):
         dst = self.slot_of[id(inst)]
         nxt = index + 1
-        type_ = inst.type
-        target = self.target
-        size = target.size_of(type_)
-        endian = target.endianness
-        fb = int.from_bytes
+        codec = scalar_codec(self.target, inst.type)
         kp, vp = self.resolve(inst.pointer)
-        if kp != "s":
-            # Cold path (globals / constant pointers): reuse the typed
-            # reader from the memory layer.
-            getp = self.getter(inst.pointer)
-
-            def op(st, f):
+        if kp == "s":
+            def op(st, f, _p=vp, _c=codec):
                 st.steps += 1
+                r = f.regs
                 try:
-                    v = st.memory.read_typed(int(getp(st, f.regs)), type_)
+                    r[dst] = st.memory.load(r[_p], _c)
                 except MemoryError_ as fault:
                     return st._fast_fault(f, index, inst, dst,
                                           fault.trap_number,
                                           fault.address or 0,
                                           fault.detail,
                                           fault.unmaskable)
-                f.regs[dst] = v
                 f.index = nxt
             return op
-        if isinstance(type_, types.IntegerType) and type_.is_signed:
-            sbit = 1 << (type_.bits - 1)
+        # Globals and constant pointers.
+        getp = self.getter(inst.pointer)
 
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    raw = st.memory.read_bytes(r[_p], size)
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, dst,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                r[dst] = (fb(raw, endian) ^ sbit) - sbit
-                f.index = nxt
-        elif type_.is_integer or type_.is_pointer:
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    raw = st.memory.read_bytes(r[_p], size)
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, dst,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                r[dst] = fb(raw, endian)
-                f.index = nxt
-        elif type_.is_bool:
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    raw = st.memory.read_bytes(r[_p], size)
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, dst,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                r[dst] = raw[0] != 0
-                f.index = nxt
-        else:  # floating point
-            fmt = _FP_FORMAT[(size, endian)]
-            unpack = struct.unpack
-
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    raw = st.memory.read_bytes(r[_p], size)
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, dst,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                r[dst] = unpack(fmt, raw)[0]
-                f.index = nxt
+        def op(st, f):
+            st.steps += 1
+            r = f.regs
+            try:
+                r[dst] = st.memory.load(int(getp(st, r)), codec)
+            except MemoryError_ as fault:
+                return st._fast_fault(f, index, inst, dst,
+                                      fault.trap_number,
+                                      fault.address or 0,
+                                      fault.detail,
+                                      fault.unmaskable)
+            f.index = nxt
         return op
 
     def _compile_store(self, inst, index: int):
         nxt = index + 1
         vtype = inst.value.type
         target = self.target
-        size = target.size_of(vtype)
-        endian = target.endianness
+        codec = store_codec(target, vtype)
+        # The value as the codec packs it: an integer or a pointer
+        # masked to its width (the codec is unsigned), a float as float.
+        if vtype.is_integer or vtype.is_pointer:
+            mask = ((1 << vtype.bits) - 1 if vtype.is_integer
+                    else _pointer_mask(target))
+
+            def convert(value):
+                return int(value) & mask
+        elif vtype.is_bool:
+            mask, convert = None, bool
+        else:
+            mask, convert = None, float
         kp, vp = self.resolve(inst.pointer)
         kv, vv = self.resolve(inst.value)
-        if kp != "s":
+        if kp == "s" and kv == "c":
+            def op(st, f, _p=vp, _c=codec, _v=convert(vv)):
+                st.steps += 1
+                try:
+                    st.memory.store(f.regs[_p], _c, _v)
+                except MemoryError_ as fault:
+                    return st._fast_fault(f, index, inst, -1,
+                                          fault.trap_number,
+                                          fault.address or 0,
+                                          fault.detail,
+                                          fault.unmaskable)
+                f.index = nxt
+        elif kp == "s" and kv == "s" and mask is not None:
+            def op(st, f, _p=vp, _c=codec, _v=vv):
+                st.steps += 1
+                r = f.regs
+                try:
+                    st.memory.store(r[_p], _c, r[_v] & mask)
+                except MemoryError_ as fault:
+                    return st._fast_fault(f, index, inst, -1,
+                                          fault.trap_number,
+                                          fault.address or 0,
+                                          fault.detail,
+                                          fault.unmaskable)
+                f.index = nxt
+        elif kp == "s" and kv == "s":
+            # A bool or a float: the codec converts it.
+            def op(st, f, _p=vp, _c=codec, _v=vv):
+                st.steps += 1
+                r = f.regs
+                try:
+                    st.memory.store(r[_p], _c, r[_v])
+                except MemoryError_ as fault:
+                    return st._fast_fault(f, index, inst, -1,
+                                          fault.trap_number,
+                                          fault.address or 0,
+                                          fault.detail,
+                                          fault.unmaskable)
+                f.index = nxt
+        else:
+            # Globals, constant pointers and other value operands.
             getp = self.getter(inst.pointer)
             getv = self.getter(inst.value)
 
@@ -1217,91 +1222,8 @@ class _Decoder:
                 st.steps += 1
                 r = f.regs
                 try:
-                    st.memory.write_typed(int(getp(st, r)), vtype,
-                                          getv(st, r))
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, -1,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                f.index = nxt
-            return op
-        if vtype.is_integer or vtype.is_pointer:
-            mask = ((1 << vtype.bits) - 1 if vtype.is_integer
-                    else _pointer_mask(target))
-            if kv == "c":
-                raw = (int(vv) & mask).to_bytes(size, endian)
-
-                def op(st, f, _p=vp):
-                    st.steps += 1
-                    try:
-                        st.memory.write_bytes(f.regs[_p], raw)
-                    except MemoryError_ as fault:
-                        return st._fast_fault(f, index, inst, -1,
-                                              fault.trap_number,
-                                              fault.address or 0,
-                                              fault.detail,
-                                              fault.unmaskable)
-                    f.index = nxt
-            elif kv == "s":
-                def op(st, f, _p=vp, _v=vv):
-                    st.steps += 1
-                    r = f.regs
-                    try:
-                        st.memory.write_bytes(
-                            r[_p], (r[_v] & mask).to_bytes(size, endian))
-                    except MemoryError_ as fault:
-                        return st._fast_fault(f, index, inst, -1,
-                                              fault.trap_number,
-                                              fault.address or 0,
-                                              fault.detail,
-                                              fault.unmaskable)
-                    f.index = nxt
-            else:
-                getv = self.getter(inst.value)
-
-                def op(st, f, _p=vp):
-                    st.steps += 1
-                    r = f.regs
-                    try:
-                        st.memory.write_bytes(
-                            r[_p],
-                            (int(getv(st, r)) & mask).to_bytes(size, endian))
-                    except MemoryError_ as fault:
-                        return st._fast_fault(f, index, inst, -1,
-                                              fault.trap_number,
-                                              fault.address or 0,
-                                              fault.detail,
-                                              fault.unmaskable)
-                    f.index = nxt
-        elif vtype.is_bool:
-            getv = self.getter(inst.value)
-
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    st.memory.write_bytes(
-                        r[_p], b"\x01" if getv(st, r) else b"\x00")
-                except MemoryError_ as fault:
-                    return st._fast_fault(f, index, inst, -1,
-                                          fault.trap_number,
-                                          fault.address or 0,
-                                          fault.detail,
-                                          fault.unmaskable)
-                f.index = nxt
-        else:  # floating point
-            fmt = _FP_FORMAT[(size, endian)]
-            pack = struct.pack
-            getv = self.getter(inst.value)
-
-            def op(st, f, _p=vp):
-                st.steps += 1
-                r = f.regs
-                try:
-                    st.memory.write_bytes(r[_p],
-                                          pack(fmt, float(getv(st, r))))
+                    st.memory.store(int(getp(st, r)), codec,
+                                    convert(getv(st, r)))
                 except MemoryError_ as fault:
                     return st._fast_fault(f, index, inst, -1,
                                           fault.trap_number,

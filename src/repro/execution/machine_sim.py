@@ -21,7 +21,8 @@ generators:
 Machine code runs decoded, and each block is decoded once per loaded
 executable: into ops, when a frame first enters it.  An op is a tuple
 ``(cost, run, *operands)`` with the instruction's operands, attrs,
-typed memory accessor and branch target's block index resolved, and
+memory access (the memory's :meth:`~repro.execution.memory.Memory.load`
+or ``store`` and a codec) and branch target's block index resolved, and
 the loop only charges ``cost`` and calls ``run(simulator, frame, op)``.
 :meth:`MachineSimulator.reset` starts a new run on the same simulator
 with its decoded code, which is how an LLEE relaunches a resident
@@ -47,7 +48,7 @@ from repro.execution.interpreter import (
     _round_f32,
     cast_value,
 )
-from repro.execution.memory import Memory, MemoryError_
+from repro.execution.memory import Memory, MemoryError_, scalar_codec
 from repro.execution.runtime import (
     RUNTIME_SIGNATURES,
     RuntimeLibrary,
@@ -418,8 +419,8 @@ class MachineSimulator:
                 args.append(self.registers[arg_regs[index]])
             else:
                 slot = stack_cursor + 8 * (index - len(arg_regs))
-                args.append(self.memory.read_typed(
-                    slot, _push_slot_type(None, param)))
+                codec = self._decoder.codec(_push_slot_type(None, param))
+                args.append(self.memory.load(slot, codec))
         return args
 
     def _call_intrinsic(self, name: str) -> None:
@@ -459,8 +460,9 @@ class MachineSimulator:
                     value_type: Optional[types.Type] = None) -> None:
         sp = self.memory.stack_pointer - 8
         self.memory.stack_pointer = sp
-        slot_type = _push_slot_type(value, value_type)
-        self.memory.write_typed(sp, slot_type, value)
+        self.memory.store(
+            sp, self._decoder.codec(_push_slot_type(value, value_type)),
+            value)
 
     # -- misc -------------------------------------------------------------------------------
 
@@ -488,11 +490,14 @@ class _Decoder:
     label)`` for a call, which the loop makes once the call's cost is
     charged.  The loop keeps the position inside a block, so ops that
     fall through touch no frame state.  An op's operands are what it
-    reads when it runs: register names, offsets, constants, typed memory
-    accessors and operand functions of the frame, resolved when it is
-    decoded.  They include the simulator's memory, registers and image,
-    never the simulator itself, so an op serves every run of the
-    simulator.
+    reads when it runs: register names, offsets, constants, the memory's
+    ``load`` or ``store`` with a codec, and operand functions of the
+    frame, resolved when it is decoded.  They include the simulator's
+    memory, registers and image, never the simulator itself, so an op
+    serves every run of the simulator.  A load or a store uses the codec
+    of its value type's own format (:func:`scalar_codec`), because the
+    registers hold each value in its type's range; a value the codec
+    rejects takes :meth:`Memory.write_typed`'s conversion.
 
     A block is decoded once per loaded executable, when a frame first
     enters it, and many run only a few times, so decoding must cost
@@ -514,8 +519,10 @@ class _Decoder:
         self.registers = registers
         self.image = image
         self.td = td
-        self._readers: Dict[types.Type, Callable] = {}
-        self._writers: Dict[types.Type, Callable] = {}
+        #: Bound once, so every op shares one bound method.
+        self.load = memory.load
+        self.store = memory.store
+        self._codecs: Dict[types.Type, object] = {}
         #: (op, type, ee) or (from type, to type) -> the ALU or CVT
         #: function every instruction of that kind shares.
         self._computes: Dict[tuple, Callable] = {}
@@ -549,17 +556,11 @@ class _Decoder:
 
     # -- operand access ----------------------------------------------------
 
-    def reader(self, type_: types.Type) -> Callable:
-        read = self._readers.get(type_)
-        if read is None:
-            read = self._readers[type_] = self.memory.reader(type_)
-        return read
-
-    def writer(self, type_: types.Type) -> Callable:
-        write = self._writers.get(type_)
-        if write is None:
-            write = self._writers[type_] = self.memory.writer(type_)
-        return write
+    def codec(self, type_: types.Type):
+        codec = self._codecs.get(type_)
+        if codec is None:
+            codec = self._codecs[type_] = scalar_codec(self.td, type_)
+        return codec
 
     def getter(self, operand, value_type: Optional[types.Type] = None):
         """A function of the frame reading *operand*; memory is read as
@@ -571,14 +572,14 @@ class _Decoder:
         if isinstance(operand, SymRef):
             return self._symbol(operand.name)
         if isinstance(operand, Mem):
-            read = self.reader(value_type or types.ULONG)
+            codec = self.codec(value_type or types.ULONG)
             if operand.symbol is None and operand.index is None \
                     and operand.base is not None \
                     and operand.base.name == "fp":
-                return lambda frame, read=read, offset=operand.offset: \
-                    read(frame.fp + offset)
-            return lambda frame, read=read, address=self.address(operand): \
-                read(address(frame))
+                return lambda frame, load=self.load, codec=codec, \
+                    offset=operand.offset: load(frame.fp + offset, codec)
+            return lambda frame, load=self.load, codec=codec, \
+                address=self.address(operand): load(address(frame), codec)
         return _trap("bad operand {0!r}".format(operand))
 
     def _register(self, name: str):
@@ -678,29 +679,31 @@ class _Decoder:
         dst, mem = instr.operands[0], instr.operands[1]
         attrs = instr.attrs
         value_type = attrs.get("value_type") or types.ULONG
-        read = self._readers.get(value_type) or self.reader(value_type)
-        checked = attrs.get("ee", True)  # !ee(false): a fault reads 0
+        codec = self._codecs.get(value_type) or self.codec(value_type)
+        # !ee(false): a fault reads zero; None: the fault is delivered.
+        zero = None if attrs.get("ee", True) else _zero_of(value_type)
         name = dst.name
         if name != "sp" and mem.symbol is None and mem.index is None \
                 and mem.base is not None and mem.base.name == "fp":
-            return (_load_fp, self.registers, name, read, mem.offset,
-                    checked, value_type)
-        return (_load, self.address(mem), read, self.setter(dst), checked,
-                value_type)
+            return (_load_fp, self.registers, name, self.load, codec,
+                    mem.offset, zero)
+        return (_load, self.address(mem), self.load, codec,
+                self.setter(dst), zero)
 
     def _store(self, instr, function, position):
         src, mem = instr.operands[0], instr.operands[1]
         attrs = instr.attrs
         value_type = attrs.get("value_type") or types.ULONG
-        write = self._writers.get(value_type) or self.writer(value_type)
-        checked = attrs.get("ee", True)  # !ee(false): a fault is dropped
+        codec = self._codecs.get(value_type) or self.codec(value_type)
         if isinstance(src, PhysReg) and src.name not in _SP_FP \
                 and mem.symbol is None and mem.index is None \
                 and mem.base is not None and mem.base.name == "fp":
-            return (_store_fp, self.registers, src.name, write, mem.offset,
-                    checked)
-        return (_store, self.getter(src, value_type), self.address(mem),
-                write, checked)
+            op = (_store_fp, self.registers, src.name, self.store, codec,
+                  mem.offset)
+        else:
+            op = (_store, self.getter(src, value_type), self.address(mem),
+                  self.store, codec)
+        return _checked(op, attrs)
 
     def _lea(self, instr, function, position):
         return self._assign(instr.operands[0],
@@ -787,7 +790,7 @@ class _Decoder:
     def _pop(self, instr, function, position):
         if instr.mnemonic == "restore":
             return _restore, self.registers
-        return (_pop, self.memory, self.reader(types.ULONG),
+        return (_pop, self.memory, self.codec(types.ULONG),
                 self.setter(instr.operands[0]))
 
     def _adjsp(self, instr, function, position):
@@ -801,34 +804,35 @@ class _Decoder:
     def _lane_setter(self, operand, slot_type: types.Type):
         if isinstance(operand, Mem):
             # A spilled lane bound to its frame slot by the allocator.
-            return lambda frame, value, write=self.writer(slot_type), \
-                address=self.address(operand): write(address(frame), value)
+            return lambda frame, value, store=self.store, \
+                codec=self.codec(slot_type), \
+                address=self.address(operand): \
+                store(address(frame), codec, value)
         return self.setter(operand)
 
     def _vload(self, instr, function, position):
         attrs = instr.attrs
         element = attrs["value_type"]
         esize = attrs.get("esize") or self.td.size_of(element)
-        checked = attrs.get("ee", True)
+        zero = None if attrs.get("ee", True) else _zero_of(element)
         address = self.address(instr.operands[-1])
-        read = self.reader(element)
         slot_type = spill_slot_type(element)
         lanes = [self._lane_setter(operand, slot_type)
                  for operand in instr.operands[:-1]]
         offsets = [i * esize for i in range(len(lanes))]
-        return _vload, address, read, lanes, offsets, checked, element
+        return (_vload, address, self.load, self.codec(element), lanes,
+                offsets, zero)
 
     def _vstore(self, instr, function, position):
         attrs = instr.attrs
         element = attrs["value_type"]
         esize = attrs.get("esize") or self.td.size_of(element)
-        checked = attrs.get("ee", True)
         address = self.address(instr.operands[-1])
-        write = self.writer(element)
         slot_type = spill_slot_type(element)
         lanes = [(i * esize, self.getter(operand, slot_type))
                  for i, operand in enumerate(instr.operands[:-1])]
-        return _vstore, address, write, lanes, checked
+        return _checked((_vstore, address, self.store, self.codec(element),
+                         lanes), attrs)
 
     def _unknown(self, instr, function, position):
         return (_software_trap,
@@ -905,46 +909,49 @@ def _cvt_r(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
 
 def _load_fp(sim: MachineSimulator, frame: _MachineFrame,
              op: tuple) -> None:
-    _, _, registers, name, read, offset, checked, value_type = op
+    _, _, registers, name, load, codec, offset, zero = op
     try:
-        registers[name] = read(frame.fp + offset)
+        registers[name] = load(frame.fp + offset, codec)
     except MemoryError_:
-        if checked:
+        if zero is None:
             raise
-        registers[name] = _zero_of(value_type)
+        registers[name] = zero
 
 
 def _load(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
-    _, _, address, read, set_, checked, value_type = op
+    _, _, address, load, codec, set_, zero = op
     where = address(frame)
     try:
-        value = read(where)
+        value = load(where, codec)
     except MemoryError_:
-        if checked:
+        if zero is None:
             raise
-        value = _zero_of(value_type)
+        value = zero
     set_(frame, value)
 
 
 def _store_fp(sim: MachineSimulator, frame: _MachineFrame,
               op: tuple) -> None:
-    _, _, registers, name, write, offset, checked = op
-    try:
-        write(frame.fp + offset, registers[name])
-    except MemoryError_:
-        if checked:
-            raise
+    _, _, registers, name, store, codec, offset = op
+    store(frame.fp + offset, codec, registers[name])
 
 
 def _store(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
-    _, _, get, address, write, checked = op
+    _, _, get, address, store, codec = op
     value = get(frame)
-    where = address(frame)
+    store(address(frame), codec, value)
+
+
+def _unchecked(sim: MachineSimulator, frame: _MachineFrame,
+               op: tuple) -> None:
+    """A store under !ee(false): runs the checked op ``op[2]`` and drops
+    a memory fault (the lanes of a vector store before the faulting one
+    stay written)."""
+    checked = op[2]
     try:
-        write(where, value)
+        checked[1](sim, frame, checked)
     except MemoryError_:
-        if checked:
-            raise
+        pass
 
 
 def _jmp(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> bool:
@@ -1042,9 +1049,9 @@ def _push(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
 
 
 def _pop(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
-    _, _, memory, read, set_ = op
+    _, _, memory, codec, set_ = op
     sp = memory.stack_pointer
-    value = read(sp)
+    value = memory.load(sp, codec)
     memory.stack_pointer = sp + 8
     set_(frame, value)
 
@@ -1062,32 +1069,28 @@ def _adjsp_up(sim: MachineSimulator, frame: _MachineFrame,
 
 
 def _vload(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
-    _, _, address, read, lanes, offsets, checked, element = op
+    _, _, address, load, codec, lanes, offsets, zero = op
     base = address(frame)
     try:
-        values = [read(base + offset) for offset in offsets]
+        values = [load(base + offset, codec) for offset in offsets]
     except MemoryError_:
-        if checked:
+        if zero is None:
             raise
         # Atomic over lanes: a masked fault discards the whole vector
         # and yields all-zero lanes.
-        values = [_zero_of(element)] * len(lanes)
+        values = [zero] * len(lanes)
     for set_lane, value in zip(lanes, values):
         set_lane(frame, value)
 
 
 def _vstore(sim: MachineSimulator, frame: _MachineFrame, op: tuple) -> None:
-    _, _, address, write, lanes, checked = op
+    # Under !ee(false) the op runs inside _unchecked: lanes before the
+    # faulting one stay written, the faulting lane and everything after
+    # are dropped — byte-identical to the interpreters.
+    _, _, address, store, codec, lanes = op
     base = address(frame)
-    try:
-        for offset, get in lanes:
-            write(base + offset, get(frame))
-    except MemoryError_:
-        if checked:
-            raise
-        # Masked fault: lanes before the faulting one stay written, the
-        # faulting lane and everything after are dropped —
-        # byte-identical to the interpreters.
+    for offset, get in lanes:
+        store(base + offset, codec, get(frame))
 
 
 def _software_trap(sim: MachineSimulator, frame: _MachineFrame,
@@ -1111,6 +1114,14 @@ def _frame_pointer(frame: _MachineFrame) -> int:
 
 def _ZERO(frame: _MachineFrame) -> int:
     return 0
+
+
+def _checked(op: tuple, attrs: dict) -> tuple:
+    """A store's op, without its cost: *op* itself, or under !ee(false)
+    *op* run by :func:`_unchecked`, which drops a fault."""
+    if attrs.get("ee", True):
+        return op
+    return _unchecked, (0,) + op
 
 
 def _constant(value):

@@ -20,6 +20,17 @@ paper's ``ExceptionsEnabled`` bit controls for ``load``/``store``.
 Scalar encoding honours the :class:`~repro.ir.types.TargetData` endianness
 and pointer size, so the same program state serializes differently on the
 two V-ABI configurations — which the differential tests exercise.
+
+The engines' ``load`` and ``store`` take one typed path,
+:meth:`Memory.load` and :meth:`Memory.store`: one ``struct`` call on the
+arena an address falls in, with a *codec* (a module-level
+``struct.Struct`` of one scalar format, from :func:`scalar_codec` or
+:func:`store_codec`) chosen when the instruction is decoded.  The
+codecs are shared constants, so decoded code and tier-2 units that
+outlive a memory bind them.  :meth:`Memory.read_typed` and
+:meth:`Memory.write_typed` are the reference interpreter's independent
+path, through ``int.from_bytes``/``to_bytes``, and the oracle the
+codec path is checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import bisect as _bisect
 import mmap as _mmap
 import struct as _struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.execution.events import ExecutionTrap, TrapKind
 from repro.ir import types
@@ -43,6 +54,56 @@ _FP_FORMAT = {(4, "little"): "<f", (4, "big"): ">f",
               (8, "little"): "<d", (8, "big"): ">d"}
 _SIGNED_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 _UNSIGNED_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: The scalar type of each ``struct`` format code.
+_CODE_TYPES = {"b": types.SBYTE, "B": types.UBYTE, "h": types.SHORT,
+               "H": types.USHORT, "i": types.INT, "I": types.UINT,
+               "q": types.LONG, "Q": types.ULONG, "?": types.BOOL,
+               "f": types.FLOAT, "d": types.DOUBLE}
+#: The codecs: one ``struct.Struct`` per byte order and scalar format,
+#: keyed by its format string.
+CODECS: Dict[str, _struct.Struct] = {
+    order + code: _struct.Struct(order + code)
+    for order in "<>" for code in _CODE_TYPES}
+#: Codec -> the scalar type whose :meth:`Memory.write_typed` conversion
+#: a value the codec rejects takes.
+_CODEC_TYPES = {codec: _CODE_TYPES[fmt[1]] for fmt, codec in CODECS.items()}
+#: The widest scalar, and the highest address a scalar of any width can
+#: start at in the stack.
+_MAX_SCALAR = max(codec.size for codec in CODECS.values())
+_STACK_LAST = STACK_TOP - _MAX_SCALAR
+
+
+def scalar_codec(target: TargetData, type_: Type) -> _struct.Struct:
+    """The codec of scalar *type_* on *target*, in the type's own
+    format: what a load unpacks.  An integer keeps its signedness, a
+    pointer is an unsigned integer of the pointer size, a bool is
+    ``?``."""
+    return _codec(target, type_, signed=True)
+
+
+def store_codec(target: TargetData, type_: Type) -> _struct.Struct:
+    """The codec a store of *type_* packs with: the unsigned format of
+    an integer's or a pointer's width, for a value masked to that width
+    (its two's-complement image); otherwise :func:`scalar_codec`."""
+    return _codec(target, type_, signed=False)
+
+
+def _codec(target: TargetData, type_: Type, signed: bool) -> _struct.Struct:
+    order = "<" if target.endianness == "little" else ">"
+    if type_.is_pointer:
+        code = _UNSIGNED_CODES[target.pointer_size]
+    elif type_.is_bool:
+        code = "?"
+    elif isinstance(type_, types.IntegerType):
+        codes = _SIGNED_CODES if signed and type_.signed \
+            else _UNSIGNED_CODES
+        code = codes[type_.size]
+    elif type_.is_floating_point:
+        code = "f" if type_.size == 4 else "d"
+    else:
+        raise ValueError("{0} is not a scalar type".format(type_))
+    return CODECS[order + code]
 
 
 class MemoryError_(ExecutionTrap):
@@ -91,8 +152,7 @@ class Memory:
     def reset(self) -> None:
         """Make every address read as a new memory's would: the arenas
         read as zero again, and nothing is allocated or mapped.  The
-        arena objects stay, so a :meth:`reader` or :meth:`writer` made
-        before still works.  On Linux, ``MADV_DONTNEED`` zero-fills a
+        arena objects stay.  On Linux, ``MADV_DONTNEED`` zero-fills a
         private anonymous mapping and frees its pages, so the reset
         costs nothing for pages that were never touched."""
         for arena in (self._global_arena, self._heap_arena,
@@ -126,6 +186,14 @@ class Memory:
         if size <= 0:
             raise ValueError("region size must be positive")
         self._regions.append((base, bytearray(size)))
+
+    def _overlaps_region(self, address: int, size: int) -> bool:
+        """Whether [address, address+size) touches a mapped region.
+        The heap must never grow over one: :meth:`_find_region` tries
+        the heap first, so the region's bytes would vanish."""
+        end = address + size
+        return any(base < end and address < base + len(data)
+                   for base, data in self._regions)
 
     def _find_region(self, address: int, size: int) -> Tuple[int, Any]:
         # Only addresses at or above the live stack pointer are mapped
@@ -225,76 +293,47 @@ class Memory:
                                address)
         self.write_bytes(address, raw)
 
-    def _scalar_format(self, type_: Type) -> Optional[str]:
-        """The ``struct`` format :meth:`read_typed` and :meth:`write_typed`
-        agree with for *type_*, or None where they take another path."""
-        if self.san is not None:
-            return None  # SanitizedMemory checks every raw access
-        order = "<" if self.target.endianness == "little" else ">"
-        if type_.is_pointer:
-            code = _UNSIGNED_CODES.get(self.target.pointer_size)
-        elif type_.is_bool:
-            code = "?"
-        elif isinstance(type_, types.IntegerType):
-            codes = _SIGNED_CODES if type_.signed else _UNSIGNED_CODES
-            code = codes.get(type_.size)
-        elif type_.is_floating_point:
-            return _FP_FORMAT.get((type_.size, self.target.endianness))
+    def load(self, address: int, codec: _struct.Struct):
+        """Load one scalar from *address* with *codec*: the engines'
+        typed load.  The stack, the heap (while no block is freed) and
+        the globals are tried inline, in :meth:`_find_region`'s order;
+        anything else takes :meth:`_find_region` itself, so every fault
+        keeps its address and detail.  The stack test allows for the
+        widest scalar, so it needs no size: an access in the top
+        :data:`_MAX_SCALAR` bytes of the stack is found the long way."""
+        if self.stack_pointer <= address <= _STACK_LAST:
+            return codec.unpack_from(self._stack_arena,
+                                     address - self._stack_base)[0]
+        end = address + codec.size
+        if HEAP_BASE <= address and end <= self._heap_cursor \
+                and not self._freed_starts:
+            return codec.unpack_from(self._heap_arena, address - HEAP_BASE)[0]
+        if GLOBAL_BASE <= address and end <= self._global_cursor:
+            return codec.unpack_from(self._global_arena,
+                                     address - GLOBAL_BASE)[0]
+        base, data = self._find_region(address, codec.size)
+        return codec.unpack_from(data, address - base)[0]
+
+    def store(self, address: int, codec: _struct.Struct, value) -> None:
+        """Store one scalar *value* at *address* with *codec*, finding
+        the arena as :meth:`load` does.  A value the codec rejects takes
+        :meth:`write_typed`'s conversion for the codec's type."""
+        if self.stack_pointer <= address <= _STACK_LAST:
+            data, offset = self._stack_arena, address - self._stack_base
         else:
-            return None
-        return order + code if code else None
-
-    def reader(self, type_: Type) -> Callable[[int], Any]:
-        """``read_typed(address, type_)`` as a function of the address,
-        with the type's dispatch done once: the machine simulator's
-        decoded loads.  Stack addresses, the common case, skip the
-        region search."""
-        fmt = self._scalar_format(type_)
-        if fmt is None:
-            return lambda address: self.read_typed(address, type_)
-        unpack = _struct.Struct(fmt).unpack_from
-        size = _struct.calcsize(fmt)
-        find = self._find_region
-        stack, stack_base = self._stack_arena, self._stack_base
-
-        def read(address):
-            if self.stack_pointer <= address \
-                    and address + size <= STACK_TOP:
-                return unpack(stack, address - stack_base)[0]
-            base, data = find(address, size)
-            return unpack(data, address - base)[0]
-        return read
-
-    def writer(self, type_: Type) -> Callable[[int, Any], None]:
-        """``write_typed(address, type_, value)`` as a function of the
-        address and the value, with the type's dispatch done once.  A
-        value the format rejects, or an unmapped address, takes
-        :meth:`write_typed` itself, so conversions and faults happen
-        exactly as there."""
-        fmt = self._scalar_format(type_)
-        if fmt is None:
-            return lambda address, value: self.write_typed(
-                address, type_, value)
-        pack = _struct.Struct(fmt).pack_into
-        size = _struct.calcsize(fmt)
-        find = self._find_region
-        stack, stack_base = self._stack_arena, self._stack_base
-
-        def write(address, value):
-            if self.stack_pointer <= address \
-                    and address + size <= STACK_TOP:
-                data, offset = stack, address - stack_base
+            end = address + codec.size
+            if HEAP_BASE <= address and end <= self._heap_cursor \
+                    and not self._freed_starts:
+                data, offset = self._heap_arena, address - HEAP_BASE
+            elif GLOBAL_BASE <= address and end <= self._global_cursor:
+                data, offset = self._global_arena, address - GLOBAL_BASE
             else:
-                try:
-                    base, data = find(address, size)
-                except MemoryError_:
-                    return self.write_typed(address, type_, value)
+                base, data = self._find_region(address, codec.size)
                 offset = address - base
-            try:
-                pack(data, offset, value)
-            except _struct.error:
-                self.write_typed(address, type_, value)
-        return write
+        try:
+            codec.pack_into(data, offset, value)
+        except _struct.error:
+            self.write_typed(address, _CODEC_TYPES[codec], value)
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string of up to *limit* bytes.
@@ -367,11 +406,16 @@ class Memory:
     # -- heap --------------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        """Allocate heap memory (runtime ``malloc``)."""
+        """Allocate heap memory (runtime ``malloc``).  Returns 0, as C's
+        ``malloc`` does when the heap cannot grow, where the block would
+        overlap a page mapped at run time."""
         if size <= 0:
             size = 1
         size = _align_up(size, 16)
         free_list = self._free_lists.get(size)
+        if self._regions and self._overlaps_region(
+                free_list[-1] if free_list else self._heap_cursor, size):
+            return 0
         if free_list:
             address = free_list.pop()
             # Remap the block before touching it, then zero it for

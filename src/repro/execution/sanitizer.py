@@ -33,6 +33,7 @@ as a class attribute and the engines only consult it when it is set.
 from __future__ import annotations
 
 import bisect as _bisect
+import struct as _struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,6 +43,7 @@ from repro.execution.memory import (
     HEAP_BASE,
     Memory,
     MemoryError_,
+    _CODEC_TYPES,
     _align_up,
 )
 from repro.ir.types import TargetData
@@ -287,7 +289,9 @@ class SanitizedMemory(Memory):
         Memory.__init__(self, target, stack_limit)
         self.san = ShadowSanitizer()
 
-    # -- checked raw access ----------------------------------------------
+    # -- checked access --------------------------------------------------
+    # The typed load and store go through the checked raw access, so
+    # every access is checked and reported the same way.
 
     def read_bytes(self, address: int, size: int) -> bytes:
         if HEAP_BASE <= address and address + size <= self._heap_cursor:
@@ -311,6 +315,17 @@ class SanitizedMemory(Memory):
                                     self.stack_pointer)
         Memory.write_bytes(self, address, payload)
 
+    def load(self, address: int, codec: _struct.Struct):
+        return codec.unpack(self.read_bytes(address, codec.size))[0]
+
+    def store(self, address: int, codec: _struct.Struct, value) -> None:
+        try:
+            raw = codec.pack(value)
+        except _struct.error:
+            self.write_typed(address, _CODEC_TYPES[codec], value)
+        else:
+            self.write_bytes(address, raw)
+
     # -- heap ------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
@@ -319,6 +334,9 @@ class SanitizedMemory(Memory):
         chunk_start = self._heap_cursor
         payload = chunk_start + REDZONE
         chunk_end = _align_up(payload + size + REDZONE, 16)
+        if self._regions and self._overlaps_region(
+                chunk_start, chunk_end - chunk_start):
+            return 0  # as Memory.malloc: never over a mapped page
         end = chunk_end - HEAP_BASE
         if end > len(self._heap_arena):
             self._grow_heap(end)

@@ -16,8 +16,11 @@ generator function —
 * step counting is merged: one ``__steps += k`` per straight-line run,
   placed so the architectural count is exact at every fault point;
 * constant ``getelementptr`` chains fold to literal byte offsets, and
-  loads/stores go straight to the byte-level memory API with
-  precomputed sizes and pre-serialized constant stores.
+  a scalar load or store is one ``__ld(p, C)``/``__st(p, C, v)`` call
+  (:meth:`~repro.execution.memory.Memory.load`/``store``), where ``C``
+  is a codec constant of the unit's namespace and a constant store
+  value is masked at code generation.  A unit's prologue binds only
+  the memory helpers its body uses.
 
 The compiled unit is a **generator**.  Anything that touches the frame
 stack (LLVA calls, trap delivery) or the runtime is *yielded* as a
@@ -77,7 +80,14 @@ from repro.execution.interpreter import (
     _zero_of,
 )
 from repro.execution.fastpath import _vector_struct_format
-from repro.execution.memory import MemoryError_, _FP_FORMAT
+from repro.execution.memory import (
+    CODECS,
+    MemoryError_,
+    _CODEC_TYPES,
+    _FP_FORMAT,
+    scalar_codec,
+    store_codec,
+)
 from repro.execution.runtime import is_runtime_name
 from repro.ir import instructions as insts
 from repro.ir import types
@@ -104,7 +114,9 @@ from repro.llee.storage import load_entry, store_entry
 #: v7: one code shape (block dispatch): the factory takes no
 #: mid-function entry argument, and blob entries carry only ``hash``,
 #: ``num_slots``, ``func_refs``, ``source`` and ``code``.
-TIER2_VERSION = 7
+#: v8: scalar loads and stores are ``__ld(p, C)``/``__st(p, C, v)``
+#: with codec constants, and the prologue binds only the helpers used.
+TIER2_VERSION = 8
 
 #: Architectural steps credited to a function (on return of its tier-1
 #: activations) before it is promoted regardless of invocation count.
@@ -213,7 +225,8 @@ class _FnCodegen:
         #: aliases of direct-call Function targets: alias -> name.
         self.func_refs: Dict[str, str] = {}
         self._func_alias_of: Dict[str, str] = {}
-        self.uses_mem = False
+        #: The memory helpers the body calls (names of _HELPERS).
+        self.helpers: set = set()
         self.uses_image = False
         self._tmp = 0
 
@@ -478,54 +491,33 @@ class _FnCodegen:
 
     def emit_load(self, ind: int, inst) -> None:
         dst = self.slot_of[id(inst)]
-        type_ = inst.type
-        size = self.target.size_of(type_)
-        endian = self.target.endianness
-        self.uses_mem = True
-        p = self.expr(inst.pointer)
-        read = "__rb({0}, {1})".format(p, size)
-        if isinstance(type_, types.IntegerType) and type_.is_signed:
-            sbit = 1 << (type_.bits - 1)
-            value = "(__fb({0}, {1!r}) ^ {2}) - {2}".format(read, endian,
-                                                            sbit)
-        elif type_.is_integer or type_.is_pointer:
-            value = "__fb({0}, {1!r})".format(read, endian)
-        elif type_.is_bool:
-            value = "{0}[0] != 0".format(read)
-        else:
-            fmt = _FP_FORMAT[(size, endian)]
-            value = "__unpack({0!r}, {1})[0]".format(fmt, read)
+        codec = _CODEC_NAMES[scalar_codec(self.target, inst.type)]
+        self.helpers.add("__ld")
         self.w.emit(ind, "try:")
-        self.w.emit(ind + 1, "r{0} = {1}".format(dst, value))
+        self.w.emit(ind + 1, "r{0} = __ld({1}, {2})".format(
+            dst, self.expr(inst.pointer), codec))
         self.w.emit(ind, "except MemoryError_ as __f:")
         self.emit_exc_fault(ind + 1, inst, dst)
 
     def emit_store(self, ind: int, inst) -> None:
         vtype = inst.value.type
-        size = self.target.size_of(vtype)
-        endian = self.target.endianness
-        self.uses_mem = True
-        p = self.expr(inst.pointer)
+        codec = _CODEC_NAMES[store_codec(self.target, vtype)]
+        self.helpers.add("__st")
+        value_operand = inst.value
+        value = self.expr(value_operand)
         if vtype.is_integer or vtype.is_pointer:
+            # The codec is unsigned: store the value masked to its width.
             mask = ((1 << vtype.bits) - 1 if vtype.is_integer
                     else _pointer_mask(self.target))
-            value_operand = inst.value
             if isinstance(value_operand, (ConstantInt, ConstantNull)):
                 const = 0 if isinstance(value_operand, ConstantNull) \
                     else int(value_operand.value)
-                raw = repr((const & mask).to_bytes(size, endian))
+                value = repr(const & mask)
             else:
-                raw = "(({0}) & {1}).to_bytes({2}, {3!r})".format(
-                    self.expr(value_operand), mask, size, endian)
-        elif vtype.is_bool:
-            raw = "b'\\x01' if {0} else b'\\x00'".format(
-                self.expr(inst.value))
-        else:
-            fmt = _FP_FORMAT[(size, endian)]
-            raw = "__pack({0!r}, float({1}))".format(fmt,
-                                                     self.expr(inst.value))
+                value = "({0}) & {1}".format(value, mask)
         self.w.emit(ind, "try:")
-        self.w.emit(ind + 1, "__wb({0}, {1})".format(p, raw))
+        self.w.emit(ind + 1, "__st({0}, {1}, {2})".format(
+            self.expr(inst.pointer), codec, value))
         self.w.emit(ind, "except MemoryError_ as __f:")
         self.emit_exc_fault(ind + 1, inst, None)
 
@@ -575,7 +567,7 @@ class _FnCodegen:
         target = self.target
         esize = target.size_of(inst.allocated_type)
         align = max(target.align_of(inst.allocated_type), 1)
-        self.uses_mem = True
+        self.helpers.add("__mem")
         count_operand = inst.count
         if count_operand is None or isinstance(count_operand, ConstantInt):
             count = 1 if count_operand is None else count_operand.value
@@ -823,7 +815,9 @@ class _FnCodegen:
         lanes = inst.type.lanes
         esize = self.target.size_of(element)
         endian = self.target.endianness
-        self.uses_mem = True
+        self.helpers.add("__rb")
+        if element.is_integer:
+            self.helpers.add("__fb")
         base = self.tmp()
         self.w.emit(ind, "{0} = {1}".format(base,
                                             self.expr(inst.pointer)))
@@ -867,7 +861,7 @@ class _FnCodegen:
         lanes = vtype.lanes
         esize = self.target.size_of(element)
         endian = self.target.endianness
-        self.uses_mem = True
+        self.helpers.add("__wb")
         base = self.tmp()
         val = self.tmp()
         self.w.emit(ind, "{0} = {1}".format(base,
@@ -1063,11 +1057,11 @@ class _FnCodegen:
                            for i in range(len(function.args)))
         head.emit(0, "def __tier2(st{0}):".format(
             ", " + params if params else ""))
-        if self.uses_mem:
+        if self.helpers:
             head.emit(1, "__mem = st.memory")
-            head.emit(1, "__rb = __mem.read_bytes")
-            head.emit(1, "__wb = __mem.write_bytes")
-            head.emit(1, "__fb = int.from_bytes")
+        for name, value in _HELPERS:
+            if name in self.helpers:
+                head.emit(1, "{0} = {1}".format(name, value))
         for alias, name in self.global_refs.items():
             head.emit(1, "{0} = st.image.address_of({1!r})".format(alias,
                                                                    name))
@@ -1082,6 +1076,19 @@ class _FnCodegen:
         head.emit(2, "yield None")
         head.emit(1, "while True:")
         return head.text() + body.text(), num_slots
+
+
+#: The memory helpers a unit's prologue can bind, as (name, value).
+_HELPERS = (("__ld", "__mem.load"), ("__st", "__mem.store"),
+            ("__rb", "__mem.read_bytes"), ("__wb", "__mem.write_bytes"),
+            ("__fb", "int.from_bytes"))
+
+#: Codec -> the name generated code calls it by: the byte order and the
+#: scalar type of its format, e.g. ``__le_int``.
+_CODEC_NAMES = {
+    codec: "__{0}_{1}".format("le" if fmt[0] == "<" else "be",
+                              _CODEC_TYPES[codec].name)
+    for fmt, codec in CODECS.items()}
 
 
 def _vlanes_counter():
@@ -1109,6 +1116,7 @@ _BASE_NAMESPACE = {
     "__unpack": struct.unpack,
     "__inf": float("inf"),
     "__ninf": float("-inf"),
+    **{name: codec for codec, name in _CODEC_NAMES.items()},
     "__builtins__": {"abs": abs, "max": max, "min": min, "bool": bool,
                      "int": int, "float": float, "len": len,
                      "tuple": tuple, "zip": zip},

@@ -292,12 +292,16 @@ class StructType(Type):
       like the paper's QuadTree expressible.
     """
 
-    __slots__ = ("_fields", "name")
+    __slots__ = ("_fields", "name", "_layouts")
 
     def __init__(self, fields: Optional[Tuple[Type, ...]],
                  name: Optional[str] = None):
         self._fields = fields
         self.name = name
+        #: Pointer size -> (size, alignment, field offsets), kept by
+        #: :meth:`TargetData._struct_layout` the first time it lays the
+        #: struct out.  An opaque struct keeps nothing.
+        self._layouts: Dict[int, Tuple[int, int, Tuple[int, ...]]] = {}
 
     @property
     def fields(self) -> Tuple[Type, ...]:
@@ -523,8 +527,7 @@ class TargetData:
         if isinstance(type_, VectorType):
             return type_.lanes * self.size_of(type_.element)
         if isinstance(type_, StructType):
-            size, _offsets = self._struct_layout(type_)
-            return size
+            return self._struct_layout(type_)[0]
         raise LlvaTypeError("{0} has no size".format(type_))
 
     def align_of(self, type_: Type) -> int:
@@ -543,26 +546,34 @@ class TargetData:
             # needs alignment peeling.
             return self.align_of(type_.element)
         if isinstance(type_, StructType):
-            if not type_.fields:
-                return 1
-            return max(self.align_of(f) for f in type_.fields)
+            return self._struct_layout(type_)[1]
         raise LlvaTypeError("{0} has no alignment".format(type_))
 
-    def struct_offsets(self, struct: StructType) -> List[int]:
+    def struct_offsets(self, struct: StructType) -> Tuple[int, ...]:
         """Return the byte offset of each field of *struct*."""
-        _size, offsets = self._struct_layout(struct)
-        return offsets
+        return self._struct_layout(struct)[2]
 
-    def _struct_layout(self, struct: StructType) -> Tuple[int, List[int]]:
+    def _struct_layout(self, struct: StructType
+                       ) -> Tuple[int, int, Tuple[int, ...]]:
+        """*struct*'s size, alignment and field offsets.  A struct is
+        laid out once per pointer size (endianness does not move a
+        field), and the layout is kept on the struct."""
+        layout = struct._layouts.get(self.pointer_size)
+        if layout is not None:
+            return layout
         offset = 0
+        struct_align = 1
         offsets: List[int] = []
         for field in struct.fields:
             align = self.align_of(field)
             offset = _round_up(offset, align)
             offsets.append(offset)
             offset += self.size_of(field)
-        total_align = self.align_of(struct)
-        return _round_up(offset, total_align) or 0, offsets
+            struct_align = max(struct_align, align)
+        layout = (_round_up(offset, struct_align), struct_align,
+                  tuple(offsets))
+        struct._layouts[self.pointer_size] = layout
+        return layout
 
     def gep_offset(self, pointee: Type, indices: Sequence[object]) -> int:
         """Compute the byte offset of a ``getelementptr`` index chain.

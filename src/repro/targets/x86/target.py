@@ -136,7 +136,9 @@ def _mnemonic_for(instr: MachineInstr) -> str:
 def _legalize_immediates(machine: MachineFunction, instr: MachineInstr,
                          expanded: List[MachineInstr]) -> None:
     """IA-32 immediates are at most 32 bits: wider constants are
-    materialized in two halves."""
+    materialized in two halves.  The halves are combined as a signed
+    ``long`` for a negative constant and as a ``ulong`` otherwise, so
+    the register ends up holding the constant itself."""
     limit = machine.target.max_alu_immediate
     for index, operand in enumerate(instr.operands):
         if not isinstance(operand, Imm):
@@ -148,23 +150,22 @@ def _legalize_immediates(machine: MachineFunction, instr: MachineInstr,
             continue
         low = value & 0xFFFFFFFF
         high = (value >> 32) & 0xFFFFFFFF
-        temp = machine.new_vreg(instr.attrs.get("value_type")
-                                or _long_type())
+        wide = _long_type(value)
+        temp = machine.new_vreg(instr.attrs.get("value_type") or wide)
         expanded.append(MachineInstr("movl", Semantics.MOV,
-                                     [temp, Imm(high)],
-                                     value_type=_long_type()))
+                                     [temp, Imm(high)], value_type=wide))
         expanded.append(MachineInstr("shll", Semantics.ALU,
                                      [temp, temp, Imm(32)],
-                                     op="shl", value_type=_long_type()))
+                                     op="shl", value_type=wide))
         expanded.append(MachineInstr("orl", Semantics.ALU,
                                      [temp, temp, Imm(low)],
-                                     op="or", value_type=_long_type()))
+                                     op="or", value_type=wide))
         instr.operands[index] = temp
 
 
-def _long_type():
+def _long_type(value: int):
     from repro.ir import types
-    return types.ULONG
+    return types.LONG if value < 0 else types.ULONG
 
 
 class _X86SpillAll(SpillAllAllocator):

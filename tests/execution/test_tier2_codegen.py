@@ -228,3 +228,37 @@ class TestConstDivremDifferential:
         source, _refs, _slots = generate_source(
             module.functions["divsum"], module.target_data)
         assert _zero_checks(source) == 1
+
+
+class TestMemoryAccessCodegen:
+    """A scalar load or store is one ``__ld``/``__st`` call with a codec
+    constant, and the prologue binds only the helpers the body uses."""
+
+    def test_load_and_store_call_the_typed_path(self):
+        source = _tier2_source("""
+int %main() {
+entry:
+        %p = alloca short
+        store short -2, short* %p
+        %v = load short* %p
+        %w = cast short %v to int
+        ret int %w
+}
+""")
+        assert "__st(r0, __le_ushort, 65534)" in source
+        assert re.search(r"r1 = __ld\(r0, __le_short\)", source)
+        prologue = source.split("while True:")[0]
+        assert "__ld = __mem.load" in prologue
+        assert "__st = __mem.store" in prologue
+        for helper in ("__rb", "__wb", "__fb"):
+            assert helper not in source
+
+    def test_a_body_without_memory_binds_no_helper(self):
+        source = _tier2_source("""
+int %main() {
+entry:
+        %a = add int 2, 3
+        ret int %a
+}
+""")
+        assert "__mem" not in source

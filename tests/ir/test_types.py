@@ -137,7 +137,7 @@ class TestTargetData:
         # { sbyte, int } pads the sbyte to 4-byte alignment.
         s = struct_of([types.SBYTE, types.INT])
         td = TargetData(8)
-        assert td.struct_offsets(s) == [0, 4]
+        assert td.struct_offsets(s) == (0, 4)
         assert td.size_of(s) == 8
 
     def test_struct_tail_padding(self):
