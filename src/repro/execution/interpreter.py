@@ -790,9 +790,7 @@ class Interpreter:
             function = self._frames[index].function
             return self.image.address_of(function.name)
         if name == "llva.pagetable.map":
-            vaddr, _paddr, _prot = args
-            if not self.memory.is_mapped(int(vaddr)):
-                self.memory.add_region(int(vaddr), 4096)
+            self.memory.map_page(int(args[0]))
             return None
         if name == "llva.pagetable.unmap":
             return None  # mappings are never physically reclaimed here

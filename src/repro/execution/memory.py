@@ -49,6 +49,7 @@ FUNCTION_BASE = 0x0000_1000  # addresses standing for functions
 HEAP_BASE = 0x0100_0000
 STACK_TOP = 0x7FFF_0000
 DEFAULT_STACK_LIMIT = 8 * 1024 * 1024
+PAGE_SIZE = 4096  # what llva.pagetable.map maps
 
 _FP_FORMAT = {(4, "little"): "<f", (4, "big"): ">f",
               (8, "little"): "<d", (8, "big"): ">d"}
@@ -186,6 +187,19 @@ class Memory:
         if size <= 0:
             raise ValueError("region size must be positive")
         self._regions.append((base, bytearray(size)))
+
+    def map_page(self, address: int) -> None:
+        """``llva.pagetable.map``: map a zero page at *address* unless
+        it touches the stack's reservation, the heap below its cursor
+        (freed blocks included) or the globals below their cursor, which
+        :meth:`_find_region` would find first, or *address* is mapped."""
+        end = address + PAGE_SIZE
+        arenas = ((self._stack_base, STACK_TOP),
+                  (HEAP_BASE, self._heap_cursor),
+                  (GLOBAL_BASE, self._global_cursor))
+        if not any(max(low, address) < min(high, end)
+                   for low, high in arenas) and not self.is_mapped(address):
+            self.add_region(address, PAGE_SIZE)
 
     def _overlaps_region(self, address: int, size: int) -> bool:
         """Whether [address, address+size) touches a mapped region.

@@ -1134,7 +1134,7 @@ def generate_source(function: Function, target: types.TargetData
 
 
 def build_unit(function: Function, module: Module, source: str,
-               func_refs: Dict[str, str], num_slots: int,
+               func_refs: Dict[str, str], num_slots: int, func_hash: str,
                code=None) -> CompiledUnit:
     """``compile()`` tier-2 *source* (from :func:`generate_source` or a
     persisted translation) into a :class:`CompiledUnit`, resolving
@@ -1163,7 +1163,7 @@ def build_unit(function: Function, module: Module, source: str,
         num_slots=num_slots,
         snap_map=snap_map,
         source=source,
-        func_hash=function_hash(function),
+        func_hash=func_hash,
         code=code,
     )
 
@@ -1246,23 +1246,26 @@ class Tier2Cache:
         with observe.span("tier2.compile", function=function.name) \
                 as span:
             started = time.perf_counter()
-            warm = self._preloaded.get(function.name) \
-                if function.smc_version == 0 else None
+            func_hash = function_hash(function)
+            # A stored unit serves only the body it was compiled from: a
+            # launch that fired llva.smc.replace stores a new body's.
+            warm = self._preloaded.get(function.name)
+            if warm is not None and warm[0] != func_hash:
+                warm = None
             codegen_seconds = 0.0
             try:
                 if warm is not None:
-                    # The blob's module hash matched at load and the
-                    # body has not been SMC-mutated since, so the stored
-                    # source is the one codegen would emit.
                     _hash, source, func_refs, num_slots, code = warm
                     unit = build_unit(function, self.module, source,
-                                      func_refs, num_slots, code=code)
+                                      func_refs, num_slots, func_hash,
+                                      code=code)
                 else:
+                    codegen_started = time.perf_counter()
                     source, func_refs, num_slots = generate_source(
                         function, self.target)
-                    codegen_seconds = time.perf_counter() - started
+                    codegen_seconds = time.perf_counter() - codegen_started
                     unit = build_unit(function, self.module, source,
-                                      func_refs, num_slots)
+                                      func_refs, num_slots, func_hash)
             except Exception as error:
                 # UnsupportedFunction, or a codegen defect: either way
                 # the tier-1 engine is always a correct fallback.
@@ -1336,7 +1339,6 @@ class Tier2Cache:
         self._counts.pop(id(function), None)
         self._step_credit.pop(id(function), None)
         self._pinned.pop(id(function), None)
-        self._preloaded.pop(function.name, None)
 
     def listener(self):
         """A callback for ``Interpreter.smc_listeners``."""

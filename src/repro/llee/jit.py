@@ -38,11 +38,8 @@ class JITStats:
 class FunctionJIT:
     """Translates LLVA functions for one target, on demand.
 
-    Translation splits critical edges in the LLVA function in place, so
-    a translated module no longer writes out as the bitcode it was read
-    from.  Translating it again gives the same machine code, byte for
-    byte: LLEE keeps a module resident across launches, and a launch
-    that must JIT translates the module an earlier launch translated.
+    Translation only reads the module, so the instructions it counts
+    are the virtual object code's.
     """
 
     def __init__(self, module: Module, target):

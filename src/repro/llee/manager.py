@@ -18,25 +18,25 @@ When asked to run a virtual executable, LLEE:
    as above, but flagging it for translation and not actual
    execution").
 
-An LLEE loads each executable once: the module it read, the translation
-it ran and the machine that ran it stay resident for the next launch.
-That launch still reads the cached vector, and reuses the translation
-only for the same stored bytes (the same header line, a payload that
-still hashes to its digest); any other vector is decoded as before.  A
-launch that reuses the translation also reuses its machine, reset to a
-fresh one's state, so it decodes no machine code either: the cached
-translation runs directly.  Its data image is relocated the same way:
-the machine's image applies the layout it took at the first load, and an
-interpreted launch applies the one its decoded module keeps, instead of
-walking every global initializer again.
+An LLEE loads each executable once, into one record: the module read
+from its object code, which every engine and the translator share; the
+fast engine's decoded state per :class:`ExecConfig`; and the native
+translation for the LLEE's target while it equals a stored vector (the
+same header line, a payload that still hashes to its digest), with the
+machine that ran it, reset rather than rebuilt for the next launch.  A
+relaunch applies the data-image layout its first launch took instead of
+walking every global initializer again.  A launch that fires
+``llva.smc.replace`` rewrote the module, so it drops the record, also
+when it then traps; every other launch keeps it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import observe
 from repro.bitcode.reader import read_module
@@ -44,6 +44,7 @@ from repro.execution.config import ExecConfig
 from repro.execution.fastpath import DecodeCache
 from repro.execution.interpreter import Interpreter
 from repro.execution.machine_sim import MachineSimulator
+from repro.ir.module import Module
 from repro.llee.jit import FunctionJIT, JITStats
 from repro.llee.storage import (
     StorageAPI,
@@ -87,7 +88,7 @@ class InterpretedRunReport:
     exit_status: int
     steps: int
     engine: str
-    #: Did a previous run leave a reusable decoded module behind?
+    #: Did a previous launch leave this config's decoded state behind?
     cache_hit: bool
     decode_seconds: float
     run_seconds: float
@@ -101,6 +102,21 @@ class InterpretedRunReport:
     tier2_compile_seconds: float = 0.0
     #: Did a persisted tier-2 translation blob validate and load?
     translation_cache_hit: bool = False
+
+
+@dataclass
+class _Executable:
+    """One loaded executable (see the module docstring)."""
+
+    module: Module
+    #: Fast-engine config -> (DecodeCache, Tier2Cache or None,
+    #: ImageLayout).
+    decoded: Dict[ExecConfig, Tuple] = field(default_factory=dict)
+    #: The translation while it equals a stored vector, that vector's
+    #: header line, and the machine that ran it; else all None.
+    native: Optional[NativeModule] = None
+    header: Optional[bytes] = None
+    simulator: Optional[MachineSimulator] = None
 
 
 class LLEE:
@@ -123,16 +139,8 @@ class LLEE:
         #: :func:`repro.llee.profile.read_profile`) can inspect the
         #: finished run's memory image.
         self.last_simulator: Optional[MachineSimulator] = None
-        #: Decoded-module reuse for :meth:`run_interpreted`: (config,
-        #: object-code key) -> (module, DecodeCache, Tier2Cache or None,
-        #: ImageLayout).  The interpreter analogue of the native
-        #: translation cache — decode and lay out once, run many times.
-        self._interp_cache: dict = {}
-        #: Executables loaded by :meth:`run_executable`: native cache
-        #: key -> (module, translation or None, the header line of the
-        #: stored vector that translation equals or None, the simulator
-        #: that ran the translation or None).
-        self._resident: dict = {}
+        #: The loaded executables, by object key.
+        self._executables: Dict[str, _Executable] = {}
 
     # -- the paper's Figure 3 flow -----------------------------------------
 
@@ -142,34 +150,23 @@ class LLEE:
                        ) -> RunReport:
         """Load and execute a virtual executable.
 
-        The module read from *object_code* stays resident on this LLEE,
-        and so does the translation a launch ran while it equals a
-        stored vector: the one it was loaded from or written back as.
-        Every launch still looks the vector up through the storage API;
-        a resident translation is reused only for a vector whose header
-        line is the one it was loaded from or written as and whose
-        payload still hashes to that digest, and any other vector
-        decodes afresh.  The simulator that ran a resident translation
-        stays with it, and a launch that reuses the translation resets
-        that simulator instead of building one, keeping its decoded
-        code.  A launch that fires ``llva.smc.replace`` leaves nothing
-        resident (it rewrote the module), so the next one reads the
-        pristine object code again.
+        Every launch looks the vector up through the storage API, and
+        reuses the record's translation, with its machine reset, only
+        for the vector that translation was loaded from or written back
+        as; any other vector decodes afresh.
         """
         with observe.span("llee.run_executable",
                           target=self.target.name,
-                          entry=entry) as run_span:
-            key = self._cache_key(object_code)
-            module, resident, resident_header, simulator = \
-                self._resident.pop(key, (None, None, None, None))
-            if module is None:
-                module = read_module(object_code)
+                          entry=entry) as run_span, \
+                self._launch(object_code) as (key, record, on_smc):
+            module = record.module
+            resident, simulator = record.native, record.simulator
             loaded_from = []
 
             def decode(data: bytes) -> NativeModule:
                 header = native_header(data)
                 loaded_from.append(header)
-                if resident is not None and header == resident_header:
+                if resident is not None and header == record.header:
                     return resident
                 return deserialize_native(data, self.target)
 
@@ -187,9 +184,8 @@ class LLEE:
                 simulator = MachineSimulator(native, module,
                                              resolver=jit.translate)
             self.last_simulator = simulator
-            smc_fired = []
             simulator.smc_listeners.append(jit.on_smc_replace(native))
-            simulator.smc_listeners.append(smc_fired.append)
+            simulator.smc_listeners.append(on_smc)
             written = None
             try:
                 run_started = time.perf_counter()
@@ -205,20 +201,17 @@ class LLEE:
                     with observe.span("llee.cache_store", key=key):
                         written = self._store(key, native)
             finally:
-                if not smc_fired:
-                    # The translation, and the machine that ran it,
-                    # stay only while it equals a stored vector: the one
-                    # it was loaded from, or the one the JIT's additions
-                    # were written back as.
-                    if jit.stats.functions_translated:
-                        stored_as = written
-                    else:
-                        stored_as = loaded_from[-1] if cache_hit else None
-                    if stored_as:
-                        self._resident[key] = (module, native, stored_as,
-                                               simulator)
-                    else:
-                        self._resident[key] = (module, None, None, None)
+                # The translation, and the machine that ran it, stay
+                # only while it equals a stored vector: the one it was
+                # loaded from, or the one the JIT's additions were
+                # written back as.
+                if jit.stats.functions_translated:
+                    stored_as = written
+                else:
+                    stored_as = loaded_from[-1] if cache_hit else None
+                record.native, record.header, record.simulator = \
+                    (native, stored_as, simulator) if stored_as \
+                    else (None, None, None)
         return RunReport(
             return_value=value,
             output=simulator.output_text(),
@@ -242,39 +235,32 @@ class LLEE:
         ``tier2``, ``tier2_threshold``, ``sanitize``); the defaults run
         the fast engine with tier 2 off.
 
-        On the fast engine the decoded module is cached across
-        invocations, keyed on the config and the object code — the
-        pre-decode cost is paid once.  So is the layout of the data
-        image: the first launch's image takes it before any instruction
-        runs, and each later launch applies it to its new memory.  A run
-        that triggers ``llva.smc.replace`` drops the cached module (its
-        in-memory body has been mutated), so the next invocation
-        re-reads the pristine object code, matching the fresh-module
-        semantics of :meth:`run_executable`.
+        Every engine runs the record's module.  The fast engine also
+        keeps its decoded state there, per config: the decode cache, the
+        data-image layout and, with tier 2 on, the Tier2Cache (hot
+        functions stay compiled across invocations).  The reference
+        engine keeps nothing, so its ``cache_hit`` is always False.
 
-        With tier 2 on, the Tier2Cache is kept alongside the decode
-        cache (hot functions stay compiled across invocations), and —
-        when this LLEE was constructed with a storage API — tier-2
-        source is persisted through it under the ``llee-tier2`` cache,
-        so a fresh process warm-starts from the offline translation
-        exactly like the native path does.  A stale, corrupt, or
-        mismatched blob logs ``llee.cache.invalid`` and degrades to
+        With a storage API, tier-2 source is persisted through it under
+        the ``llee-tier2`` cache, so a fresh process warm-starts from the
+        offline translation like the native path does.  A stale, corrupt
+        or mismatched blob logs ``llee.cache.invalid`` and degrades to
         online translation.
         """
         config = ExecConfig(**settings)
-        object_key = self._cache_key(object_code)
-        key = (config, object_key)
         fast = config.engine == "fast"
         with observe.span("llee.run_interpreted", entry=entry,
-                          engine=config.engine, tier2=config.tier2):
-            cached = self._interp_cache.get(key) if fast else None
-            cache_hit = cached is not None
-            if cached is None:
-                layout = None
-                module = read_module(object_code)
+                          engine=config.engine, tier2=config.tier2), \
+                self._launch(object_code) as (object_key, record, on_smc):
+            module = record.module
+            decoded = record.decoded.get(config)
+            cache_hit = decoded is not None
+            decode_cache = tier2_cache = layout = None
+            if decoded is not None:
+                decode_cache, tier2_cache, layout = decoded
+            elif fast:
                 decode_cache = DecodeCache(module.target_data,
                                            config.sanitize)
-                tier2_cache = None
                 if config.tier2:
                     from repro.execution.tier2 import Tier2Cache
 
@@ -284,8 +270,6 @@ class LLEE:
                         tier2_cache.attach_storage(
                             self.storage, object_key,
                             executable_timestamp=executable_timestamp)
-            else:
-                module, decode_cache, tier2_cache, layout = cached
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
@@ -295,28 +279,21 @@ class LLEE:
                 module, config, privileged=privileged,
                 decode_cache=decode_cache, tier2_cache=tier2_cache,
                 layout=layout)
-            smc_fired = []
-            interpreter.smc_listeners.append(smc_fired.append)
-            decode_before = decode_cache.stats.decode_seconds
+            interpreter.smc_listeners.append(on_smc)
+            if fast:
+                record.decoded[config] = (decode_cache, tier2_cache,
+                                          interpreter.image.layout)
+            decode_before = decode_cache.stats.decode_seconds \
+                if fast else 0.0
             compile_before = tier2_cache.stats.compile_seconds \
                 if tier2_cache is not None else 0.0
             started = time.perf_counter()
-            try:
-                result = interpreter.run(entry, list(args))
-            finally:
-                if fast and smc_fired:
-                    # Also when the run then trapped: the module it
-                    # rewrote must not serve the next launch.
-                    self._interp_cache.pop(key, None)
+            result = interpreter.run(entry, list(args))
             run_seconds = time.perf_counter() - started
-            if fast and not smc_fired:
-                self._interp_cache[key] = (
-                    module, decode_cache, tier2_cache,
-                    interpreter.image.layout)
             if tier2_cache is not None:
                 tier2_cache.flush_storage()
             decode_seconds = decode_cache.stats.decode_seconds \
-                - decode_before
+                - decode_before if fast else 0.0
         report = InterpretedRunReport(
             return_value=result.return_value,
             output=result.output,
@@ -339,6 +316,25 @@ class LLEE:
             report.translation_cache_hit = \
                 tier2_cache.translation_cache_hit
         return report
+
+    @contextmanager
+    def _launch(self, object_code: bytes):
+        """One launch of the executable *object_code*: yields its object
+        key, its record (read on the first launch) and the listener the
+        launch's engine calls when ``llva.smc.replace`` fires.  A launch
+        that fired it rewrote the module, so the record goes, also when
+        the launch then trapped."""
+        key = self._cache_key(object_code)
+        record = self._executables.get(key)
+        if record is None:
+            record = _Executable(read_module(object_code))
+            self._executables[key] = record
+        smc_fired = []
+        try:
+            yield key, record, smc_fired.append
+        finally:
+            if smc_fired:
+                self._executables.pop(key, None)
 
     def offline_translate(self, object_code: bytes,
                           optimize_level: int = 0) -> JITStats:

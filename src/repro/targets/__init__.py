@@ -8,7 +8,7 @@ scan allocator.  Both share the lowering driver in
 :mod:`repro.targets.codegen`.
 """
 
-from repro.targets.codegen import FunctionLowering, split_critical_edges
+from repro.targets.codegen import FunctionLowering
 from repro.targets.machine import (
     MachineBasicBlock,
     MachineError,
@@ -46,7 +46,6 @@ def make_target(name: str):
 
 __all__ = [
     "FunctionLowering",
-    "split_critical_edges",
     "MachineBasicBlock",
     "MachineError",
     "MachineFunction",

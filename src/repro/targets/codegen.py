@@ -4,7 +4,8 @@ This implements the translator structure Section 3 describes:
 
 * **phi elimination** by copies in predecessor blocks ("The translator
   eliminates the φ-nodes by introducing copy operations into predecessor
-  basic blocks", Section 3.1), with critical edges split first;
+  basic blocks", Section 3.1); a critical edge gets a forwarding block
+  of its own in the machine CFG, and the LLVA function is only read;
 * **alloca preallocation**: every fixed-size ``alloca`` gets a frame slot
   assigned at translation time ("the translator preallocates all
   fixed-size alloca objects in the function's stack frame", Section 3.2);
@@ -25,7 +26,7 @@ and *register allocation* (see :mod:`repro.targets.regalloc`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir import instructions as insts
 from repro.ir import types
@@ -57,52 +58,16 @@ from repro.targets.machine import (
 )
 
 
-def split_critical_edges(function: Function) -> int:
-    """Split every critical CFG edge (multi-successor block to
-    multi-predecessor block) by inserting a forwarding block, so phi
-    copies can be placed on the edge.  Returns the number split."""
-    split = 0
-    for block in list(function.blocks):
-        if not block.has_terminator():
-            continue
-        terminator = block.terminator
-        successors = terminator.successors()
-        if len(successors) < 2:
-            continue  # a single out-edge is never critical
-        # Snapshot phi values for edges from `block` before rewriting:
-        # duplicate successor slots (both branch arms to one target)
-        # share a single phi entry that each split edge must inherit.
-        saved_phi_values = {}
-        for successor in set(successors):
-            for phi in successor.phis():
-                value = phi.incoming_for_block(block)
-                if value is not None:
-                    saved_phi_values[id(phi)] = (phi, value)
-        for index, operand in enumerate(list(terminator.operands)):
-            if not isinstance(operand, BasicBlock):
-                continue
-            target = operand
-            if len(target.predecessors()) < 2 \
-                    and successors.count(target) < 2:
-                continue
-            middle = function.add_block(
-                "{0}.{1}.crit".format(block.name, target.name),
-                before=target)
-            middle.append(insts.BranchInst(target=target))
-            terminator.set_operand(index, middle)
-            for phi in target.phis():
-                saved = saved_phi_values.get(id(phi))
-                if saved is None:
-                    continue
-                if phi.incoming_for_block(block) is not None:
-                    phi.remove_incoming(block)
-                phi.add_incoming(saved[1], middle)
-            split += 1
-    return split
-
-
 class LoweringError(MachineError):
     pass
+
+
+class _ForwardingBlock(NamedTuple):
+    """A split critical edge's block: its phi copies, then a jump."""
+
+    name: str
+    pred: BasicBlock
+    target: BasicBlock
 
 
 class FunctionLowering:
@@ -122,21 +87,65 @@ class FunctionLowering:
         self._alloca_offsets: Dict[int, int] = {}
         self._frame_cursor = 0
         self._block_map: Dict[int, MachineBasicBlock] = {}
+        #: (id of a terminator, operand index) -> the forwarding block
+        #: that split edge branches to.
+        self._edge_labels: Dict[Tuple[int, int], str] = {}
         self._current: Optional[MachineBasicBlock] = None
 
     # -- entry point ----------------------------------------------------------
 
     def lower(self) -> MachineFunction:
-        split_critical_edges(self.function)
+        layout = self._split_critical_edges()
         self._preallocate_static_allocas()
-        for block in self.function.blocks:
+        for block in layout:
             self._block_map[id(block)] = self.machine.add_block(block.name)
         self._lower_arguments()
-        for block in self.function.blocks:
+        for block in layout:
             self._current = self._block_map[id(block)]
-            self._lower_block(block)
+            if isinstance(block, _ForwardingBlock):
+                self._lower_phi_copies(block.pred, (block.target,))
+                self.emit(Semantics.JMP, [LabelRef(block.target.name)])
+            else:
+                self._lower_block(block)
         self.machine.frame_size = _align(self._frame_cursor, 16)
         return self.machine
+
+    def _split_critical_edges(self) -> list:
+        """The machine block layout: the LLVA blocks, plus a forwarding
+        block on each critical edge (its source has two or more
+        successor slots, and its target two or more predecessors or two
+        of the slots), directly before the target, in split order, named
+        ``<pred>.<succ>.crit`` (plus ``.1``, ``.2``, ... on a clash)."""
+        layout: list = list(self.function.blocks)
+        names = {block.name for block in layout}
+        for block in self.function.blocks:
+            successors = block.successors()
+            if len(successors) < 2:
+                continue  # a single out-edge is never critical
+            terminator = block.terminator
+            for index, target in enumerate(terminator.operands):
+                if not isinstance(target, BasicBlock):
+                    continue
+                if len(target.predecessors()) < 2 \
+                        and successors.count(target) < 2:
+                    continue
+                name = base = "{0}.{1}.crit".format(block.name,
+                                                    target.name)
+                counter = 0
+                while name in names:
+                    counter += 1
+                    name = "{0}.{1}".format(base, counter)
+                names.add(name)
+                layout.insert(layout.index(target),
+                              _ForwardingBlock(name, block, target))
+                self._edge_labels[id(terminator), index] = name
+        return layout
+
+    def _label(self, terminator: insts.Instruction, index: int) -> LabelRef:
+        """The label operand *index* of *terminator* branches to: its
+        forwarding block when that edge is split, else its target."""
+        return LabelRef(self._edge_labels.get(
+            (id(terminator), index), terminator.operand(index).name))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -235,13 +244,18 @@ class FunctionLowering:
             if isinstance(inst, insts.PhiInst):
                 continue  # receives copies from predecessors
             if inst.is_terminator:
-                self._lower_phi_copies(block)
+                # A split edge's copies go in its forwarding block.
+                self._lower_phi_copies(block, [
+                    target for index, target in enumerate(inst.operands)
+                    if isinstance(target, BasicBlock)
+                    and (id(inst), index) not in self._edge_labels])
                 self._lower_terminator(block, inst)
             else:
                 self._lower_instruction(inst)
 
-    def _lower_phi_copies(self, block: BasicBlock) -> None:
-        """Parallel copies into successor phis.
+    def _lower_phi_copies(self, block: BasicBlock, successors) -> None:
+        """Parallel copies into the phis of *successors* for the edges
+        from *block*.
 
         A copy whose source is itself one of the phis being written on
         this edge (a swap/rotation) stages through a temporary; all
@@ -252,7 +266,7 @@ class FunctionLowering:
         """
         copies: List[Tuple[VirtualReg, Value]] = []
         written: set = set()
-        for successor in set(block.successors()):
+        for successor in successors:
             for phi in successor.phis():
                 value = phi.incoming_for_block(block)
                 if value is not None:
@@ -295,28 +309,26 @@ class FunctionLowering:
             if inst.is_conditional:
                 condition = self.operand_reg(inst.operand(0))
                 self.emit(Semantics.JCC,
-                          [condition, LabelRef(inst.operand(1).name)])
-                self.emit(Semantics.JMP,
-                          [LabelRef(inst.operand(2).name)])
+                          [condition, self._label(inst, 1)])
+                self.emit(Semantics.JMP, [self._label(inst, 2)])
             else:
-                self.emit(Semantics.JMP,
-                          [LabelRef(inst.operand(0).name)])
+                self.emit(Semantics.JMP, [self._label(inst, 0)])
             return
         if isinstance(inst, insts.MultiwayBranchInst):
             selector = self.operand_reg(inst.selector)
-            for case_value, case_label in inst.cases():
+            for index in range(3, inst.num_operands, 2):  # case labels
                 flag = self.machine.new_vreg(types.BOOL)
+                case_value = inst.operand(index - 1).value
                 self.emit(Semantics.CMP,
-                          [flag, selector, Imm(case_value.value)],
+                          [flag, selector, Imm(case_value)],
                           rel="eq", value_type=inst.selector.type)
-                self.emit(Semantics.JCC,
-                          [flag, LabelRef(case_label.name)])
-            self.emit(Semantics.JMP, [LabelRef(inst.default.name)])
+                self.emit(Semantics.JCC, [flag, self._label(inst, index)])
+            self.emit(Semantics.JMP, [self._label(inst, 1)])
             return
         if isinstance(inst, insts.InvokeInst):
             self._lower_call(inst, list(inst.args),
-                             normal=inst.normal_dest.name,
-                             unwind=inst.unwind_dest.name)
+                             normal=self._label(inst, 1).name,
+                             unwind=self._label(inst, 2).name)
             return
         if isinstance(inst, insts.UnwindInst):
             self.emit(Semantics.UNWIND)

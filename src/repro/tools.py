@@ -791,7 +791,40 @@ def _add_observe_flags(sub) -> None:
         help="write the metrics registry snapshot as JSON")
 
 
-def _add_tier2_flags(sub) -> None:
+def _add_exec_flags(sub, engine: str = "reference", ladder: bool = False,
+                    report: bool = False) -> None:
+    """Declare the flags of a command that executes a program (``run``,
+    ``stats`` and ``profile``), then its arguments, so call it after
+    the command's own flags.  *engine* is the ``--engine`` default.
+    *ladder* adds the rungs ``run`` and ``stats`` choose among
+    (``--target``, ``--sanitize`` and ``--tier2``; ``profile`` runs tier
+    2 unless ``--no-tier2``), and *report* the report flags of ``stats``
+    and ``profile`` (``-O``, ``--top`` and ``--json``)."""
+    sub.add_argument("--engine", choices=("fast", "reference"),
+                     default=engine,
+                     help="interpreter engine (default %(default)s): "
+                          "'fast' is the pre-decoded closure-threaded "
+                          "engine, which tier 2 needs, and 'reference' "
+                          "the semantic oracle")
+    sub.add_argument("--entry", default="main")
+    sub.add_argument("--privileged", action="store_true")
+    sub.add_argument("--vectorize", action="store_true",
+                     help="run the loop autovectorizer over the module "
+                          "(after any -O pipeline) before execution")
+    if ladder:
+        sub.add_argument("--target", choices=("x86", "sparc"),
+                         help="run the JIT's code for this target on "
+                              "the machine simulator (--engine is then "
+                              "ignored)")
+        sub.add_argument("--sanitize", action="store_true",
+                         help="run under llva-san: shadow-memory "
+                              "checking with redzones, a free "
+                              "quarantine, and per-allocation fault "
+                              "reports (interpreter engines only)")
+        sub.add_argument("--tier2", action="store_true",
+                         help="enable the tiered translator: hot "
+                              "functions are compiled to Python "
+                              "bytecode (implies --engine fast)")
     sub.add_argument(
         "--tier2-threshold", type=int, default=DEFAULT_THRESHOLD,
         metavar="N",
@@ -801,6 +834,15 @@ def _add_tier2_flags(sub) -> None:
         "--translation-cache", metavar="DIR",
         help="persist tier-2 translations in DIR (POSIX storage API) "
              "for cross-process warm starts")
+    if report:
+        sub.add_argument("-O", "--optimize", type=int, default=0)
+        sub.add_argument("--top", type=int, default=10,
+                         help="rows in each table of the report")
+        sub.add_argument("--json", action="store_true",
+                         help="emit the report as JSON instead of the "
+                              "human-readable rendering")
+    _add_observe_flags(sub)
+    sub.add_argument("args", nargs="*")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -854,31 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser(
         "run", help="execute (interpreter, or --target JIT)")
     run.add_argument("input")
-    run.add_argument("--target", choices=("x86", "sparc"))
-    run.add_argument("--engine", choices=("fast", "reference"),
-                     default="reference",
-                     help="interpreter engine (ignored with --target): "
-                          "'fast' is the pre-decoded closure-threaded "
-                          "engine, 'reference' the semantic oracle")
-    run.add_argument("--entry", default="main")
-    run.add_argument("--privileged", action="store_true")
-    run.add_argument("--vectorize", action="store_true",
-                     help="run the loop autovectorizer over the "
-                          "loaded module before execution (compose "
-                          "with any engine, tier, or --sanitize)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="run under llva-san: shadow-memory checking "
-                          "with redzones, a free quarantine, and "
-                          "per-allocation fault reports (interpreter "
-                          "engines only)")
-    run.add_argument("--tier2", action="store_true",
-                     help="enable the tiered translator: hot functions "
-                          "are compiled to Python bytecode "
-                          "(implies --engine fast)")
-    _add_tier2_flags(run)
     run.add_argument("--stats", action="store_true")
-    _add_observe_flags(run)
-    run.add_argument("args", nargs="*")
+    _add_exec_flags(run, ladder=True)
     run.set_defaults(func=_cmd_run)
 
     llc = commands.add_parser(
@@ -897,33 +916,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--load", metavar="METRICS_JSON",
                        help="pretty-print an exported --metrics file "
                             "instead of running")
-    stats.add_argument("--target", choices=("x86", "sparc"))
-    stats.add_argument("--engine", choices=("fast", "reference"),
-                       default="reference",
-                       help="interpreter engine (ignored with --target)")
-    stats.add_argument("-O", "--optimize", type=int, default=0)
-    stats.add_argument("--vectorize", action="store_true",
-                       help="append the loop autovectorizer to the "
-                            "optimization pipeline")
-    stats.add_argument("--entry", default="main")
-    stats.add_argument("--privileged", action="store_true")
-    stats.add_argument("--sanitize", action="store_true",
-                       help="run under llva-san (interpreter engines "
-                            "only)")
-    stats.add_argument("--top", type=int, default=10,
-                       help="rows in the opcode/hot-block tables")
     stats.add_argument("--cache", metavar="DIR",
                        help="LLEE translation cache directory "
                             "(enables cache hits across runs)")
-    stats.add_argument("--tier2", action="store_true",
-                       help="enable the tiered translator "
-                            "(implies --engine fast)")
-    _add_tier2_flags(stats)
-    stats.add_argument("--json", action="store_true",
-                       help="emit the report as JSON instead of the "
-                            "human-readable rendering")
-    _add_observe_flags(stats)
-    stats.add_argument("args", nargs="*")
+    _add_exec_flags(stats, ladder=True, report=True)
     stats.set_defaults(func=_cmd_stats)
 
     profile = commands.add_parser(
@@ -932,29 +928,12 @@ def build_parser() -> argparse.ArgumentParser:
              "per-tier steps and wall time, the JIT lifecycle, and "
              "deopt reasons (tier 2 on by default)")
     profile.add_argument("input")
-    profile.add_argument("--engine", choices=("fast", "reference"),
-                         default="fast",
-                         help="interpreter engine (tier 2 requires "
-                              "'fast', the default)")
-    profile.add_argument("-O", "--optimize", type=int, default=0)
-    profile.add_argument("--vectorize", action="store_true",
-                         help="append the loop autovectorizer to the "
-                              "optimization pipeline")
-    profile.add_argument("--entry", default="main")
-    profile.add_argument("--privileged", action="store_true")
-    profile.add_argument("--top", type=int, default=10,
-                         help="rows in the hot-function table")
     profile.add_argument("--no-tier2", action="store_true",
                          help="profile pure tier-1 execution")
-    _add_tier2_flags(profile)
-    profile.add_argument("--json", action="store_true",
-                         help="emit the profile as JSON instead of "
-                              "the human-readable report")
     profile.add_argument("--speedscope", metavar="FILE",
                          help="write the tier timeline as a "
                               "speedscope.app JSON document")
-    _add_observe_flags(profile)
-    profile.add_argument("args", nargs="*")
+    _add_exec_flags(profile, engine="fast", report=True)
     profile.set_defaults(func=_cmd_profile)
 
     return parser

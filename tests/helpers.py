@@ -9,6 +9,40 @@ from repro.ir.module import Function
 from repro.ir.values import const_fp, const_int, const_null
 
 
+#: LLVA assembly: ``main(n)`` replaces ``f`` by ``g`` with
+#: ``llva.smc.replace`` before calling it when n != 0, so it returns 3
+#: for n == 0 and 100 otherwise, and traps for n == 2 once it has
+#: replaced ``f``.
+SMC_PROGRAM = """
+declare void %llva.smc.replace(sbyte*, sbyte*)
+int %f(int %x) {
+entry:
+        %r = add int %x, 1
+        ret int %r
+}
+int %g(int %x) {
+entry:
+        %r = mul int %x, 50
+        ret int %r
+}
+int %main(int %n) {
+entry:
+        %swap = setne int %n, 0
+        br bool %swap, label %replace, label %call
+replace:
+        %old = cast int (int)* %f to sbyte*
+        %new = cast int (int)* %g to sbyte*
+        call void %llva.smc.replace(sbyte* %old, sbyte* %new)
+        %d = sub int %n, 2
+        %q = div int 7, %d
+        br label %call
+call:
+        %r = call int %f(int 2)
+        ret int %r
+}
+"""
+
+
 def build_factorial(module_name: str = "fact") -> Module:
     """``fac(n)``: recursive factorial, plus ``main`` returning fac(10)."""
     module = Module(module_name)

@@ -66,10 +66,6 @@ class TestProfileRoundTrip:
     def test_native_round_trip(self):
         module = build_loop_sum(9)
         target = make_target("x86")
-        # Translation itself normalizes the CFG in place (critical-edge
-        # splitting); do it once up front so the before/after comparison
-        # isolates the instrumentation cycle.
-        FunctionJIT(module, target).translate_all()
         before = print_module(module)
         profile_map = instrument_module(module)
         jit = FunctionJIT(module, target)

@@ -1,13 +1,15 @@
 """Resident executables: a long-lived LLEE reports what fresh ones do.
 
-``LLEE.run_executable`` keeps the module it read, and the translation it
-ran while that equals the stored vector, for the next launch of the same
-executable.  None of that may change what a launch reports.  Each
-scenario below plays its steps twice, each time over its own storage:
-once on one LLEE, and once on a fresh LLEE per launch.  Every launch
-must report the same result, output, cycles, ``cache_hit`` and
-``functions_jitted`` (or the same trap), and count the same
-``llee.cache.*`` events.
+An LLEE keeps one record per executable for its next launch: the module
+it read, which every engine and the translator share, the fast engine's
+decoded state per config, and the translation a native launch ran while
+that equals the stored vector.  None of that may change what a launch
+reports.  Each scenario below plays its steps twice, each time over its
+own storage: once on one LLEE, and once on a fresh LLEE per launch.
+Every native launch must report the same result, output, cycles,
+``cache_hit`` and ``functions_jitted`` (or the same trap), and count the
+same ``llee.cache.*`` events; every interpreted one the same result,
+output, steps and exit status (or the same trap).
 
 The data image is kept the same way on both launch paths: a relaunch
 applies the layout its image took at the first load, so the last
@@ -22,6 +24,7 @@ from dataclasses import asdict
 
 import pytest
 
+from helpers import SMC_PROGRAM
 from repro import observe
 from repro.asm import parse_module
 from repro.bitcode import write_module
@@ -46,37 +49,6 @@ int main(int n) {
     print_int(100 / (n - 6));
     print_newline();
     return r;
-}
-"""
-
-#: ``main(n)`` replaces ``f`` by ``g`` before calling it when n != 0,
-#: and traps for n == 2 once it has.
-SMC_PROGRAM = """
-declare void %llva.smc.replace(sbyte*, sbyte*)
-int %f(int %x) {
-entry:
-        %r = add int %x, 1
-        ret int %r
-}
-int %g(int %x) {
-entry:
-        %r = mul int %x, 50
-        ret int %r
-}
-int %main(int %n) {
-entry:
-        %swap = setne int %n, 0
-        br bool %swap, label %replace, label %call
-replace:
-        %old = cast int (int)* %f to sbyte*
-        %new = cast int (int)* %g to sbyte*
-        call void %llva.smc.replace(sbyte* %old, sbyte* %new)
-        %d = sub int %n, 2
-        %q = div int 7, %d
-        br label %call
-call:
-        %r = call int %f(int 2)
-        ret int %r
 }
 """
 
@@ -390,10 +362,57 @@ def globals_code():
 
 def interpreted(n, config):
     def step(llee, storage, code):
-        report = llee.run_interpreted(code, args=[n], **asdict(config))
+        try:
+            report = llee.run_interpreted(code, args=[n],
+                                          **asdict(config))
+        except ExecutionTrap as trap:
+            return ("trap", trap.trap_number, str(trap))
         return (report.return_value, report.output, report.steps,
                 report.exit_status)
     return step
+
+
+#: Launches per round of ``every_engine``.
+ROUND = len(ExecConfig.all()) + 1
+
+
+def every_engine(*ns):
+    """For each n, a launch under every ``ExecConfig.all()`` entry,
+    then a native one."""
+    return [step for n in ns
+            for step in [interpreted(n, config)
+                         for config in ExecConfig.all()] + [launch(n)]]
+
+
+def results(seen):
+    """The result (or "trap") of each launch of ``every_engine``."""
+    return [s[0][0] if index % ROUND == ROUND - 1 else s[0]
+            for index, s in enumerate(seen)]
+
+
+@pytest.mark.parametrize("target_name", TARGETS)
+class TestOneRecordForEveryEngine:
+    """Interpreted and native launches of one executable, interleaved,
+    share its record and report what fresh LLEEs do."""
+
+    def test_repeat_and_trapping_launches(self, target_name, code):
+        ns = (2, 6, 2, 7, 6, 2)
+        seen = assert_same_launches(every_engine(*ns), target_name, code)
+        assert results(seen) == [
+            {2: 4, 6: "trap", 7: 343}[n] for n in ns for _ in range(ROUND)]
+
+    def test_smc_and_smc_then_trap_launches(self, target_name, smc_code):
+        ns = (0, 1, 0, 2, 0)
+        seen = assert_same_launches(every_engine(*ns), target_name,
+                                    smc_code)
+        assert results(seen) == [
+            {0: 3, 1: 100, 2: "trap"}[n] for n in ns for _ in range(ROUND)]
+
+    def test_one_read_serves_every_engine(self, target_name, code, loads):
+        llee = LLEE(make_target(target_name), InMemoryStorage())
+        for step in every_engine(2, 2):
+            step(llee, llee.storage, code)
+        assert loads["read_module"] == 1
 
 
 @pytest.mark.parametrize("config", ExecConfig.all(), ids=lambda c: (
@@ -430,6 +449,18 @@ def launcher(path):
         return llee, llee.run_interpreted
     llee = LLEE(make_target(path), InMemoryStorage())
     return llee, llee.run_executable
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_trapping_launch_keeps_the_record(path, code, loads):
+    """A first launch that traps keeps the module it read, on either
+    path; an interpreted one keeps its decoded state too."""
+    _, run = launcher(path)
+    with pytest.raises(ExecutionTrap):
+        run(code, args=[6])
+    report = run(code, args=[2])
+    assert loads["read_module"] == 1
+    assert report.cache_hit == (path == "interpreted")
 
 
 @pytest.mark.parametrize("path", PATHS)

@@ -15,13 +15,16 @@ import time
 
 import pytest
 
+from helpers import SMC_PROGRAM
 from repro import observe
+from repro.asm import parse_module
 from repro.bitcode import read_module, write_module
 from repro.execution import Interpreter
 from repro.execution.tier2 import TIER2_CACHE_NAME, Tier2Cache
 from repro.llee import LLEE, DiskStorage, InMemoryStorage
 from repro.minic import compile_source
 from repro.targets import make_target
+from repro.tools import main
 
 PROGRAM = r"""
 int helper(int x) { return x * x + 1; }
@@ -417,3 +420,53 @@ class TestNativeCacheInvalidMetric:
         finally:
             observe.disable()
         assert not report.cache_hit
+
+
+class TestSelfModifyingCodeDoesNotPoisonTheCache:
+    """A launch that fires ``llva.smc.replace`` stores the unit it
+    compiled from ``f``'s new body under the name ``f``.  A later
+    process whose ``f`` has its original body must compile it cold,
+    not start warm from that unit."""
+
+    @pytest.fixture(scope="class")
+    def smc_code(self):
+        return write_module(parse_module(SMC_PROGRAM))
+
+    def test_through_the_llee(self, smc_code):
+        storage = InMemoryStorage()
+
+        def launch(n):
+            return LLEE(make_target("x86"), storage).run_interpreted(
+                smc_code, args=[n], engine="fast", tier2=True,
+                tier2_threshold=0)
+
+        assert launch(1).return_value == 100
+        after_smc = launch(0)
+        assert after_smc.return_value == 3
+        assert after_smc.translation_cache_hit
+        # ``main`` starts warm; ``f``'s stored body is ``g``'s.
+        assert (after_smc.tier2_functions_compiled,
+                after_smc.tier2_warm_compiles) == (2, 1)
+        again = launch(0)
+        assert again.return_value == 3
+        assert again.tier2_warm_compiles == 2
+
+    def test_through_the_cli(self, tmp_path, capsys):
+        source = tmp_path / "smc.ll"
+        source.write_text(SMC_PROGRAM)
+        program = str(tmp_path / "smc.bc")
+        assert main(["as", str(source), "-o", program]) == 0
+        flags = ["--tier2", "--tier2-threshold", "0",
+                 "--translation-cache", str(tmp_path / "cache")]
+        assert main(["run", program, "1"] + flags) == 100
+        assert main(["run", program, "0"] + flags) == 3
+
+    @pytest.mark.parametrize("target_name", ("x86", "sparc"))
+    def test_native_path_is_unaffected(self, smc_code, target_name):
+        """A native translation carries its ``smc_version``, so the
+        stored vector never serves the original body."""
+        storage = InMemoryStorage()
+        for n, expected in ((1, 100), (0, 3)):
+            report = LLEE(make_target(target_name), storage) \
+                .run_executable(smc_code, args=[n])
+            assert report.return_value == expected

@@ -7,15 +7,15 @@ from helpers import build_factorial, build_loop_sum
 from repro.asm import parse_module
 from repro.execution import ExecutionTrap, Interpreter
 from repro.execution.machine_sim import MachineSimulator
-from repro.ir import verify_module
+from repro.ir import print_module, verify_module
 from repro.llee.jit import FunctionJIT
 from repro.targets import (
+    FunctionLowering,
     make_target,
-    split_critical_edges,
     translate_module,
     verify_native_module,
 )
-from repro.targets.machine import Semantics
+from repro.targets.machine import Imm, LabelRef, Semantics
 
 TARGETS = ("x86", "sparc")
 
@@ -232,6 +232,9 @@ class TestDifferential:
 
 class TestLoweringDetails:
     def test_split_critical_edges(self):
+        """The phi copy for the critical edge entry->merge goes in a
+        forwarding machine block before ``merge``; the LLVA function
+        keeps its three blocks."""
         module = parse_module("""
         int %f(bool %c) {
         entry:
@@ -243,10 +246,79 @@ class TestLoweringDetails:
                 ret int %v
         }
         """)
+        before = print_module(module)
         f = module.get_function("f")
-        split = split_critical_edges(f)
-        assert split == 1  # entry->merge was critical
-        verify_module(module)
+        machine = FunctionLowering(f, make_target("x86")).lower()
+        assert [block.name for block in machine.blocks] \
+            == ["entry", "side", "entry.merge.crit", "merge"]
+        jcc, jmp = machine.blocks[0].instructions[-2:]
+        assert jcc.operands[1] == LabelRef("entry.merge.crit")
+        assert jmp.operands[0] == LabelRef("side")
+        copy, forward = machine.blocks[2].instructions
+        assert copy.semantics == Semantics.MOV \
+            and copy.operands[1] == Imm(1)
+        assert forward.semantics == Semantics.JMP \
+            and forward.operands[0] == LabelRef("merge")
+        assert print_module(module) == before
+        assert [_differential(module, "f", [c]).return_value
+                for c in (True, False)] == [1, 2]
+
+    def test_both_arms_to_one_block_get_a_forwarding_block_each(self):
+        """Both slots of ``br`` name ``join``: each edge is split, and
+        the second forwarding block's name takes a ``.1``."""
+        module = parse_module("""
+        int %f(bool %c) {
+        entry:
+                br bool %c, label %join, label %join
+        join:
+                %v = phi int [ 7, %entry ]
+                ret int %v
+        }
+        """)
+        before = print_module(module)
+        machine = FunctionLowering(module.get_function("f"),
+                                   make_target("sparc")).lower()
+        assert [block.name for block in machine.blocks] \
+            == ["entry", "entry.join.crit", "entry.join.crit.1", "join"]
+        for block in machine.blocks[1:3]:
+            assert [instr.operands[-1] for instr in block.instructions] \
+                == [Imm(7), LabelRef("join")]
+        assert print_module(module) == before
+        assert _differential(module, "f", [True]).return_value == 7
+
+    def test_mbr_and_invoke_edges_carry_their_phi_copies(self):
+        """Every label slot of ``mbr`` (two cases share one) and both
+        edges of ``invoke`` feed phis over critical edges; each edge
+        must deliver its own value on both targets."""
+        module = parse_module("""
+        int %thrower(int %x) {
+        entry:
+                %bad = setgt int %x, 5
+                br bool %bad, label %t, label %f
+        t:
+                unwind
+        f:
+                ret int %x
+        }
+        int %pick(int %x) {
+        entry:
+                mbr int %x, label %join, [ int 1, label %join ],
+                    [ int 2, label %two ], [ int 3, label %join ]
+        two:
+                br label %join
+        join:
+                %v = phi int [ 7, %entry ], [ 20, %two ]
+                %w = invoke int %thrower(int %x) to label %done
+                      unwind label %done
+        done:
+                %r = phi int [ %v, %join ]
+                ret int %r
+        }
+        """)
+        before = print_module(module)
+        for x in (0, 1, 2, 3, 9):
+            _differential(module, "pick", [x])
+        assert print_module(module) == before
 
     def test_static_allocas_are_frame_slots(self):
         """Section 3.2: 'the translator preallocates all fixed-size
