@@ -93,6 +93,9 @@ FUSE_MIN = 3
 # (call/ret/trap), or a _Return carrying the program result.
 _RESCHED = object()
 
+# _fast_call_any's result when it pushed the callee's frame.
+_PUSHED = object()
+
 
 class _Return:
     __slots__ = ("value",)
@@ -122,152 +125,113 @@ class _FastFrame:
         self.steps_at_entry = 0           # for tier-2 step-credit promotion
 
 
-class _Tier2Frame:
-    """An activation running tier-2 compiled code.
-
-    Duck-types :class:`_FastFrame` everywhere the engine touches frames:
-    ``ops`` is a one-element tuple holding the tier-2 driver and
-    ``index`` stays 0, so the ordinary run loop re-enters the driver
-    whenever this frame is on top; ``saved_sp`` / ``unwind_edge`` /
-    ``ret_slot`` / ``resume`` keep `_fast_return` and ``unwind`` working
-    unchanged; ``regs`` is a one-slot landing pad a returning callee
-    writes through ``ret_slot=0`` so the driver can ``send()`` the value
-    into the suspended generator.
-    """
-
-    __slots__ = ("function", "ops", "index", "regs", "saved_sp",
-                 "ret_slot", "resume", "unwind_edge", "is_trap_handler",
-                 "steps_at_entry", "gen", "started", "unit")
-
-    def __init__(self, function, unit, gen, saved_sp, ret_slot,
-                 resume, unwind_edge):
-        self.function = function
-        self.ops = _TIER2_OPS
-        self.index = 0
-        self.regs = [None]
-        self.saved_sp = saved_sp
-        self.ret_slot = ret_slot
-        self.resume = resume
-        self.unwind_edge = unwind_edge
-        self.is_trap_handler = False
-        self.steps_at_entry = -1          # tier-2 frames earn no credit
-        self.gen = gen
-        self.started = False
-        self.unit = unit
-
-
-def _t2_noop_resume(st, caller):
-    """Resume closure for frames called *by* tier-2 code: the generator
-    is resumed by the driver, nothing to advance."""
-
-
 def _tier2_driver(st, f):
-    """The single op of a tier-2 frame: pump the compiled generator.
+    """The one op of a tier-2 frame, and the loop that runs tier-2
+    activations.
 
-    The generator yields requests for everything that needs the frame
-    stack or the runtime; the driver services them inline (runtime and
-    intrinsic calls), or pushes a frame and returns ``_RESCHED`` (LLVA
-    calls, delivered traps), leaving the generator suspended at its
-    ``yield``.  When that frame returns, the run loop lands back here
-    and the value parked in ``f.regs[0]`` is sent into the generator.
-    Runtime faults are *thrown* into the generator so the masking rules
-    execute in compiled code with the frame's registers live.
+    Resuming a frame sends the value in its landing pad into its
+    generator, which runs until it yields a request:
+
+    * ``call`` — ``_fast_push``, the run loop's own push rule, pushes
+      the callee's frame; a tier-2 callee's generator is pumped here;
+    * ``intr`` / ``icall`` — an intrinsic, or an indirect callee
+      classified by ``_fast_call_any``, is serviced here; a fault it
+      raises is thrown into the generator, so the masking rules run in
+      compiled code with the frame's registers live;
+    * ``trap`` — a deliverable fault detected by compiled code is
+      delivered through ``_fast_deliver``.
+
+    A finished generator returns through ``_fast_return``, the run
+    loop's own return rule, and a tier-2 caller is resumed here.  The
+    driver hands the frame stack back to the run loop (``_RESCHED``)
+    only to run a tier-1 frame or a delivered trap's handler, and
+    returns the program's result when the run ends.  Every activation
+    is on the frame stack, so trap delivery, register snapshots,
+    ``llva.stack.depth``, ``unwind``, the profiler and ``_abandon_run``
+    see all of them, and LLVA recursion never grows the host stack.
     """
-    gen = f.gen
+    frames = st._frames
     t0 = st.steps
     try:
-        try:
-            if f.started:
-                value = f.regs[0]
-                f.regs[0] = None
+        while True:
+            gen = f.gen
+            value = f.regs[0]
+            f.regs[0] = None
+            try:
                 request = gen.send(value)
-            else:
-                f.started = True
-                request = gen.send(None)
-            while True:
-                kind = request[0]
-                if kind == "call":
-                    st._fast_push(request[1], list(request[2]), 0,
-                                  _t2_noop_resume, None)
-                    return _RESCHED
-                if kind == "rt":
-                    try:
-                        result = st.runtime.call(request[1],
-                                                 list(request[2]))
-                    except MemoryError_ as fault:
-                        request = gen.throw(fault)
-                        continue
-                    request = gen.send(result)
-                    continue
-                if kind == "intr":
-                    request = _t2_intrinsic(st, f, gen, request[1],
-                                            list(request[2]))
-                    if request is _RESCHED:
+                while True:
+                    kind = request[0]
+                    if kind == "call":
+                        callee = st._fast_push(request[1], request[2], 0,
+                                               None, None)
+                    elif kind == "trap":
+                        # Trap-heavy code belongs on tier 1: demote.
+                        st.tier2.note_deopt(f.function)
+                        st._fast_deliver(f, 0, None, -1, request[1],
+                                         request[2], request[3])
                         return _RESCHED
-                    continue
-                if kind == "trap":
-                    # A deliverable fault detected by compiled code.
-                    # Deliver through the ordinary machinery (handler
-                    # frame or escaping ExecutionTrap), and demote the
-                    # function: trap-heavy code belongs on tier 1.
-                    tier2 = st.tier2
-                    if tier2 is not None:
-                        tier2.note_deopt(f.function)
-                    st._fast_deliver(f, 0, None, -1, request[1],
-                                     request[2], request[3])
-                    f.regs[0] = None
-                    return _RESCHED
-                # "icall": classify at run time like _fast_call_any.
-                address = request[1]
-                fn = st.image.function_at(address)
-                if fn is None:
-                    raise ExecutionTrap(
-                        TrapKind.MEMORY_FAULT,
-                        "indirect call to non-function address 0x{0:x}"
-                        .format(address), address)
-                args = list(request[2])
-                if fn.is_intrinsic:
-                    request = _t2_intrinsic(st, f, gen, fn.name, args)
-                    if request is _RESCHED:
+                    else:
+                        depth = len(frames)
+                        try:
+                            if kind == "intr":
+                                result = st._call_intrinsic(
+                                    f, request[1], request[2])
+                            else:
+                                result = st._fast_call_any(
+                                    f, request[1], request[2], 0, None,
+                                    None)
+                        except MemoryError_ as fault:
+                            request = gen.throw(fault)
+                            continue
+                        if len(frames) == depth:
+                            request = gen.send(result)
+                            continue
+                        if result is not _PUSHED:
+                            # llva.trap.raise pushed its handler, which
+                            # runs before the generator resumes.
+                            f.regs[0] = result
+                            return _RESCHED
+                        callee = frames[-1]
+                    if type(callee) is not _Tier2Frame:
                         return _RESCHED
-                    continue
-                if fn.is_declaration and is_runtime_name(fn.name):
-                    try:
-                        result = st.runtime.call(fn.name, args)
-                    except MemoryError_ as fault:
-                        request = gen.throw(fault)
-                        continue
-                    request = gen.send(result)
-                    continue
-                ms = st.max_steps
-                if ms is not None and st.steps > ms:
-                    raise StepLimitExceeded(
-                        "exceeded {0} steps".format(ms))
-                st._fast_push(fn, args, 0, _t2_noop_resume, None)
-                return _RESCHED
-        except StopIteration as stop:
-            return st._fast_return(f, stop.value)
+                    f = callee
+                    gen = f.gen
+                    request = gen.send(None)
+            except StopIteration as stop:
+                result = st._fast_return(f, stop.value)
+                if result is not _RESCHED:
+                    return result
+                f = frames[-1]
+                if type(f) is not _Tier2Frame:
+                    return _RESCHED
     finally:
         st.tier2_steps += st.steps - t0
 
 
-def _t2_intrinsic(st, f, gen, name, args):
-    """Service an intrinsic request.  Returns the generator's next
-    request, or ``_RESCHED`` when the intrinsic pushed a trap-handler
-    frame (``llva.trap.raise``): the handler must run before the
-    generator resumes, so the result is parked in the landing pad."""
-    depth = len(st._frames)
-    try:
-        result = st._call_intrinsic(f, name, args)
-    except MemoryError_ as fault:
-        return gen.throw(fault)
-    if len(st._frames) > depth:
-        f.regs[0] = result
-        return _RESCHED
-    return gen.send(result)
+class _Tier2Frame:
+    """An activation running tier-2 compiled code, built by
+    ``FastInterpreter._fast_push``.
+
+    Duck-types :class:`_FastFrame` everywhere the engine touches frames:
+    ``ops`` is a one-element tuple holding the tier-2 driver and
+    ``index`` stays 0, so the run loop enters the driver whenever this
+    frame is on top; ``saved_sp`` / ``unwind_edge`` / ``ret_slot`` /
+    ``resume`` keep `_fast_return` and ``unwind`` working unchanged;
+    ``regs`` is a one-slot landing pad a returning callee writes through
+    ``ret_slot=0`` (a callee of tier-2 code has no ``resume``: the
+    driver resumes the generator), whose value the driver sends into
+    the suspended generator when it resumes this frame.
+    """
+
+    __slots__ = ("function", "regs", "saved_sp", "ret_slot", "resume",
+                 "unwind_edge", "is_trap_handler", "gen")
+
+    ops = (_tier2_driver,)
+    index = 0
+    steps_at_entry = -1                   # tier-2 frames earn no credit
 
 
-_TIER2_OPS = (_tier2_driver,)
+_new_object = object.__new__
 
 
 def _phi_error_op(st, f):
@@ -1659,15 +1623,21 @@ class _Decoder:
             st.steps += 1
             r = f.regs
             address = int(getc(st, r))
-            fn = st.image.function_at(address)
-            if fn is None:
-                raise ExecutionTrap(
-                    TrapKind.MEMORY_FAULT,
-                    "indirect call to non-function address 0x{0:x}"
-                    .format(address), address)
             args = [g(st, r) for g in arg_gets]
-            return st._fast_call_any(f, fn, args, inst, dst, index,
-                                     resume, unwind_edge)
+            try:
+                result = st._fast_call_any(f, address, args, dst, resume,
+                                           unwind_edge)
+            except MemoryError_ as fault:
+                return st._fast_fault(f, index, inst, dst,
+                                      fault.trap_number,
+                                      fault.address or 0,
+                                      fault.detail,
+                                      fault.unmaskable)
+            if result is not _PUSHED:
+                if dst >= 0:
+                    r[dst] = result
+                resume(st, f)
+            return _RESCHED
         return op
 
 
@@ -1827,6 +1797,9 @@ class FastInterpreter(Interpreter):
         self.fused_instructions = 0
         self.tier2_steps = 0
         self.tier2_calls = 0
+        #: CompiledUnit -> its generator function bound for this run
+        #: (CompiledUnit.bind); emptied when the run ends.
+        self._tier2_bound: Dict[object, Callable] = {}
 
     # -- public API ----------------------------------------------------
 
@@ -1855,6 +1828,7 @@ class FastInterpreter(Interpreter):
                 finally:
                     span.set(steps=self.steps - steps_before)
         finally:
+            self._tier2_bound.clear()
             if self.profiler is not None:
                 self.profiler.flush(self.steps)
             observe.counter("run.steps", self.steps - steps_before,
@@ -1895,7 +1869,10 @@ class FastInterpreter(Interpreter):
 
     def _fast_push(self, function: Function, args, ret_slot,
                    resume, unwind_edge) -> _FastFrame:
-        if function.is_declaration:
+        """The one push rule, for the run loop and the tier-2 driver:
+        push *function*'s frame (a tier-2 frame when ``Tier2Cache.lookup``
+        returns its unit) and return it."""
+        if not function.blocks:  # a declaration
             raise ExecutionTrap(
                 TrapKind.SOFTWARE_TRAP,
                 "call to undefined function %{0}".format(function.name))
@@ -1908,10 +1885,20 @@ class FastInterpreter(Interpreter):
                         TrapKind.SOFTWARE_TRAP,
                         "argument count mismatch calling %{0}"
                         .format(function.name))
-                frame = _Tier2Frame(function, unit,
-                                    unit.factory(self, *args),
-                                    self.memory.stack_pointer, ret_slot,
-                                    resume, unwind_edge)
+                factory = self._tier2_bound.get(unit)
+                if factory is None:
+                    factory = self._tier2_bound[unit] = unit.bind(self)
+                # Field by field: on CPython 3.11 a class call that runs
+                # a Python __init__ costs a tier-2 call about 0.1 us more.
+                frame = _new_object(_Tier2Frame)
+                frame.function = function
+                frame.regs = [None]
+                frame.saved_sp = self.memory.stack_pointer
+                frame.ret_slot = ret_slot
+                frame.resume = resume
+                frame.unwind_edge = unwind_edge
+                frame.is_trap_handler = False
+                frame.gen = factory(self, args)
                 self._frames.append(frame)
                 self.tier2_calls += 1
                 if self.profiler is not None:
@@ -1935,6 +1922,9 @@ class FastInterpreter(Interpreter):
         return frame
 
     def _fast_return(self, f: _FastFrame, value):
+        """The one return rule, for the run loop and the tier-2 driver:
+        pop *f*, deliver *value* to its caller, and return ``_RESCHED``
+        (or the program's result when *f* was the last frame)."""
         tier2 = self.tier2
         if tier2 is not None and f.steps_at_entry >= 0:
             tier2.credit_steps(f.function, self.steps - f.steps_at_entry)
@@ -1951,47 +1941,34 @@ class FastInterpreter(Interpreter):
         if f.ret_slot >= 0:
             caller.regs[f.ret_slot] = value
         resume = f.resume
-        if resume is None:
-            raise ExecutionTrap(TrapKind.SOFTWARE_TRAP,
-                                "broken return linkage")
-        resume(self, caller)
+        if resume is not None:
+            resume(self, caller)
         return _RESCHED
 
-    def _fast_call_any(self, f: _FastFrame, function: Function, args,
-                       inst, dst: int, index: int, resume, unwind_edge):
-        """Indirect-call dispatch, classified at run time like the
-        reference engine's ``_exec_call``."""
+    def _fast_call_any(self, f, address: int, args, ret_slot: int,
+                       resume, unwind_edge):
+        """Call through a pointer, the callee classified at run time
+        like the reference engine's ``_exec_call``; both tiers call
+        this.  An intrinsic or a runtime routine runs here and its
+        result is returned; an LLVA function gets a frame after the
+        step-budget check, and ``_PUSHED`` is returned.  A fault of the
+        call propagates as ``MemoryError_`` for the caller's tier to
+        mask or deliver."""
+        function = self.image.function_at(address)
+        if function is None:
+            raise ExecutionTrap(
+                TrapKind.MEMORY_FAULT,
+                "indirect call to non-function address 0x{0:x}"
+                .format(address), address)
         if function.is_intrinsic:
-            try:
-                result = self._call_intrinsic(f, function.name, args)
-            except MemoryError_ as fault:
-                return self._fast_fault(f, index, inst, dst,
-                                        fault.trap_number,
-                                        fault.address or 0,
-                                        fault.detail,
-                                        fault.unmaskable)
-            if dst >= 0:
-                f.regs[dst] = result
-            resume(self, f)
-            return _RESCHED
+            return self._call_intrinsic(f, function.name, args)
         if function.is_declaration and is_runtime_name(function.name):
-            try:
-                result = self.runtime.call(function.name, args)
-            except MemoryError_ as fault:
-                return self._fast_fault(f, index, inst, dst,
-                                        fault.trap_number,
-                                        fault.address or 0,
-                                        fault.detail,
-                                        fault.unmaskable)
-            if dst >= 0:
-                f.regs[dst] = result
-            resume(self, f)
-            return _RESCHED
+            return self.runtime.call(function.name, args)
         ms = self.max_steps
         if ms is not None and self.steps > ms:
             raise StepLimitExceeded("exceeded {0} steps".format(ms))
-        self._fast_push(function, args, dst, resume, unwind_edge)
-        return _RESCHED
+        self._fast_push(function, args, ret_slot, resume, unwind_edge)
+        return _PUSHED
 
     # -- exception model -----------------------------------------------
 
@@ -2057,12 +2034,11 @@ class FastInterpreter(Interpreter):
             gi_frame = frame.gen.gi_frame
             if gi_frame is None:  # pragma: no cover - defensive
                 return {}
-            local_values = gi_frame.f_locals
             numbered: Dict[int, int] = {}
-            for name, number in frame.unit.snap_map:
-                value = local_values.get(name)
-                if isinstance(value, (bool, int)):
-                    numbered[number] = int(value)
+            for name, value in gi_frame.f_locals.items():
+                if name[0] == "r" and name[1:].isdigit() \
+                        and isinstance(value, (bool, int)):
+                    numbered[int(name[1:])] = int(value)
             return numbered
         numbered = {}
         for number, value in enumerate(frame.regs):

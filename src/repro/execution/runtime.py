@@ -89,12 +89,17 @@ class RuntimeLibrary:
         return "".join(self.output)
 
     def call(self, name: str, args: List) -> object:
+        return self.handler(name)(*args)
+
+    def handler(self, name: str) -> Callable:
+        """The host function of routine *name*; call it with the
+        routine's arguments."""
         handler = getattr(self, "_do_" + name, None)
         if handler is None:
             raise ExecutionTrap(
                 TrapKind.SOFTWARE_TRAP,
                 "call to unresolved external %{0}".format(name))
-        return handler(*args)
+        return handler
 
     # -- allocation ------------------------------------------------------------
 

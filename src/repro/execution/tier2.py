@@ -19,18 +19,26 @@ generator function —
   a scalar load or store is one ``__ld(p, C)``/``__st(p, C, v)`` call
   (:meth:`~repro.execution.memory.Memory.load`/``store``), where ``C``
   is a codec constant of the unit's namespace and a constant store
-  value is masked at code generation.  A unit's prologue binds only
-  the memory helpers its body uses.
+  value is masked at code generation;
+* the constants of a run — the memory helpers the body uses, each
+  referenced global's address, the runtime handlers it calls and
+  ``max_steps`` — are computed once per unit per run by the unit's
+  ``__bind(st)`` and passed as the defaults of ``__tier2``'s trailing
+  parameters (:meth:`CompiledUnit.bind`), so a call runs no prologue;
+* a runtime routine is a direct call of its handler.
 
 The compiled unit is a **generator**.  Anything that touches the frame
-stack (LLVA calls, trap delivery) or the runtime is *yielded* as a
-request to the tier-1 driver (``fastpath._tier2_driver``), which keeps
-the explicit frame stack in charge: deep LLVA recursion never grows the
-host stack, trap handlers run as ordinary frames before the generator
-resumes, and a tier-1 caller can call a tier-2 callee (and vice versa)
-freely.  Runtime faults are thrown *into* the generator at the yield
-point, so the ExceptionsEnabled masking rules run in compiled code with
-the same semantics as tier 1.
+stack is *yielded* as a request to the tier-2 driver
+(``fastpath._tier2_driver``): an LLVA call, an intrinsic, an indirect
+call, and a trap to deliver.  The driver keeps the explicit frame stack
+in charge: it pushes a tier-2 callee's frame and runs its generator in
+the same loop, and it returns to the tier-1 run loop only to run a
+tier-1 frame or a trap handler, so deep LLVA recursion never grows the
+host stack and a tier-1 caller can call a tier-2 callee (and vice
+versa) freely.  A runtime fault is caught in the generated code (a
+direct runtime call) or thrown *into* the generator at the yield point,
+so the ExceptionsEnabled masking rules run in compiled code with the
+same semantics as tier 1.
 
 Functions the code generator does not support (``invoke``/``unwind``
 bodies, exotic operands) are *pinned* to tier 1; a delivered trap
@@ -47,14 +55,15 @@ accumulated :data:`DEFAULT_STEP_THRESHOLD` architectural steps
 
 Translations persist across processes through the Section 4.1 storage
 API: :meth:`Tier2Cache.attach_storage` loads previously generated
-sources (keyed by module hash + per-function hash + engine version,
-with timestamp and target-fingerprint validation) so a warm start
-skips source generation and goes straight to ``compile()`` — or skips
-even that, when the blob carries ``.pyc``-style marshalled bytecode
-from the same Python build (``sys.implementation.cache_tag``);
-:meth:`Tier2Cache.flush_storage` writes new translations back.  Any
-corrupt, truncated, stale, or version-mismatched blob logs the
-``llee.cache.invalid`` metric and falls back to online translation.
+sources (one blob per executable, keyed by :func:`cache_key`; per
+function a content hash, with engine-version, timestamp and
+target-fingerprint validation) so a warm start skips source generation
+and goes straight to ``compile()`` — or skips even that, when the blob
+carries ``.pyc``-style marshalled bytecode from the same Python build
+(``sys.implementation.cache_tag``); :meth:`Tier2Cache.flush_storage`
+writes new translations back.  Any corrupt, truncated, stale, or
+version-mismatched blob logs the ``llee.cache.invalid`` metric and
+falls back to online translation.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ import math
 import struct
 import sys
 import time
+from types import FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro import observe
@@ -116,7 +126,10 @@ from repro.llee.storage import load_entry, store_entry
 #: ``num_slots``, ``func_refs``, ``source`` and ``code``.
 #: v8: scalar loads and stores are ``__ld(p, C)``/``__st(p, C, v)``
 #: with codec constants, and the prologue binds only the helpers used.
-TIER2_VERSION = 8
+#: v9: no prologue: ``__bind(st)`` computes the per-run constants, which
+#: the engine passes as ``__tier2``'s parameter defaults, and a runtime
+#: routine is called directly instead of yielded.
+TIER2_VERSION = 9
 
 #: Architectural steps credited to a function (on return of its tier-1
 #: activations) before it is promoted regardless of invocation count.
@@ -134,25 +147,37 @@ class UnsupportedFunction(Exception):
 class CompiledUnit:
     """One tier-2 translation: a generator factory plus its metadata."""
 
-    __slots__ = ("function", "smc_version", "factory", "num_args",
-                 "num_slots", "snap_map", "source", "func_hash", "code")
+    __slots__ = ("function", "smc_version", "factory", "binder",
+                 "num_args", "num_slots", "source", "func_hash", "code")
 
-    def __init__(self, function, smc_version, factory, num_args,
-                 num_slots, snap_map, source, func_hash, code):
+    def __init__(self, function, smc_version, factory, binder, num_args,
+                 num_slots, source, func_hash, code):
         self.function = function
         self.smc_version = smc_version
-        self.factory = factory          # (st, *args) -> generator
+        #: ``(st, args, *per-run constants) -> generator``; call the
+        #: function :meth:`bind` returns instead.
+        self.factory = factory
+        #: ``st -> per-run constants``, in ``factory``'s parameter order.
+        self.binder = binder
         self.num_args = num_args
         self.num_slots = num_slots
-        #: (("r0", 0), ("r1", 1), ...) — local name per V-ABI register
-        #: number, used to snapshot a suspended generator's registers.
-        self.snap_map = snap_map
         self.source = source
         self.func_hash = func_hash
         #: The module-level code object ``exec``'d to make ``factory``;
         #: persisted (marshalled, .pyc-style) so warm starts skip both
         #: codegen and ``compile()``.
         self.code = code
+
+    def bind(self, st) -> FunctionType:
+        """The unit's generator function for one run of the engine *st*:
+        ``factory`` with the run's constants (memory helpers, global
+        addresses, runtime handlers, the step budget) as the defaults
+        of its trailing parameters, so a call passes only ``st`` and
+        the argument sequence.  The engine keeps it until the run
+        ends."""
+        factory = self.factory
+        return FunctionType(factory.__code__, factory.__globals__,
+                            factory.__name__, self.binder(st))
 
 
 class Tier2Stats:
@@ -179,6 +204,14 @@ def _functions_digest(functions: dict) -> str:
     is rejected before any entry is compiled or executed."""
     return hashlib.sha256(json.dumps(functions, sort_keys=True)
                           .encode("utf-8")).hexdigest()
+
+
+def cache_key(object_code: bytes) -> str:
+    """The ``llee-tier2`` cache key of a virtual executable: the digest
+    of its object code alone.  A blob depends only on the module and
+    checks the pointer size and byte order it was generated for itself,
+    so the CLI and an LLEE of any target share one entry."""
+    return hashlib.sha256(object_code).hexdigest()[:24]
 
 
 def function_hash(function: Function) -> str:
@@ -227,7 +260,10 @@ class _FnCodegen:
         self._func_alias_of: Dict[str, str] = {}
         #: The memory helpers the body calls (names of _HELPERS).
         self.helpers: set = set()
-        self.uses_image = False
+        #: aliases of direct-call runtime routines: alias -> name.
+        self.runtime_refs: Dict[str, str] = {}
+        self._runtime_alias_of: Dict[str, str] = {}
+        self.uses_budget = False
         self._tmp = 0
 
     # -- operands ------------------------------------------------------
@@ -261,7 +297,6 @@ class _FnCodegen:
             alias = "__g{0}".format(len(self.global_refs))
             self.global_refs[alias] = name
             self._alias_of[name] = alias
-            self.uses_image = True
         return alias
 
     def func_ref(self, function: Function) -> str:
@@ -271,6 +306,24 @@ class _FnCodegen:
             self.func_refs[alias] = function.name
             self._func_alias_of[function.name] = alias
         return alias
+
+    def runtime_ref(self, name: str) -> str:
+        alias = self._runtime_alias_of.get(name)
+        if alias is None:
+            alias = "__rt{0}".format(len(self.runtime_refs))
+            self.runtime_refs[alias] = name
+            self._runtime_alias_of[name] = alias
+        return alias
+
+    def emit_budget_check(self, ind: int) -> None:
+        """Raise StepLimitExceeded once ``__steps`` passes the run's
+        step budget ``__ms``."""
+        self.uses_budget = True
+        self.w.emit(ind, "if __steps > __ms:")
+        self.w.emit(ind + 1, "st.steps = __steps")
+        self.w.emit(ind + 1, "raise StepLimitExceeded("
+                             "'exceeded {0} steps'"
+                             ".format(st.max_steps))")
 
     def tmp(self) -> str:
         self._tmp += 1
@@ -654,11 +707,7 @@ class _FnCodegen:
                                                 ", ".join(srcs)))
         if bump:
             self.w.emit(ind, "__steps += {0}".format(bump))
-            self.w.emit(ind, "if __steps > __ms:")
-            self.w.emit(ind + 1, "st.steps = __steps")
-            self.w.emit(ind + 1, "raise StepLimitExceeded("
-                                 "'exceeded {0} steps'"
-                                 ".format(st.max_steps))")
+            self.emit_budget_check(ind)
         self.w.emit(ind, "__blk = {0}".format(self.block_id[id(succ)]))
         self.w.emit(ind, "continue")
 
@@ -705,13 +754,16 @@ class _FnCodegen:
                 self.expr(inst.return_value)))
 
     def emit_call(self, ind: int, inst, pending: int) -> None:
-        """A call costs one step; the request is yielded to the driver.
-        Runtime faults are thrown back in at the yield so the masking
-        rules run here, with the compiled function's state live."""
+        """A call costs one step.  A runtime routine is called directly
+        through its per-run handler; every other call is a request
+        yielded to the driver.  Runtime faults are caught (or thrown
+        back in at the yield) so the masking rules run here, with the
+        compiled function's state live."""
         dst = self.slot_of.get(id(inst))
         args = ", ".join(self.expr(a) for a in inst.args)
         args_tuple = "({0},)".format(args) if args else "()"
         callee = inst.callee
+        lhs = "r{0} = ".format(dst) if dst is not None else ""
         self.w.emit(ind, "__steps += {0}".format(pending + 1))
         if isinstance(callee, Function) and not callee.is_intrinsic \
                 and not (callee.is_declaration
@@ -719,28 +771,28 @@ class _FnCodegen:
             # Direct LLVA call: the budget check precedes the push
             # (tier-1 parity), then the driver pushes a frame and the
             # return value is sent back into the generator.
-            self.w.emit(ind, "if __steps > __ms:")
-            self.w.emit(ind + 1, "st.steps = __steps")
-            self.w.emit(ind + 1, "raise StepLimitExceeded("
-                                 "'exceeded {0} steps'"
-                                 ".format(st.max_steps))")
+            self.emit_budget_check(ind)
             self.w.emit(ind, "st.steps = __steps")
-            lhs = "r{0} = ".format(dst) if dst is not None else ""
             self.w.emit(ind, "{0}yield ('call', {1}, {2})".format(
                 lhs, self.func_ref(callee), args_tuple))
             self.w.emit(ind, "__steps = st.steps")
             return
         self.w.emit(ind, "st.steps = __steps")
+        self.w.emit(ind, "try:")
+        if isinstance(callee, Function) and not callee.is_intrinsic:
+            # A runtime routine leaves the step count as it is, so
+            # __steps needs no reload after it.
+            self.w.emit(ind + 1, "{0}{1}({2})".format(
+                lhs, self.runtime_ref(callee.name), args))
+            self.w.emit(ind, "except MemoryError_ as __f:")
+            self.emit_exc_fault(ind + 1, inst, dst)
+            return
         if isinstance(callee, Function):
-            kind = "intr" if callee.is_intrinsic else "rt"
-            request = "('{0}', {1!r}, {2})".format(kind, callee.name,
-                                                   args_tuple)
+            request = "('intr', {0!r}, {1})".format(callee.name,
+                                                    args_tuple)
         else:
-            kind = "icall"
             request = "('icall', {0}, {1})".format(self.expr(callee),
                                                    args_tuple)
-        lhs = "r{0} = ".format(dst) if dst is not None else ""
-        self.w.emit(ind, "try:")
         self.w.emit(ind + 1, "{0}yield {1}".format(lhs, request))
         self.w.emit(ind, "except MemoryError_ as __f:")
         self.emit_exc_fault(ind + 1, inst, dst)
@@ -1047,27 +1099,46 @@ class _FnCodegen:
         num_slots = slot
         for index, block in enumerate(blocks):
             self.block_id[id(block)] = index
-        # Body first (so prologue hoists only what is referenced).
+        # Body first (so the binder binds only what is referenced).
         body = _SourceWriter()
         self.w = body
         for block in blocks:
             self.emit_block(block)
+        # ``__bind(st)`` computes the per-run constants once per run;
+        # the engine makes them the defaults of ``__tier2``'s trailing
+        # parameters (CompiledUnit.bind).
         head = _SourceWriter()
-        params = ", ".join("r{0}".format(i)
-                           for i in range(len(function.args)))
-        head.emit(0, "def __tier2(st{0}):".format(
-            ", " + params if params else ""))
+        head.emit(0, "def __bind(st):")
+        bound = []
         if self.helpers:
             head.emit(1, "__mem = st.memory")
+            if "__mem" in self.helpers:
+                bound.append("__mem")
         for name, value in _HELPERS:
             if name in self.helpers:
                 head.emit(1, "{0} = {1}".format(name, value))
+                bound.append(name)
         for alias, name in self.global_refs.items():
             head.emit(1, "{0} = st.image.address_of({1!r})".format(alias,
                                                                    name))
-        head.emit(1, "__ms = st.max_steps")
-        head.emit(1, "if __ms is None:")
-        head.emit(2, "__ms = 0x7fffffffffffffff")
+            bound.append(alias)
+        for alias, name in self.runtime_refs.items():
+            head.emit(1, "{0} = st.runtime.handler({1!r})".format(alias,
+                                                                  name))
+            bound.append(alias)
+        if self.uses_budget:
+            head.emit(1, "__ms = __budget(st)")
+            bound.append("__ms")
+        head.emit(1, "return ({0}{1})".format(
+            ", ".join(bound), "," if len(bound) == 1 else ""))
+        head.emit(0, "def __tier2({0}):".format(
+            ", ".join(["st", "__a"] + bound)))
+        if function.args:
+            # The arguments arrive as one sequence: a call with a fixed
+            # arity is cheaper than one that spreads ``*args``.
+            names = ["r{0}".format(i) for i in range(len(function.args))]
+            head.emit(1, "{0}{1} = __a".format(
+                ", ".join(names), "," if len(names) == 1 else ""))
         head.emit(1, "__steps = st.steps")
         head.emit(1, "__blk = 0")
         # A function whose body never yields must still be a generator
@@ -1078,7 +1149,7 @@ class _FnCodegen:
         return head.text() + body.text(), num_slots
 
 
-#: The memory helpers a unit's prologue can bind, as (name, value).
+#: The memory helpers a unit's binder can bind, as (name, value).
 _HELPERS = (("__ld", "__mem.load"), ("__st", "__mem.store"),
             ("__rb", "__mem.read_bytes"), ("__wb", "__mem.write_bytes"),
             ("__fb", "int.from_bytes"))
@@ -1105,8 +1176,15 @@ def _vlanes_counter():
     return bump
 
 
+def _step_budget(st) -> int:
+    """The run's ``max_steps``, with no limit as the largest int64."""
+    budget = st.max_steps
+    return 0x7fffffffffffffff if budget is None else budget
+
+
 _BASE_NAMESPACE = {
     "MemoryError_": MemoryError_,
+    "__budget": _step_budget,
     "__vlanes": None,
     "ExecutionTrap": ExecutionTrap,
     "StepLimitExceeded": StepLimitExceeded,
@@ -1153,15 +1231,13 @@ def build_unit(function: Function, module: Module, source: str,
                 "direct callee {0!r} not in module".format(name))
         namespace[alias] = target_fn
     exec(code, namespace)
-    factory = namespace["__tier2"]
-    snap_map = tuple(("r{0}".format(i), i) for i in range(num_slots))
     return CompiledUnit(
         function=function,
         smc_version=function.smc_version,
-        factory=factory,
+        factory=namespace["__tier2"],
+        binder=namespace["__bind"],
         num_args=len(function.args),
         num_slots=num_slots,
-        snap_map=snap_map,
         source=source,
         func_hash=func_hash,
         code=code,

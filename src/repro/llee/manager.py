@@ -242,10 +242,12 @@ class LLEE:
         engine keeps nothing, so its ``cache_hit`` is always False.
 
         With a storage API, tier-2 source is persisted through it under
-        the ``llee-tier2`` cache, so a fresh process warm-starts from the
-        offline translation like the native path does.  A stale, corrupt
-        or mismatched blob logs ``llee.cache.invalid`` and degrades to
-        online translation.
+        the ``llee-tier2`` cache, keyed by the object-code digest alone
+        (``tier2.cache_key``, shared with ``repro run
+        --translation-cache`` and every target's LLEE), so a fresh
+        process warm-starts from the offline translation like the native
+        path does.  A stale, corrupt or mismatched blob logs
+        ``llee.cache.invalid`` and degrades to online translation.
         """
         config = ExecConfig(**settings)
         fast = config.engine == "fast"
@@ -262,13 +264,13 @@ class LLEE:
                 decode_cache = DecodeCache(module.target_data,
                                            config.sanitize)
                 if config.tier2:
-                    from repro.execution.tier2 import Tier2Cache
+                    from repro.execution.tier2 import Tier2Cache, cache_key
 
                     tier2_cache = Tier2Cache(module, module.target_data,
                                              config.tier2_threshold)
                     if self.storage is not None:
                         tier2_cache.attach_storage(
-                            self.storage, object_key,
+                            self.storage, cache_key(object_code),
                             executable_timestamp=executable_timestamp)
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",

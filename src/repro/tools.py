@@ -41,7 +41,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro import observe
 from repro.asm import LexerError, ParseError, parse_module
@@ -49,7 +49,7 @@ from repro.bitcode import BitcodeError, read_module, write_module
 from repro.execution import ExecutionTrap, Interpreter
 from repro.execution.config import DEFAULT_THRESHOLD, ExecConfig
 from repro.execution.machine_sim import MachineSimulator
-from repro.execution.tier2 import Tier2Cache
+from repro.execution.tier2 import Tier2Cache, cache_key
 from repro.ir import VerificationError, print_module, verify_module
 from repro.ir.module import Module
 from repro.llee.jit import FunctionJIT
@@ -91,6 +91,13 @@ def _file_errors(path: str, verb: str = "read") -> Iterator[None]:
 
 
 def _load_module(path: str) -> Module:
+    return _load_executable(path)[0]
+
+
+def _load_executable(path: str) -> Tuple[Module, Optional[bytes]]:
+    """The verified module at *path*, with the virtual object code it
+    was read from when *path* is a bitcode file (else None)."""
+    object_code = None
     with observe.span("cli.load_module", path=path), _file_errors(path):
         if path.endswith(".ll"):
             with open(path) as handle:
@@ -100,9 +107,10 @@ def _load_module(path: str) -> Module:
                 module = compile_source(handle.read(), path)
         else:
             with open(path, "rb") as handle:
-                module = read_module(handle.read(), path)
+                object_code = handle.read()
+            module = read_module(object_code, path)
         verify_module(module)
-    return module
+    return module, object_code
 
 
 def _write_text(text: str, output: Optional[str]) -> None:
@@ -261,20 +269,21 @@ def _disk_storage(path: str):
         return DiskStorage(path)
 
 
-def _run_interpreter(args, module, config, program_args, profiler=None):
+def _run_interpreter(args, module, config, program_args, profiler=None,
+                     object_code: Optional[bytes] = None):
     """Run *module* on the interpreter *config* selects and return
     ``(interpreter, result)``.  ``--translation-cache`` persists the
-    tier-2 translations in a directory, for cross-process warm
-    starts."""
+    tier-2 translations in a directory, for cross-process warm starts,
+    under the key of *object_code*: the bitcode *module* was read from
+    and has not changed since, or None to encode *module*."""
     tier2_cache = None
     if config.tier2 and args.translation_cache:
-        import hashlib
-
         tier2_cache = Tier2Cache(module, module.target_data,
                                  config.tier2_threshold)
-        key = hashlib.sha256(write_module(module)).hexdigest()[:24]
+        if object_code is None:
+            object_code = write_module(module)
         tier2_cache.attach_storage(_disk_storage(args.translation_cache),
-                                   key)
+                                   cache_key(object_code))
     interpreter = Interpreter(module, config, privileged=args.privileged,
                               tier2_cache=tier2_cache, profiler=profiler)
     try:
@@ -285,12 +294,13 @@ def _run_interpreter(args, module, config, program_args, profiler=None):
 
 
 def _cmd_run(args) -> int:
-    module = _load_module(args.input)
+    module, object_code = _load_executable(args.input)
     if args.vectorize:
         # Compile-time rewrite: run the autovectorizer over the loaded
         # module (loops must already be canonical — compile with -O).
         optimize(module, level=0, vectorize=True)
         verify_module(module)
+        object_code = None
     program_args = _parse_program_args(args.args)
     problem = _check_program_args(module, args.entry, program_args)
     if problem:
@@ -314,8 +324,9 @@ def _cmd_run(args) -> int:
             if args.stats:
                 sys.stderr.write(_format_stats_line(args.target, value))
         else:
-            _interpreter, result = _run_interpreter(args, module, config,
-                                                    program_args)
+            _interpreter, result = _run_interpreter(
+                args, module, config, program_args,
+                object_code=object_code)
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:

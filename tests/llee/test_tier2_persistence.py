@@ -10,6 +10,7 @@ translation without ever breaking execution.
 
 import base64
 import json
+import os
 import sys
 import time
 
@@ -20,7 +21,7 @@ from repro import observe
 from repro.asm import parse_module
 from repro.bitcode import read_module, write_module
 from repro.execution import Interpreter
-from repro.execution.tier2 import TIER2_CACHE_NAME, Tier2Cache
+from repro.execution.tier2 import TIER2_CACHE_NAME, Tier2Cache, cache_key
 from repro.llee import LLEE, DiskStorage, InMemoryStorage
 from repro.minic import compile_source
 from repro.targets import make_target
@@ -237,10 +238,10 @@ class TestBlobIntegrity:
             return llee, llee.run_interpreted(code, tier2=True,
                                               tier2_threshold=0)
 
-        llee, cold = run()
+        _, cold = run()
         assert cold.output == "40775"
         storage = DiskStorage(root)
-        key = llee._cache_key(code)
+        key = cache_key(code)
         blob = json.loads(storage.read(TIER2_CACHE_NAME, key))
         tamper(blob["functions"])
         storage.write(TIER2_CACHE_NAME, key,
@@ -470,3 +471,30 @@ class TestSelfModifyingCodeDoesNotPoisonTheCache:
             report = LLEE(make_target(target_name), storage) \
                 .run_executable(smc_code, args=[n])
             assert report.return_value == expected
+
+
+class TestOneBlobKey:
+    """The CLI and an LLEE of either target key a program's tier-2 blob
+    by its object-code digest alone, so they share one entry."""
+
+    def test_cli_blob_serves_both_targets(self, object_code, tmp_path,
+                                          capsys):
+        program = tmp_path / "p.bc"
+        program.write_bytes(object_code)
+        root = str(tmp_path / "cache")
+        assert main(["run", str(program), "--tier2", "--tier2-threshold",
+                     "0", "--translation-cache", root]) == 6878 & 0xFF
+        capsys.readouterr()
+        for target_name in ("x86", "sparc"):
+            report = LLEE(make_target(target_name),
+                          DiskStorage(root)).run_interpreted(
+                object_code, tier2=True, tier2_threshold=0)
+            assert report.output == "6878"
+            assert report.translation_cache_hit
+            assert report.tier2_functions_compiled == 2
+            assert report.tier2_warm_compiles == 2
+        assert DiskStorage(root).read(TIER2_CACHE_NAME,
+                                      cache_key(object_code))
+        [directory] = [name for name in os.listdir(root)
+                       if name.startswith(TIER2_CACHE_NAME + "-")]
+        assert len(os.listdir(os.path.join(root, directory))) == 1
