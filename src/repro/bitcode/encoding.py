@@ -6,11 +6,13 @@ instructions for compactness and translator efficiency."
 
 The concrete scheme here:
 
-* **Short form** — one little-endian ``uint32``::
+* **Short form** — one big-endian ``uint32``, so that the form marker
+  is the first byte of the stream, where the decoder peeks for it::
 
       bit 31      = 0  (short-form marker)
       bit 30      = ExceptionsEnabled differs from the opcode default
-      bits 24-29  = opcode (6 bits; 28 opcodes fit)
+      bits 24-29  = opcode (6 bits: 64 fit; the table has 37, Table 1's
+                    28 plus the 9 of the vector extension)
       bits 18-23  = result type index (6 bits)
       bits  9-17  = operand 1 value id (9 bits; 0x1FF = absent)
       bits  0-8   = operand 0 value id (9 bits; 0x1FF = absent)

@@ -27,7 +27,11 @@ arena an address falls in, with a *codec* (a module-level
 ``struct.Struct`` of one scalar format, from :func:`scalar_codec` or
 :func:`store_codec`) chosen when the instruction is decoded.  The
 codecs are shared constants, so decoded code and tier-2 units that
-outlive a memory bind them.  :meth:`Memory.read_typed` and
+outlive a memory bind them.  Tier 2 inlines one branch of that path: an
+access through a global whose address passes the global test of
+:meth:`Memory.load` is one codec call on :attr:`Memory.global_arena`;
+every other address goes through :meth:`Memory.load` and
+:meth:`Memory.store`.  :meth:`Memory.read_typed` and
 :meth:`Memory.write_typed` are the reference interpreter's independent
 path, through ``int.from_bytes``/``to_bytes``, and the oracle the
 codec path is checked against.
@@ -410,6 +414,17 @@ class Memory:
     def global_end(self) -> int:
         """The end of the global space handed out so far."""
         return self._global_cursor
+
+    @property
+    def global_arena(self) -> _mmap.mmap:
+        """The global arena: a scalar at *address* with ``GLOBAL_BASE
+        <= address`` and ``address + size <= global_end`` is at offset
+        ``address - GLOBAL_BASE`` in it, which is the test and the
+        offset :meth:`load` and :meth:`store` use for a global.  The
+        arenas are disjoint, so an access that passes the test is one
+        they would make there too; any other address must go through
+        them.  The object lasts as long as the memory."""
+        return self._global_arena
 
     def map_globals(self, end: int) -> None:
         """Hand out the global space below *end* at once, as the

@@ -10,19 +10,42 @@ generator function —
 * registers become dense local variables (``r0``, ``r1``, ...) named by
   the same V-ABI slot numbering tier 1 uses, so trap-handler register
   snapshots stay identical across tiers;
-* basic blocks become arms of a ``while True`` block-dispatch loop;
-  branches assign the successor id and ``continue`` — no per-
-  instruction dispatch at all;
+* a block with exactly one incoming edge slot runs in place: its code
+  follows that edge's phi copies, step bump and budget check.  The
+  entry and every other block is an arm of a ``while True`` loop,
+  reached through a balanced tree of ``__blk < k`` tests (at most
+  ceil(log2(n)) comparisons for n arms); an edge to one assigns
+  ``__blk`` and continues the loop.  Every path through a block ends in
+  ``return``, ``continue`` or ``raise``, so a branch emits one side
+  under an ``if`` and lets the other follow at the same depth, nesting
+  only when both sides run in place; past :data:`_MAX_IN_PLACE_DEPTH`
+  in-place blocks below an arm an edge dispatches instead, which keeps
+  the source inside CPython's indentation limit.  No per-instruction
+  dispatch at all;
 * step counting is merged: one ``__steps += k`` per straight-line run,
-  placed so the architectural count is exact at every fault point;
+  placed so the architectural count is exact at every fault point, and
+  a budget check is one line (``__limit`` stores the count and builds
+  the :class:`StepLimitExceeded`);
 * constant ``getelementptr`` chains fold to literal byte offsets, and
   a scalar load or store is one ``__ld(p, C)``/``__st(p, C, v)`` call
   (:meth:`~repro.execution.memory.Memory.load`/``store``), where ``C``
   is a codec constant of the unit's namespace and a constant store
-  value is masked at code generation;
-* the constants of a run — the memory helpers the body uses, each
-  referenced global's address, the runtime handlers it calls and
-  ``max_steps`` — are computed once per unit per run by the unit's
+  value is masked at code generation.  Through a global, or a
+  ``getelementptr`` of one, the address is first tested the way
+  ``Memory.load`` tests for the global arena (``GLOBAL_BASE <= p`` and
+  ``p + size <= global_end``); an address that passes is one
+  ``C.unpack_from``/``C.pack_into`` on
+  :attr:`~repro.execution.memory.Memory.global_arena`, and any other
+  takes ``__ld``/``__st``, so every fault keeps its report;
+* a cast that cannot change its value
+  (:attr:`~repro.ir.instructions.CastInst.preserves_value`) is a copy,
+  which relies on every register holding a value of its type (an entry
+  function's arguments included: ``repro run`` rejects one outside its
+  parameter's range);
+* the constants of a run — the memory helpers the body uses (the
+  global arena and its end among them), each referenced global's
+  address, the runtime handlers it calls and ``max_steps`` — are
+  computed once per unit per run by the unit's
   ``__bind(st)`` and passed as the defaults of ``__tier2``'s trailing
   parameters (:meth:`CompiledUnit.bind`), so a call runs no prologue;
 * a runtime routine is a direct call of its handler.
@@ -92,6 +115,7 @@ from repro.execution.interpreter import (
 from repro.execution.fastpath import _vector_struct_format
 from repro.execution.memory import (
     CODECS,
+    GLOBAL_BASE,
     MemoryError_,
     _CODEC_TYPES,
     _FP_FORMAT,
@@ -129,7 +153,12 @@ from repro.llee.storage import load_entry, store_entry
 #: v9: no prologue: ``__bind(st)`` computes the per-run constants, which
 #: the engine passes as ``__tier2``'s parameter defaults, and a runtime
 #: routine is called directly instead of yielded.
-TIER2_VERSION = 9
+#: v10: a block with one incoming edge runs in place at the end of it,
+#: the other blocks dispatch through a balanced ``__blk < k`` test, a
+#: load or store through a global is a codec call on the global arena
+#: when the address passes its bounds test, a value-preserving cast is
+#: a copy, and a budget check is one line.
+TIER2_VERSION = 10
 
 #: Architectural steps credited to a function (on return of its tier-1
 #: activations) before it is promoted regardless of invocation count.
@@ -250,7 +279,9 @@ class _FnCodegen:
         self.target = target
         self.w = _SourceWriter()
         self.slot_of: Dict[int, int] = {}
-        self.block_id: Dict[int, int] = {}
+        #: id(block) -> its dispatch arm's ``__blk`` value, for the
+        #: blocks that do not run in place (:meth:`plan_layout`).
+        self.arm_of: Dict[int, int] = {}
         #: alias -> referenced module-level symbol name (functions and
         #: globals both resolve through the image at generator entry).
         self.global_refs: Dict[str, str] = {}
@@ -317,13 +348,9 @@ class _FnCodegen:
 
     def emit_budget_check(self, ind: int) -> None:
         """Raise StepLimitExceeded once ``__steps`` passes the run's
-        step budget ``__ms``."""
+        step budget ``__ms`` (``__limit`` stores the count first)."""
         self.uses_budget = True
-        self.w.emit(ind, "if __steps > __ms:")
-        self.w.emit(ind + 1, "st.steps = __steps")
-        self.w.emit(ind + 1, "raise StepLimitExceeded("
-                             "'exceeded {0} steps'"
-                             ".format(st.max_steps))")
+        self.w.emit(ind, "if __steps > __ms: raise __limit(st, __steps)")
 
     def tmp(self) -> str:
         self._tmp += 1
@@ -542,19 +569,42 @@ class _FnCodegen:
             dst, self.expr(inst.operand(0)), _BIN_OP[inst.opcode],
             self.expr(inst.operand(1))))
 
-    def emit_load(self, ind: int, inst) -> None:
-        dst = self.slot_of[id(inst)]
-        codec = _CODEC_NAMES[scalar_codec(self.target, inst.type)]
-        self.helpers.add("__ld")
+    def emit_access(self, ind: int, inst, pointer: str, size: int,
+                    arena_call: str, checked_call: str,
+                    dst: Optional[int]) -> None:
+        """A scalar load or store: *checked_call* (``__ld``/``__st``)
+        with the fault suffix.  Through a global, or a
+        ``getelementptr`` of one, *arena_call* (one codec call on the
+        global arena) runs instead when the address passes
+        ``Memory.load``'s global test; such an access cannot fault."""
+        if _global_based(inst.pointer):
+            self.helpers.update(("__ga", "__ge"))
+            self.w.emit(ind, "if {0} <= {1} and {1} + {2} <= __ge:".format(
+                GLOBAL_BASE, pointer, size))
+            self.w.emit(ind + 1, arena_call)
+            self.w.emit(ind, "else:")
+            ind += 1
         self.w.emit(ind, "try:")
-        self.w.emit(ind + 1, "r{0} = __ld({1}, {2})".format(
-            dst, self.expr(inst.pointer), codec))
+        self.w.emit(ind + 1, checked_call)
         self.w.emit(ind, "except MemoryError_ as __f:")
         self.emit_exc_fault(ind + 1, inst, dst)
 
+    def emit_load(self, ind: int, inst) -> None:
+        dst = self.slot_of[id(inst)]
+        codec = scalar_codec(self.target, inst.type)
+        name = _CODEC_NAMES[codec]
+        p = self.expr(inst.pointer)
+        self.helpers.add("__ld")
+        self.emit_access(
+            ind, inst, p, codec.size,
+            "r{0} = {1}.unpack_from(__ga, {2} - {3})[0]".format(
+                dst, name, p, GLOBAL_BASE),
+            "r{0} = __ld({1}, {2})".format(dst, p, name), dst)
+
     def emit_store(self, ind: int, inst) -> None:
         vtype = inst.value.type
-        codec = _CODEC_NAMES[store_codec(self.target, vtype)]
+        codec = store_codec(self.target, vtype)
+        name = _CODEC_NAMES[codec]
         self.helpers.add("__st")
         value_operand = inst.value
         value = self.expr(value_operand)
@@ -568,11 +618,12 @@ class _FnCodegen:
                 value = repr(const & mask)
             else:
                 value = "({0}) & {1}".format(value, mask)
-        self.w.emit(ind, "try:")
-        self.w.emit(ind + 1, "__st({0}, {1}, {2})".format(
-            self.expr(inst.pointer), codec, value))
-        self.w.emit(ind, "except MemoryError_ as __f:")
-        self.emit_exc_fault(ind + 1, inst, None)
+        p = self.expr(inst.pointer)
+        self.emit_access(
+            ind, inst, p, codec.size,
+            "{0}.pack_into(__ga, {1} - {2}, {3})".format(
+                name, p, GLOBAL_BASE, value),
+            "__st({0}, {1}, {2})".format(p, name, value), None)
 
     def emit_gep(self, ind: int, inst) -> None:
         dst = self.slot_of[id(inst)]
@@ -640,7 +691,7 @@ class _FnCodegen:
         source = inst.value.type
         dest = inst.type
         v = self.expr(inst.value)
-        if source is dest:
+        if inst.preserves_value:
             self.w.emit(ind, "r{0} = {1}".format(dst, v))
             return
         if dest.is_bool:
@@ -688,8 +739,9 @@ class _FnCodegen:
     def emit_edge(self, ind: int, pred: BasicBlock, succ: BasicBlock,
                   extra: int) -> None:
         """Transfer to *succ*: simultaneous phi assignment, merged step
-        bump (taken-branch + one per phi), the max_steps check, and the
-        jump."""
+        bump (taken-branch + one per phi), the max_steps check, then
+        *succ*'s body when it runs in place, else the dispatch to its
+        arm."""
         phis = succ.phis()
         bump = extra + len(phis)
         if phis:
@@ -708,42 +760,46 @@ class _FnCodegen:
         if bump:
             self.w.emit(ind, "__steps += {0}".format(bump))
             self.emit_budget_check(ind)
-        self.w.emit(ind, "__blk = {0}".format(self.block_id[id(succ)]))
-        self.w.emit(ind, "continue")
+        arm = self.arm_of.get(id(succ))
+        if arm is None:
+            self.emit_block_body(succ, ind)
+        else:
+            self.w.emit(ind, "__blk = {0}".format(arm))
+            self.w.emit(ind, "continue")
+
+    # Every emitted block ends in ``return``, ``continue`` or ``raise``
+    # on every path, so an arm emitted under an ``if`` needs no
+    # ``else:``: the code after the ``if`` is the other arm.
 
     def emit_br(self, ind: int, block: BasicBlock, inst) -> None:
-        if not inst.is_conditional:
-            self.emit_edge(ind, block, inst.operand(0), 1)
+        targets = _taken_targets(inst)
+        if len(targets) == 1:
+            self.emit_edge(ind, block, targets[0], 1)
             return
-        cond = inst.operand(0)
-        if isinstance(cond, ConstantBool):
-            self.emit_edge(ind, block,
-                           inst.operand(1) if cond.value
-                           else inst.operand(2), 1)
+        taken, fallen = targets
+        cond = self.expr(inst.operand(0))
+        if id(taken) not in self.arm_of and id(fallen) in self.arm_of:
+            # The dispatching arm goes under the ``if``, so the one
+            # that runs in place does not nest.
+            self.w.emit(ind, "if not {0}:".format(cond))
+            self.emit_edge(ind + 1, block, fallen, 1)
+            self.emit_edge(ind, block, taken, 1)
             return
-        self.w.emit(ind, "if {0}:".format(self.expr(cond)))
-        self.emit_edge(ind + 1, block, inst.operand(1), 1)
-        self.w.emit(ind, "else:")
-        self.emit_edge(ind + 1, block, inst.operand(2), 1)
+        self.w.emit(ind, "if {0}:".format(cond))
+        self.emit_edge(ind + 1, block, taken, 1)
+        self.emit_edge(ind, block, fallen, 1)
 
     def emit_mbr(self, ind: int, block: BasicBlock, inst) -> None:
-        sel = self.tmp()
-        self.w.emit(ind, "{0} = {1}".format(sel, self.expr(inst.selector)))
-        seen = set()
-        first = True
-        for case_value, case_label in inst.cases():
-            if case_value.value in seen:  # first match wins
-                continue
-            seen.add(case_value.value)
+        cases = _mbr_cases(inst)
+        if cases:
+            sel = self.tmp()
+            self.w.emit(ind, "{0} = {1}".format(sel,
+                                                self.expr(inst.selector)))
+        for position, (value, label) in enumerate(cases):
             self.w.emit(ind, "{0} {1} == {2!r}:".format(
-                "if" if first else "elif", sel, case_value.value))
-            first = False
-            self.emit_edge(ind + 1, block, case_label, 1)
-        if first:
-            self.emit_edge(ind, block, inst.default, 1)
-        else:
-            self.w.emit(ind, "else:")
-            self.emit_edge(ind + 1, block, inst.default, 1)
+                "elif" if position else "if", sel, value))
+            self.emit_edge(ind + 1, block, label, 1)
+        self.emit_edge(ind, block, inst.default, 1)
 
     def emit_ret(self, ind: int, inst, pending: int) -> None:
         self.w.emit(ind, "st.steps = __steps + {0}".format(pending + 1))
@@ -990,12 +1046,56 @@ class _FnCodegen:
                 and self._divrem_const_divisor(inst) is not None
         return False
 
-    def emit_block(self, block: BasicBlock) -> None:
-        """One dispatch arm."""
-        bid = self.block_id[id(block)]
-        self.w.emit(2, "{0} __blk == {1}:".format(
-            "if" if bid == 0 else "elif", bid))
-        self.emit_block_body(block, 3)
+    def plan_layout(self, blocks: List[BasicBlock]) -> List[BasicBlock]:
+        """Decide where each block's code goes, before any is emitted,
+        and return the dispatch arms in block order (numbering
+        :attr:`arm_of`).  A block other than the entry with exactly one
+        incoming edge slot runs in place, at the end of that edge, up to
+        :data:`_MAX_IN_PLACE_DEPTH` in-place blocks below its arm; past
+        that depth, and for every other block, the edge dispatches to
+        an arm.  A block with one slot that no emitted edge takes (the
+        untaken side of a constant ``br``, a shadowed ``mbr`` case) is
+        an arm too, so every block is emitted exactly once."""
+        incoming: Dict[int, int] = {}
+        for block in blocks:
+            for succ in block.successors():
+                incoming[id(succ)] = incoming.get(id(succ), 0) + 1
+        #: id(block) -> in-place blocks between it and its arm (0: an arm)
+        depth: Dict[int, int] = {}
+        work = []
+        for position, block in enumerate(blocks):
+            if position == 0 or incoming.get(id(block), 0) != 1:
+                depth[id(block)] = 0
+                work.append(block)
+        while True:
+            while work:
+                block = work.pop()
+                below = depth[id(block)] + 1
+                for succ in _taken_targets(block.instructions[-1]
+                                           if block.instructions else None):
+                    if id(succ) not in depth:
+                        depth[id(succ)] = below \
+                            if below <= _MAX_IN_PLACE_DEPTH else 0
+                        work.append(succ)
+            unplaced = [block for block in blocks if id(block) not in depth]
+            if not unplaced:
+                break
+            depth[id(unplaced[0])] = 0
+            work.append(unplaced[0])
+        arms = [block for block in blocks if depth[id(block)] == 0]
+        self.arm_of = {id(block): index for index, block in enumerate(arms)}
+        return arms
+
+    def emit_dispatch(self, arms: List[BasicBlock], low: int, high: int,
+                      ind: int) -> None:
+        """The arms ``low``..``high - 1`` under a balanced ``__blk <
+        k`` test: reaching an arm costs ceil(log2(n)) comparisons."""
+        while high - low > 1:
+            middle = (low + high) // 2
+            self.w.emit(ind, "if __blk < {0}:".format(middle))
+            self.emit_dispatch(arms, low, middle, ind + 1)
+            low = middle
+        self.emit_block_body(arms[low], ind)
 
     def emit_block_body(self, block: BasicBlock, ind: int) -> None:
         instructions = block.instructions
@@ -1097,13 +1197,11 @@ class _FnCodegen:
                     self.slot_of[id(inst)] = slot
                     slot += 1
         num_slots = slot
-        for index, block in enumerate(blocks):
-            self.block_id[id(block)] = index
+        arms = self.plan_layout(blocks)
         # Body first (so the binder binds only what is referenced).
         body = _SourceWriter()
         self.w = body
-        for block in blocks:
-            self.emit_block(block)
+        self.emit_dispatch(arms, 0, len(arms), 2)
         # ``__bind(st)`` computes the per-run constants once per run;
         # the engine makes them the defaults of ``__tier2``'s trailing
         # parameters (CompiledUnit.bind).
@@ -1149,8 +1247,57 @@ class _FnCodegen:
         return head.text() + body.text(), num_slots
 
 
+#: In-place blocks below one dispatch arm, at most: a longer chain
+#: dispatches once per this many blocks.  Each in-place block indents
+#: its successors by at most one level, so this bounds the generated
+#: nesting well inside CPython's 100 indentation levels, and the code
+#: generator's own recursion, whatever the function's shape.
+_MAX_IN_PLACE_DEPTH = 32
+
+
+def _taken_targets(terminator) -> tuple:
+    """The successors the code generated for *terminator* can transfer
+    to, in the order it tests them: both of a conditional ``br``, the
+    one a constant condition picks, the first case of each ``mbr``
+    value then its default; none for any other instruction."""
+    if isinstance(terminator, insts.BranchInst):
+        if not terminator.is_conditional:
+            return (terminator.operand(0),)
+        cond = terminator.operand(0)
+        if isinstance(cond, ConstantBool):
+            return (terminator.operand(1) if cond.value
+                    else terminator.operand(2),)
+        return (terminator.operand(1), terminator.operand(2))
+    if isinstance(terminator, insts.MultiwayBranchInst):
+        return tuple(label for _value, label in _mbr_cases(terminator)) \
+            + (terminator.default,)
+    return ()
+
+
+def _mbr_cases(inst) -> List[Tuple[int, BasicBlock]]:
+    """An ``mbr``'s ``(value, label)`` cases as tested: the first case
+    of each value, since the first match wins."""
+    seen = set()
+    cases = []
+    for value, label in inst.cases():
+        if value.value not in seen:
+            seen.add(value.value)
+            cases.append((value.value, label))
+    return cases
+
+
+def _global_based(pointer) -> bool:
+    """Whether *pointer* is a global or a ``getelementptr`` chain from
+    one: an address that tier 2 tests against the global arena before
+    it takes ``__ld``/``__st``."""
+    while isinstance(pointer, insts.GetElementPtrInst):
+        pointer = pointer.pointer
+    return isinstance(pointer, GlobalVariable)
+
+
 #: The memory helpers a unit's binder can bind, as (name, value).
 _HELPERS = (("__ld", "__mem.load"), ("__st", "__mem.store"),
+            ("__ga", "__mem.global_arena"), ("__ge", "__mem.global_end"),
             ("__rb", "__mem.read_bytes"), ("__wb", "__mem.write_bytes"),
             ("__fb", "int.from_bytes"))
 
@@ -1182,12 +1329,19 @@ def _step_budget(st) -> int:
     return 0x7fffffffffffffff if budget is None else budget
 
 
+def _step_limit(st, steps: int) -> StepLimitExceeded:
+    """What a unit whose count *steps* passed the run's budget raises,
+    after storing the count on the engine *st*."""
+    st.steps = steps
+    return StepLimitExceeded("exceeded {0} steps".format(st.max_steps))
+
+
 _BASE_NAMESPACE = {
     "MemoryError_": MemoryError_,
     "__budget": _step_budget,
+    "__limit": _step_limit,
     "__vlanes": None,
     "ExecutionTrap": ExecutionTrap,
-    "StepLimitExceeded": StepLimitExceeded,
     "_float_arith": _float_arith,
     "_round_f32": _round_f32,
     "__pack": struct.pack,

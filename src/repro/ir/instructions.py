@@ -734,6 +734,20 @@ class CastInst(Instruction):
         return source is self.type or (source.is_pointer
                                        and self.type.is_pointer)
 
+    @property
+    def preserves_value(self) -> bool:
+        """True for casts whose result is their operand's value: the
+        no-op casts, and an integer widening that keeps signedness or
+        goes from unsigned to a wider signed type (every value of the
+        source type is one of the destination type)."""
+        if self.is_noop:
+            return True
+        source = self.value.type
+        dest = self.type
+        return source.is_integer and dest.is_integer \
+            and dest.bits > source.bits \
+            and (dest.is_signed or not source.is_signed)
+
 
 class PhiInst(Instruction):
     """``phi`` — SSA merge of values at control-flow join points.

@@ -196,7 +196,11 @@ def _check_program_args(module, entry: str,
                         program_args: List[object]) -> Optional[str]:
     """Return an error message when a program argument cannot feed the
     entry function's parameter type (a string for an int parameter
-    would otherwise surface as a TypeError deep in the evaluator)."""
+    would otherwise surface as a TypeError deep in the evaluator).  An
+    integer argument must be a value of an integer or pointer
+    parameter's type: every engine holds a register to its type's
+    range, and the native targets' argument stores reject wider
+    values."""
     function = module.functions.get(entry)
     if function is None:
         return None  # the engine reports unknown entry points itself
@@ -207,6 +211,16 @@ def _check_program_args(module, entry: str,
                 and isinstance(value, str)):
             return ("argument {0} ({1!r}) is not a number, but "
                     "{2} parameter '{3}' is of type {4}\n".format(
+                        position, value, entry, arg.name, param_type))
+        if param_type.is_integer:
+            low, high = param_type.min_value, param_type.max_value
+        elif param_type.is_pointer:
+            low, high = 0, (1 << (8 * module.target_data.pointer_size)) - 1
+        else:
+            continue
+        if isinstance(value, int) and not low <= value <= high:
+            return ("argument {0} ({1}) is out of range for {2} "
+                    "parameter '{3}' of type {4}\n".format(
                         position, value, entry, arg.name, param_type))
     return None
 

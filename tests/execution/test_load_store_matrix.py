@@ -8,6 +8,15 @@ each fault once delivered and once masked by ``!ee(false)``.  The types
 are the scalar primitives of the IR's type table plus a pointer, so a
 new scalar type cannot be left out.
 
+The global arena's edges get cells of their own, each an address
+reached through a ``getelementptr`` of a global (the accesses tier 2
+tests against the arena's bounds before it calls ``Memory.load`` or
+``store``): the arena's first byte, the last whole scalar below its end,
+a scalar straddling its end (for a one-byte type, the byte just past
+it) and a scalar below ``GLOBAL_BASE``.  Each is loaded, stored and
+read back, and stored and loaded under ``!ee(false)``, where a faulting
+load reads zero and a faulting store is dropped.
+
 Each cell's module runs on every ``ExecConfig.all()`` entry and must
 match the reference interpreter (the llva-san reference for the llva-san
 entries) on result, output, steps, exit status and trap report.  It
@@ -16,12 +25,15 @@ interpreter with that target's layout on result, output, exit status
 and trap kind.
 """
 
+from typing import Tuple
+
 import pytest
 
 from repro.asm import parse_module
 from repro.execution import ExecutionTrap, Interpreter
 from repro.execution.config import ExecConfig
 from repro.execution.machine_sim import MachineSimulator
+from repro.execution.memory import GLOBAL_BASE
 from repro.ir import types, verify_module
 from repro.targets import make_target, translate_module
 
@@ -57,6 +69,20 @@ ACCESSES = ("load", "store", "masked")
 CELLS = [(t, place, None) for t in SCALARS for place in ARENAS] + [
     (t, place, access) for t in SCALARS for place in FAULTS
     for access in ACCESSES]
+
+#: The global arena's edges: (the globals in layout order, then the
+#: ``getelementptr`` index from the cell's global ``%g`` for a one-byte
+#: scalar and for a wider one).  ``%pad`` is one byte, so the arena ends
+#: one byte past the address ``%g``'s index 1 reaches.  Only the last
+#: two fault.
+EDGES = {
+    "global-first": (("g", "anchor"), 0, 0),
+    "global-last": (("anchor", "g"), 0, 0),
+    "global-straddle": (("anchor", "g", "pad"), 2, 1),
+    "global-below": (("g", "anchor"), -1, -1),
+}
+EDGE_CELLS = [(t, place, access) for t in SCALARS for place in EDGES
+              for access in ACCESSES]
 
 TARGETS = ("x86", "sparc")
 REFERENCE = ExecConfig(engine="reference")
@@ -157,6 +183,38 @@ entry:
     return DECLS + "".join(body)
 
 
+def edge_source(type_name: str, place: str, access: str) -> str:
+    """A cell at one of the global arena's edges: ``load`` reads the
+    address, ``store`` stores there and reads it back, and ``masked``
+    does both under ``!ee(false)``."""
+    t = type_name
+    # A global named in an initializer is laid out first, so the
+    # pointer cell starts null and stores the anchor's address.
+    initial, stored = ("null", "%anchor") if t == POINTER else VALUES[t]
+    order, narrow, wide = EDGES[place]
+    one_byte = t != POINTER and types.PRIMITIVES[t].size == 1
+    index = narrow if one_byte else wide
+    declared = {"g": "%g = global {0} {1}".format(t, initial),
+                "anchor": "%anchor = global int 0",
+                "pad": "%pad = global ubyte 0"}
+    ee = " !ee(false)" if access == "masked" else ""
+    body = ["\n".join(declared[name] for name in order),
+            DECLS.replace("%anchor = global int 0\n", ""), """
+int %main() {{
+entry:
+        %p = getelementptr {0}* %g, long {1}""".format(t, index)]
+    if access in ("store", "masked"):
+        body.append("""
+        store {0} {1}, {0}* %p{2}""".format(t, stored, ee))
+    body.append("""
+        %v = load {0}* %p{1}""".format(t, ee))
+    body.append(_print(t, "v"))
+    body.append("""
+        ret int 7
+}""")
+    return "".join(body)
+
+
 def _module(source):
     module = parse_module(source)
     verify_module(module)
@@ -207,21 +265,65 @@ def _cell_id(cell):
                                 access) if p)
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
-def test_cell(cell):
-    source = cell_source(*cell)
+def _check_everywhere(source):
+    """Run *source* on every config and both targets against the
+    reference; return the reference interpreter's outcome."""
     oracles = {}
     for config in ExecConfig.all():
         reference = ExecConfig(engine="reference", sanitize=config.sanitize)
         if reference not in oracles:
             oracles[reference] = interpreted(source, reference)
         assert interpreted(source, config) == oracles[reference], config
-    type_name, place, access = cell
-    if access is None:
-        assert oracles[REFERENCE][0] == "ok"
-    elif access != "masked":
-        assert oracles[REFERENCE][:2] == ("trap", 1)
     for target_name in TARGETS:
         expected = interpreted(source, REFERENCE,
                                make_target(target_name).target_data)
         assert native(source, target_name) == _kind(expected), target_name
+    return oracles[REFERENCE]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+def test_cell(cell):
+    outcome = _check_everywhere(cell_source(*cell))
+    type_name, place, access = cell
+    if access is None:
+        assert outcome[0] == "ok"
+    elif access != "masked":
+        assert outcome[:2] == ("trap", 1)
+
+
+def _address(type_name: str, place: str) -> Tuple[int, int, int]:
+    """The address a global-edge cell accesses and its end, and where
+    the global arena ends, in the reference interpreter's layout."""
+    source = edge_source(type_name, place, "load")
+    interpreter = Interpreter(_module(source), REFERENCE)
+    address = interpreter.image.address_of("g")
+    size = interpreter.target.size_of(
+        interpreter.module.globals["g"].value_type)
+    _order, narrow, wide = EDGES[place]
+    address += size * (narrow if size == 1 else wide)
+    return address, address + size, interpreter.memory.global_end
+
+
+@pytest.mark.parametrize("type_name", SCALARS)
+def test_global_edges_are_where_they_say(type_name):
+    start, end, global_end = _address(type_name, "global-first")
+    assert start == GLOBAL_BASE
+    start, end, global_end = _address(type_name, "global-last")
+    assert end == global_end
+    start, end, global_end = _address(type_name, "global-straddle")
+    assert start < global_end < end or start == global_end == end - 1
+    start, end, global_end = _address(type_name, "global-below")
+    assert end == GLOBAL_BASE
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS, ids=_cell_id)
+def test_global_edge_cell(cell):
+    outcome = _check_everywhere(edge_source(*cell))
+    type_name, place, access = cell
+    faults = place in ("global-straddle", "global-below")
+    if faults and access != "masked":
+        assert outcome[:2] == ("trap", 1)
+    else:
+        assert outcome[0] == "ok"
+        if faults:  # the masked load read zero
+            assert float(outcome[2]) == 0

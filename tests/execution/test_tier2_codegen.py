@@ -2,7 +2,11 @@
 
 A constant nonzero divisor drops the divide-by-zero check (and the
 unsigned forms become plain ``//``/``%``), and a constant in-range
-shift amount drops the mask.  The generated source is inspected
+shift amount drops the mask.  A block with one incoming edge runs in
+place, the others dispatch through a balanced ``__blk < k`` test, a
+load or store through a global tests the global arena's bounds before
+its codec call, a cast that cannot change its value is a copy, and a
+budget check is one line.  The generated source is inspected
 directly, and a program covering every const-divisor shape over
 dividends that include INT_MIN and INT_MAX is differenced against the
 reference interpreter on the fast engine and on forced tier 2.
@@ -52,9 +56,8 @@ def _tier2_source(asm):
 
 def _zero_checks(source):
     """Count emitted divisor zero checks.  The checked division path
-    tests a value temp (``if __tN == 0:``); block dispatch arms also
-    contain ``== 0`` (``if __blk == 0:``), so a plain substring match
-    would misfire."""
+    tests a value temp (``if __tN == 0:``); a plain ``== 0`` substring
+    match would also count other comparisons with zero."""
     return len(re.findall(r"__t\d+ == 0", source))
 
 
@@ -262,3 +265,174 @@ entry:
 }
 """)
         assert "__mem" not in source
+
+
+class TestBlockLayoutCodegen:
+    """A block with one incoming edge runs at the end of that edge; the
+    entry and the blocks with several dispatch through a balanced test
+    on ``__blk``."""
+
+    DIAMOND = """
+int %main(int %x) {
+entry:
+        %c = setlt int %x, 0
+        br bool %c, label %neg, label %pos
+neg:
+        %n = sub int 0, %x
+        br label %join
+pos:
+        br label %join
+join:
+        %r = phi int [ %n, %neg ], [ %x, %pos ]
+        ret int %r
+}
+"""
+
+    def test_one_way_blocks_run_in_place(self):
+        source = _tier2_source(self.DIAMOND)
+        # Two arms (entry, join): one test, and both edges into join
+        # dispatch to arm 1.
+        assert source.count("if __blk < ") == 1
+        assert source.count("__blk = 1") == 2
+        assert "__blk ==" not in source
+        assert "else:" not in source
+
+    def test_dispatching_arm_goes_under_the_if(self):
+        source = _tier2_source("""
+int %main(int %x) {
+entry:
+        br label %loop
+loop:
+        %i = phi int [ 0, %entry ], [ %j, %loop ]
+        %j = add int %i, 1
+        %c = setlt int %j, %x
+        br bool %c, label %loop, label %done
+done:
+        ret int %j
+}
+""")
+        # The back edge dispatches under the ``if``; ``done`` runs in
+        # place after it at the same depth.
+        lines = source.splitlines()
+        test = next(i for i, line in enumerate(lines)
+                    if line.strip() == "if r3:")
+        ret = next(i for i, line in enumerate(lines)
+                   if "return r2" in line)
+        indent = len(lines[test]) - len(lines[test].lstrip())
+        assert len(lines[ret]) - len(lines[ret].lstrip()) == indent
+
+    def test_balanced_dispatch(self):
+        # b1..b7 and out each have two or more incoming edge slots (b0
+        # has one and runs in place): with the entry, nine arms, each
+        # at most ceil(log2(9)) = 4 tests away.
+        blocks = ["entry:\n        br bool %c, label %b0, label %b1"]
+        for k in range(8):
+            nxt = "%b{0}".format(k + 1) if k < 7 else "%out"
+            blocks.append("b{0}:\n        br bool %c, label {1}, "
+                          "label {1}".format(k, nxt))
+        blocks.append("out:\n        ret int 0")
+        source = _tier2_source(
+            "int %main(bool %c) {\n" + "\n".join(blocks) + "\n}\n")
+        assert source.count("if __blk < ") == 8
+        depth = max(len(line) - len(line.lstrip())
+                    for line in source.splitlines()
+                    if line.strip().startswith("if __blk < "))
+        loop = next(line for line in source.splitlines()
+                    if line.strip() == "while True:")
+        assert (depth - (len(loop) - len(loop.lstrip()))) // 4 <= 4
+
+    def test_budget_check_is_one_line(self):
+        source = _tier2_source(self.DIAMOND)
+        assert "if __steps > __ms: raise __limit(st, __steps)" in source
+        assert "StepLimitExceeded" not in source
+
+
+class TestGlobalAccessCodegen:
+    """A load or store through a global, or a ``getelementptr`` of one,
+    tests the global arena's bounds, then makes one codec call on the
+    arena; any other address, and an address that fails the test, takes
+    ``__ld``/``__st``."""
+
+    SOURCE = """
+%g = global [4 x int] zeroinitializer
+%s = global short 0
+int %main(long %i) {
+entry:
+        %p = getelementptr [4 x int]* %g, long 0, long %i
+        store int 5, int* %p
+        %v = load int* %p
+        %w = load short* %s
+        %a = alloca int
+        store int %v, int* %a
+        %u = load int* %a
+        ret int %u
+}
+"""
+
+    def test_global_accesses_take_the_arena(self):
+        source = _tier2_source(self.SOURCE)
+        assert "if 65536 <= r1 and r1 + 4 <= __ge:" in source
+        assert "__le_uint.pack_into(__ga, r1 - 65536, 5)" in source
+        assert "r2 = __le_int.unpack_from(__ga, r1 - 65536)[0]" in source
+        assert "if 65536 <= __g1 and __g1 + 2 <= __ge:" in source
+        assert "r3 = __le_short.unpack_from(__ga, __g1 - 65536)[0]" \
+            in source
+        # The else arms keep the checked path for every global access.
+        assert source.count("__ld(r1, __le_int)") == 1
+        assert source.count("__st(r1, __le_uint, 5)") == 1
+        prologue = source.split("def __tier2")[0]
+        assert "__ga = __mem.global_arena" in prologue
+        assert "__ge = __mem.global_end" in prologue
+
+    def test_stack_accesses_keep_the_typed_path(self):
+        source = _tier2_source(self.SOURCE)
+        assert re.search(r"__st\(r4, __le_uint, \(r2\) & 4294967295\)",
+                         source)
+        assert "r5 = __ld(r4, __le_int)" in source
+        assert "(__ga, r4" not in source
+
+
+class TestCastCodegen:
+    """A cast whose result is its operand's value is a copy; any other
+    integer cast masks and sign-folds."""
+
+    def test_value_preserving_casts_are_copies(self):
+        source = _tier2_source("""
+long %main(int %i, ubyte %b, int* %p) {
+entry:
+        %w = cast int %i to long
+        %x = cast ubyte %b to short
+        %y = cast ubyte %b to uint
+        %q = cast int* %p to sbyte*
+        %s = cast sbyte* %q to long
+        %t = add long %w, %s
+        %u = cast short %x to long
+        %v = cast uint %y to long
+        %z = add long %u, %v
+        %r = add long %t, %z
+        ret long %r
+}
+""")
+        for line in ("r3 = r0", "r4 = r1", "r5 = r1", "r6 = r2",
+                     "r9 = r4", "r10 = r5"):
+            assert "    " + line + "\n" in source, line
+
+    def test_value_changing_casts_wrap(self):
+        source = _tier2_source("""
+ulong %main(int %i, long %l) {
+entry:
+        %n = cast long %l to int
+        %u = cast int %i to ulong
+        %s = cast int %i to uint
+        %a = cast int %n to ulong
+        %b = cast uint %s to ulong
+        %c = add ulong %u, %a
+        %r = add ulong %c, %b
+        ret ulong %r
+}
+""")
+        assert "r2 = (((r1) & 4294967295) ^ 2147483648) - 2147483648" \
+            in source
+        assert "r3 = (r0) & 18446744073709551615" in source
+        assert "r4 = (r0) & 4294967295" in source
+        assert "r6 = r4" in source

@@ -70,6 +70,31 @@ class TestProgramArgs:
         assert code == 2
         assert "is not a number" in err
 
+    @pytest.mark.parametrize("value", ["2147483648", "-2147483649",
+                                       str(1 << 70)])
+    @pytest.mark.parametrize("flags", [["--engine", "reference"],
+                                       ["--tier2", "--tier2-threshold", "0"],
+                                       ["--target", "x86"]])
+    def test_out_of_range_arg_for_int_parameter_rejected(
+            self, tmp_path, capsys, value, flags):
+        # Regression: a value wider than the parameter reached the
+        # engines, where a widening cast read it differently in tier 2
+        # and the x86 argument store raised OverflowError.
+        source = tmp_path / "widens.c"
+        source.write_text("int main(int n) { long w = n; "
+                          "print_long(w); return 0; }")
+        bc = tmp_path / "widens.bc"
+        assert main(["cc", str(source), "-o", str(bc)]) == 0
+        capsys.readouterr()
+        code, out, err = _capture(["run", str(bc), value] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert "({0}) is out of range".format(value) in err
+        assert "of type int" in err
+        code, out, _err = _capture(["run", str(bc), "2147483647"] + flags,
+                                   capsys)
+        assert code == 0 and out == "2147483647"
+
     def test_unwritable_trace_path_is_a_clean_error(self, tmp_path,
                                                     capsys):
         source = tmp_path / "ok.c"
